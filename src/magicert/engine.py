@@ -27,7 +27,8 @@ from .errors import (
     TransportError,
 )
 from .provers import parse_prover_spec
-from .util import bits_str, derive_seed, parse_bits, rng_from
+from .util import _rekeyed, bits_str, derive_seed, parse_bits
+from .util import rng_from  # noqa: F401  (kept importable here; perfbench/tracing.py wraps it)
 from .verifier import Flag, RoundType
 
 WIRE_VERSION = 1
@@ -342,8 +343,8 @@ def run_session(
     own uniform draws.
     """
     seed = session_seed(master_seed, index)
-    vrng = rng_from(derive_seed(seed, _VERIFIER_LANE))
-    prng = rng_from(derive_seed(seed, _PROVER_LANE))
+    vrng = _rekeyed(derive_seed(seed, _VERIFIER_LANE), "verifier")
+    prng = _rekeyed(derive_seed(seed, _PROVER_LANE), "prover")
     registry = entcf.OracleRegistry()
     sess = verifier.begin(sp, vrng, registry=registry, theta=theta)
 
@@ -509,6 +510,7 @@ def serve(
                 on_listen(server.getsockname()[1])
             conn, _ = server.accept()
             with conn:
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 rfile = conn.makefile("rb")
                 wfile = conn.makefile("wb")
                 transcripts = _serve_sessions(rfile, wfile, sp, master_seed, n_sessions)
@@ -526,6 +528,7 @@ def connect(endpoint: str, prover_spec: str, master_seed: int) -> list[dict]:
         return _client_sessions(sys.stdin.buffer, sys.stdout.buffer, factory, master_seed)
     _, host, port = kind
     with socket.create_connection((host, port)) as conn:
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         rfile = conn.makefile("rb")
         wfile = conn.makefile("wb")
         return _client_sessions(rfile, wfile, factory, master_seed)
@@ -544,7 +547,7 @@ def _serve_sessions(rfile, wfile, sp, master_seed, n_sessions) -> list[SessionTr
 def _serve_one(rfile, wfile, sp, master_seed, index) -> tuple[SessionTranscript, bool]:
     """Run one wire session; the bool says whether the stream is still usable."""
     seed = session_seed(master_seed, index)
-    vrng = rng_from(derive_seed(seed, _VERIFIER_LANE))
+    vrng = _rekeyed(derive_seed(seed, _VERIFIER_LANE), "verifier")
     registry = entcf.OracleRegistry()
     sess = verifier.begin(sp, vrng, registry=registry)
 
@@ -643,12 +646,13 @@ def _client_one(rfile, wfile, factory, master_seed, keys_msg: Message) -> dict:
     # trusted setup: rebuild the oracle locally by replaying the verifier's
     # key generation, then check the advertised handles line up
     registry = entcf.OracleRegistry()
-    replay = verifier.begin(sp, rng_from(derive_seed(seed, _VERIFIER_LANE)), registry=registry)
+    vrng = _rekeyed(derive_seed(seed, _VERIFIER_LANE), "verifier")
+    replay = verifier.begin(sp, vrng, registry=registry)
     local = [(h.key_id, h.w) for h in replay.handles]
     if local != advertised:
         raise TransportError("advertised keys do not match the replayed oracle")
 
-    prover = factory(registry, rng_from(derive_seed(seed, _PROVER_LANE)), index)
+    prover = factory(registry, _rekeyed(derive_seed(seed, _PROVER_LANE), "prover"), index)
     w = sp.w
     seq = 1
 
@@ -673,11 +677,10 @@ def _client_one(rfile, wfile, factory, master_seed, keys_msg: Message) -> dict:
     elif round_value == RoundType.HADAMARD.value:
         ds = prover.answer_hadamard()
         send("HADAMARD_D", {"ds": [bits_str(int(d), w) for d in ds]})
-        q_msg = expect("QUESTIONS")
-        q = tuple(int(ch) for ch in q_msg.payload.get("q", ""))
-        if len(q) != 3 or any(b not in (0, 1) for b in q):
-            raise TransportError("malformed QUESTIONS payload")
-        vs = prover.answer_questions(q)
+        q_raw = expect("QUESTIONS").payload.get("q")
+        if not isinstance(q_raw, str) or len(q_raw) != 3 or any(ch not in "01" for ch in q_raw):
+            raise TransportError(f"malformed QUESTIONS payload {q_raw!r}")
+        vs = prover.answer_questions(tuple(int(ch) for ch in q_raw))
         send("ANSWERS", {"vs": "".join(str(int(v)) for v in vs)})
     else:
         raise TransportError(f"malformed ROUND payload {round_value!r}")
@@ -692,7 +695,7 @@ def _parse_bit_list(items, count, width) -> list[int]:
     for s in items:
         try:
             value, got_width = parse_bits(s)
-        except (ParameterError, TypeError) as exc:
+        except (TypeError, ValueError) as exc:
             raise MalformedAnswerError(f"bad bit string {s!r}") from exc
         if got_width != width:
             raise MalformedAnswerError(f"bit string {s!r} is not {width} bits")
@@ -712,7 +715,7 @@ def _parse_preimages(items, w) -> list[tuple[int, int]]:
             raise MalformedAnswerError(f"bad preimage bit {b_raw!r}")
         try:
             x, width = parse_bits(x_raw)
-        except (ParameterError, TypeError) as exc:
+        except (TypeError, ValueError) as exc:
             raise MalformedAnswerError(f"bad preimage string {x_raw!r}") from exc
         if width != w:
             raise MalformedAnswerError(f"preimage {x_raw!r} is not {w} bits")

@@ -29,13 +29,13 @@ core) while preserving bijectivity, exact inversion and uniform images.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .errors import FamilyMisuseError, KeyLookupError, ParameterError
-from .util import bits_str, derive_seed, parity, rand_bits, rand_u64, rng_from
+from .util import _rekeyed, bits_str, derive_seed, parity, rand_bits, rand_u64, rng_from
 
 W_MIN = 4
 W_MAX = 24
@@ -82,12 +82,18 @@ class KeyHandle:
 
 @dataclass(frozen=True)
 class Trapdoor:
-    """Secret inversion material. Never serialized into protocol messages."""
+    """Secret inversion material. Never serialized into protocol messages.
+
+    mask_in and mask_out are the permutation masks, derived from perm_seed
+    once at creation so that inversion never touches a generator.
+    """
 
     family: Family
     perm_seed: int
     w: int
     shift: int | None  # claw offset; None for the injective family
+    mask_in: int = field(init=False, compare=False, repr=False)
+    mask_out: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.family is Family.CLAW:
@@ -95,6 +101,9 @@ class Trapdoor:
                 raise ParameterError("claw family requires a nonzero w-bit shift")
         elif self.shift is not None:
             raise ParameterError("injective family carries no shift")
+        rng = _rekeyed(self.perm_seed, "masks")
+        object.__setattr__(self, "mask_in", rand_bits(rng, self.w + 1))
+        object.__setattr__(self, "mask_out", rand_bits(rng, self.w + 1))
 
 
 @dataclass(frozen=True)
@@ -160,39 +169,28 @@ def _base(w: int) -> tuple[np.ndarray, np.ndarray]:
 class _SecretRecord:
     handle: KeyHandle
     trapdoor: Trapdoor
-    mask_in: int
-    mask_out: int
-
-
-def _masks(perm_seed: int, w: int) -> tuple[int, int]:
-    rng = rng_from(perm_seed)
-    return rand_bits(rng, w + 1), rand_bits(rng, w + 1)
 
 
 def _perm_backward(t: Trapdoor, y: int) -> int:
     _, inv = _base(t.w)
-    m_in, m_out = _masks(t.perm_seed, t.w)
-    return int(inv[y ^ m_out]) ^ m_in
+    return int(inv[y ^ t.mask_out]) ^ t.mask_in
 
 
 def permutation_table(t: Trapdoor) -> np.ndarray:
     """Materialize the key's full permutation of {0,1}^{w+1} (diagnostics)."""
     perm, _ = _base(t.w)
-    m_in, m_out = _masks(t.perm_seed, t.w)
-    idx = np.arange(perm.size, dtype=np.uint32) ^ np.uint32(m_in)
-    return perm[idx] ^ np.uint32(m_out)
+    idx = np.arange(perm.size, dtype=np.uint32) ^ np.uint32(t.mask_in)
+    return perm[idx] ^ np.uint32(t.mask_out)
 
 
 class OracleRegistry:
     """Append-only map from key ids to secret records.
 
-    Generation is serialized under a lock; lookups after generation are
-    read-only and safe to share across threads.
+    A registry serves one session and is not shared between threads.
     """
 
     def __init__(self) -> None:
         self._records: dict[int, _SecretRecord] = {}
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._records)
@@ -201,7 +199,7 @@ class OracleRegistry:
         """Create one key pair; everything derives from (family, sp, seed)."""
         family = Family(family)
         w = sp.w
-        rng = rng_from(derive_seed(seed, _LANE_BY_FAMILY[family.value], w))
+        rng = _rekeyed(derive_seed(seed, _LANE_BY_FAMILY[family.value], w), "keygen")
         key_id = rand_u64(rng)
         perm_seed = rand_u64(rng)
         shift = None
@@ -209,14 +207,12 @@ class OracleRegistry:
             shift = int(rng.integers(1, 1 << w))  # uniform over nonzero w-bit values
         trapdoor = Trapdoor(family=family, perm_seed=perm_seed, w=w, shift=shift)
         handle = KeyHandle(key_id=key_id, w=w)
-        m_in, m_out = _masks(perm_seed, w)
-        record = _SecretRecord(handle=handle, trapdoor=trapdoor, mask_in=m_in, mask_out=m_out)
-        with self._lock:
-            existing = self._records.get(key_id)
-            if existing is None:
-                self._records[key_id] = record
-            elif existing != record:
-                raise KeyLookupError(f"key id collision: {key_id}")
+        record = _SecretRecord(handle=handle, trapdoor=trapdoor)
+        existing = self._records.get(key_id)
+        if existing is None:
+            self._records[key_id] = record
+        elif existing != record:
+            raise KeyLookupError(f"key id collision: {key_id}")
         return handle, trapdoor
 
     def _record(self, k: KeyHandle) -> _SecretRecord:
@@ -264,8 +260,9 @@ class OracleRegistry:
 
 
 def _forward(rec: _SecretRecord, z: int) -> int:
-    perm, _ = _base(rec.handle.w)
-    return int(perm[z ^ rec.mask_in]) ^ rec.mask_out
+    t = rec.trapdoor
+    perm, _ = _base(t.w)
+    return int(perm[z ^ t.mask_in]) ^ t.mask_out
 
 
 def invert(t: Trapdoor, b: int, y: int) -> int | None:

@@ -72,7 +72,8 @@ class HonestProver:
         self.qubits = qubits
         amps = qubits[0].amplitudes()
         for qubit in qubits[1:]:
-            amps = np.kron(amps, qubit.amplitudes())
+            # the products np.kron forms, without its reshaping overhead
+            amps = np.multiply.outer(amps, qubit.amplitudes()).ravel()
         self.state = self._entangle(qsim.StateVector(amps), qubits)
         self._stage = "opened"
         return ds
@@ -168,10 +169,6 @@ class NoisyProver:
 
 def noisy(inner: HonestProver, spec: NoiseSpec) -> NoisyProver:
     return NoisyProver(inner, spec)
-
-
-def stabilizer_prover(registry: entcf.OracleRegistry, rng: np.random.Generator) -> StabilizerProver:
-    return StabilizerProver(registry, rng)
 
 
 class ScriptedProver:

@@ -4,9 +4,17 @@ Every random choice in the package flows through a counter-based
 generator (Philox) keyed by 64-bit seeds derived with `derive_seed`,
 so identical seeds reproduce identical runs bit for bit on a given
 platform.
+
+`rng_from` builds a fresh generator. Internal sites that need a generator
+for one call only use `_rekeyed` instead: it resets a reused per-thread
+Philox to the same key at counter 0, so the documented streams are
+unchanged while construction (a SeedSequence with an OS entropy read) is
+paid once per thread.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -41,6 +49,38 @@ def rng_from(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & MASK64))
 
 
+_ZEROS4 = np.zeros(4, dtype=np.uint64)
+_reused = threading.local()
+
+
+def _rekeyed(seed: int, slot: str) -> np.random.Generator:
+    """The stream of rng_from(seed), drawn from a generator reused per thread.
+
+    Philox is counter-based, so setting key=[seed, 0], a zero counter, an
+    empty buffer and no pending 32-bit half reproduces a fresh generator's
+    state exactly. Each (thread, slot) owns one generator, and rekeying it
+    restarts any stream handed out earlier from that slot: a caller may
+    only use the result until it next asks for the same slot.
+    """
+    gens = getattr(_reused, "gens", None)
+    if gens is None:
+        gens = _reused.gens = {}
+    gen = gens.get(slot)
+    if gen is None:
+        gen = gens[slot] = np.random.Generator(np.random.Philox(key=0))
+    key = np.zeros(2, dtype=np.uint64)
+    key[0] = seed & MASK64
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS4, "key": key},
+        "buffer": _ZEROS4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
+
+
 def rand_bits(rng: np.random.Generator, width: int) -> int:
     """One uniform draw from {0,1}^width, packed MSB-first into an int."""
     if width <= 0:
@@ -72,15 +112,6 @@ def parse_bits(s: str) -> tuple[int, int]:
 
 def int_to_tuple(x: int, width: int) -> tuple[int, ...]:
     return tuple((x >> (width - 1 - i)) & 1 for i in range(width))
-
-
-def tuple_to_int(bits: tuple[int, ...] | list[int]) -> int:
-    v = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"not a bit: {b!r}")
-        v = (v << 1) | b
-    return v
 
 
 def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:

@@ -2,7 +2,9 @@
 
 import json
 import socket
+import sys
 import threading
+import time
 
 import pytest
 
@@ -20,6 +22,7 @@ from magicert.engine import (
 from magicert.entcf import SecurityParam
 from magicert.errors import ParameterError, TranscriptParseError, TransportError
 from magicert.provers import ScriptedProver, parse_prover_spec
+from magicert.util import _rekeyed, rng_from
 from magicert.verifier import RoundType
 
 SP4 = SecurityParam(4)
@@ -335,6 +338,83 @@ class TestWire:
         assert transcripts[0].abort is not None
         assert transcripts[1].abort is None and transcripts[1].accept
 
+    def test_many_sessions_on_one_connection_do_not_stall(self):
+        # small frames in both directions stall ~40 ms each on Nagle's
+        # algorithm meeting delayed ACKs unless both sockets set TCP_NODELAY
+        n, master_seed = 200, 4242
+        thread, holder = serve_in_thread(SP4, master_seed, n)
+        start = time.perf_counter()
+        verdicts = engine.connect(f"127.0.0.1:{holder['port']}", "honest", master_seed)
+        elapsed = time.perf_counter() - start
+        thread.join(10.0)
+        assert not thread.is_alive()
+        assert len(verdicts) == n and all(v["accept"] for v in verdicts)
+        assert elapsed < 4.0, f"{n} sessions took {elapsed:.1f} s"
+
+    @pytest.mark.parametrize("bad", ["", "0x1", None, 7])
+    def test_unparseable_bit_strings_abort_and_keep_serving(self, bad):
+        master_seed, n = 1214, 5  # sessions 1-3 hold both round types
+        thread, holder = serve_in_thread(SP4, master_seed, n)
+        rounds = set()
+        with socket.create_connection(("127.0.0.1", holder["port"]), timeout=10.0) as conn:
+            rfile = conn.makefile("rb")
+            wfile = conn.makefile("wb")
+
+            def send(keys, seq, kind, payload):
+                wfile.write(Message(sid=keys.sid, seq=seq, kind=kind, payload=payload).encode())
+                wfile.flush()
+
+            for index in range(n - 1):
+                keys = Message.decode(rfile.readline())
+                if index == 0:
+                    send(keys, 1, "COMMIT", {"ys": [bad] * 3})
+                else:
+                    send(keys, 1, "COMMIT", {"ys": ["00000"] * 3})
+                    round_msg = Message.decode(rfile.readline())
+                    rounds.add(round_msg.payload["round"])
+                    if round_msg.payload["round"] == "preimage":
+                        send(keys, 3, "PREIMAGES", {"answers": [["0", bad]] * 3})
+                    else:
+                        send(keys, 3, "HADAMARD_D", {"ds": [bad] * 3})
+                verdict = Message.decode(rfile.readline())
+                assert verdict.kind == "VERDICT"
+                assert verdict.payload["abort"].startswith("MalformedAnswerError")
+            keys = engine._recv(rfile)
+            assert keys is not None and keys.kind == "KEYS"
+            engine._client_one(rfile, wfile, HONEST, master_seed, keys)
+        thread.join(10.0)
+        assert not thread.is_alive()
+        _, transcripts = holder["result"]
+        assert rounds == {"preimage", "hadamard"}
+        assert len(transcripts) == n
+        assert all(t.abort.startswith("MalformedAnswerError") for t in transcripts[:-1])
+        assert transcripts[-1].abort is None and transcripts[-1].accept
+
+    @pytest.mark.parametrize("q", [7, None, ["0", "1", "0"], "0a1", "01"])
+    def test_malformed_questions_raise_transport_error(self, q):
+        master_seed = 1313
+        # find a session whose round coin lands on a Hadamard round
+        index = next(i for i in range(20)
+                     if run_session(SP4, HONEST, master_seed, i).round == "hadamard")
+        seed = engine.session_seed(master_seed, index)
+        server_sock, client_sock = socket.socketpair()
+        with server_sock, client_sock:
+            client_sock.settimeout(10.0)
+            srv_r, srv_w = server_sock.makefile("rb"), server_sock.makefile("wb")
+            cli_r, cli_w = client_sock.makefile("rb"), client_sock.makefile("wb")
+            sess = run_session(SP4, HONEST, master_seed, index)
+            keys = Message(sid=seed, seq=0, kind="KEYS", payload={
+                "index": index, "lam": 4,
+                "keys": [{"id": k["id"], "w": 4} for k in sess.keys],
+            })
+            srv_w.write(Message(sid=seed, seq=2, kind="ROUND",
+                                payload={"round": "hadamard"}).encode())
+            srv_w.write(Message(sid=seed, seq=4, kind="QUESTIONS", payload={"q": q}).encode())
+            srv_w.flush()
+            with pytest.raises(TransportError, match="QUESTIONS"):
+                engine._client_one(cli_r, cli_w, HONEST, master_seed, keys)
+            assert Message.decode(srv_r.readline()).kind == "COMMIT"
+
     def test_parse_endpoint_forms(self):
         assert parse_endpoint("stdio") == ("stdio",)
         assert parse_endpoint("127.0.0.1:88") == ("tcp", "127.0.0.1", 88)
@@ -342,3 +422,57 @@ class TestWire:
         for bad in ("", "nohost", "host:", ":99", "host:notaport"):
             with pytest.raises(ParameterError):
                 parse_endpoint(bad)
+
+
+# ---------------------------------------------------------------- threads
+
+
+class TestReusedGenerators:
+    @pytest.mark.parametrize("draws", [
+        lambda g: None,
+        lambda g: g.integers(0, 2),          # leaves half a 64-bit word pending
+        lambda g: g.random(3),               # leaves the Philox buffer part-used
+        lambda g: g.integers(0, 1 << 63, size=9),
+    ])
+    def test_rekeyed_stream_matches_a_fresh_generator(self, draws):
+        seed = 2**63 + 12345
+        draws(_rekeyed(99, "test"))
+
+        def stream(g):
+            return [int(g.integers(0, 2)), int(g.integers(0, 1 << 17)), g.random(),
+                    int(g.integers(0, 1 << 63)), int(g.integers(0, 2))]
+
+        assert stream(_rekeyed(seed, "test")) == stream(rng_from(seed))
+
+    def test_concurrent_sessions_match_their_sequential_runs(self):
+        n = 150
+        jobs = {"honest": (SP4, "honest", 11), "stabilizer": (SecurityParam(8), "stabilizer", 22)}
+
+        def records(sp, spec, seed):
+            _, transcripts = run_batch(sp, spec, n, seed, collect=True)
+            return [t.to_record() for t in transcripts]
+
+        expected = {name: records(*job) for name, job in jobs.items()}
+        wire_expected = [run_session(SP4, HONEST, 33, i) for i in range(n)]
+
+        results = {}
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            server, holder = serve_in_thread(SP4, 33, n)
+            workers = [
+                threading.Thread(target=lambda name=name: results.__setitem__(
+                    name, records(*jobs[name])), daemon=True)
+                for name in jobs
+            ]
+            for t in workers:
+                t.start()
+            verdicts = engine.connect(f"127.0.0.1:{holder['port']}", "honest", 33)
+            for t in [server, *workers]:
+                t.join(60.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert results == expected
+        assert len(verdicts) == n
+        assert list(holder["result"][1]) == wire_expected
