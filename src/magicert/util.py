@@ -9,7 +9,7 @@ platform.
 for one call only use `_rekeyed` instead: it resets a reused per-thread
 Philox to the same key at counter 0, so the documented streams are
 unchanged while construction (a SeedSequence with an OS entropy read) is
-paid once per thread.
+paid once per thread and slot.
 """
 
 from __future__ import annotations
@@ -62,12 +62,10 @@ def _rekeyed(seed: int, slot: str) -> np.random.Generator:
     restarts any stream handed out earlier from that slot: a caller may
     only use the result until it next asks for the same slot.
     """
-    gens = getattr(_reused, "gens", None)
-    if gens is None:
-        gens = _reused.gens = {}
-    gen = gens.get(slot)
+    gen = getattr(_reused, slot, None)
     if gen is None:
-        gen = gens[slot] = np.random.Generator(np.random.Philox(key=0))
+        gen = np.random.Generator(np.random.Philox(key=0))
+        setattr(_reused, slot, gen)
     key = np.zeros(2, dtype=np.uint64)
     key[0] = seed & MASK64
     gen.bit_generator.state = {
