@@ -510,7 +510,6 @@ def serve(
                 on_listen(server.getsockname()[1])
             conn, _ = server.accept()
             with conn:
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 rfile = conn.makefile("rb")
                 wfile = conn.makefile("wb")
                 transcripts = _serve_sessions(rfile, wfile, sp, master_seed, n_sessions)
@@ -528,7 +527,6 @@ def connect(endpoint: str, prover_spec: str, master_seed: int) -> list[dict]:
         return _client_sessions(sys.stdin.buffer, sys.stdout.buffer, factory, master_seed)
     _, host, port = kind
     with socket.create_connection((host, port)) as conn:
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         rfile = conn.makefile("rb")
         wfile = conn.makefile("wb")
         return _client_sessions(rfile, wfile, factory, master_seed)
