@@ -25,6 +25,8 @@ GOLDEN = [
      "db3dece36fcba357eab9463b5912555c681ec60b52774c65c8e615eb8af201ee"),
     (4, "stabilizer", {"theta": (1, 1, 1), "round": RoundType.HADAMARD},
      "566b709e2cbe57c2b075bd2d1a28ce717636c013df0f55c43a55d1b954058deb"),
+    (4, "noisy:depol:0.3", {"theta": (1, 1, 1), "round": RoundType.HADAMARD},
+     "75f3d853f91e3e53b126962be1fc24bcac5dd5b2ef15f4e33f15499bbd7737e6"),
 ]
 
 
@@ -37,7 +39,8 @@ def transcript_digest(lam, spec, master_seed=2111, n=200, **pins) -> str:
 
 @pytest.mark.parametrize(
     "lam, spec, pins, digest", GOLDEN,
-    ids=["honest-l16", "stabilizer-l4", "depol-l16", "bitflip-l8", "stabilizer-l4-hyper"],
+    ids=["honest-l16", "stabilizer-l4", "depol-l16", "bitflip-l8", "stabilizer-l4-hyper",
+         "depol-l4-hyper"],
 )
 def test_transcript_digest_is_pinned(lam, spec, pins, digest):
     assert transcript_digest(lam, spec, **pins) == digest
