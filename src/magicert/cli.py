@@ -12,7 +12,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,18 +23,6 @@ EXIT_REJECT = 1
 EXIT_ERROR = 2
 
 _IDENTITY_ATOL = 1e-12
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Plumbing for a batch run; validation happens in the engine."""
-
-    sessions: int
-    lam: int
-    prover: str
-    seed: int
-    out: str | None
-    parallelism: int
 
 
 # ------------------------------------------------------------------ parser
@@ -109,14 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
-    cfg = RunConfig(sessions=args.sessions, lam=args.lam, prover=args.prover,
-                    seed=args.seed, out=args.out, parallelism=args.parallelism)
-    sp = entcf.SecurityParam(cfg.lam)
-    stats, _ = engine.run_batch(sp, cfg.prover, cfg.sessions, cfg.seed,
-                                cfg.parallelism, sink=cfg.out)
+    sp = entcf.SecurityParam(args.lam)
+    stats, _ = engine.run_batch(sp, args.prover, args.sessions, args.seed,
+                                args.parallelism, sink=args.out)
     print(json.dumps(stats.as_dict(), indent=2))
-    if cfg.out is not None:
-        print(f"wrote {stats.n_sessions} transcripts to {cfg.out}", file=sys.stderr)
+    if args.out is not None:
+        print(f"wrote {stats.n_sessions} transcripts to {args.out}", file=sys.stderr)
     return EXIT_ACCEPT
 
 

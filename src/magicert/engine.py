@@ -69,7 +69,7 @@ class Message:
     def decode(line: bytes | str) -> "Message":
         try:
             body = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise TransportError(f"undecodable frame: {exc}") from exc
         if not isinstance(body, dict):
             raise TransportError("frame is not an object")
@@ -633,10 +633,10 @@ def _client_one(rfile, wfile, factory, master_seed, keys_msg: Message) -> dict:
         index = int(payload["index"])
         lam = int(payload["lam"])
         advertised = [(int(k["id"]), int(k["w"])) for k in payload["keys"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        sp = entcf.SecurityParam(lam)
+    except (KeyError, TypeError, ValueError, ParameterError) as exc:
         raise TransportError(f"malformed KEYS payload: {exc}") from exc
 
-    sp = entcf.SecurityParam(lam)
     seed = session_seed(master_seed, index)
     if keys_msg.sid != seed:
         raise TransportError("session id does not match the shared master seed")

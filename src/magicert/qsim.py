@@ -30,7 +30,6 @@ _SQRT2 = np.sqrt(2.0)
 
 H_GATE = np.array([[1, 1], [1, -1]], dtype=np.complex128) / _SQRT2
 X_GATE = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-Y_GATE = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 Z_GATE = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 S_GATE = np.array([[1, 0], [0, 1j]], dtype=np.complex128)
 T_GATE = np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=np.complex128)
@@ -380,7 +379,11 @@ def enumerate_stabilizer_states(n: int) -> list[StateVector]:
 
 
 def depolarize(rho: DensityState, qubit: int, eps: float) -> DensityState:
-    """Replace one qubit by the maximally mixed state with probability eps."""
+    """Replace one qubit by the maximally mixed state with probability eps.
+
+    The Pauli twirl (m + XmX + YmY + ZmZ) / 4 on one qubit equals
+    I/2 on that qubit tensored with the partial trace over it.
+    """
     if not 0.0 <= eps <= 1.0:
         raise ParameterError("depolarizing strength must lie in [0,1]")
     if not 0 <= qubit < rho.n:
@@ -389,11 +392,10 @@ def depolarize(rho: DensityState, qubit: int, eps: float) -> DensityState:
         return rho
     n = rho.n
     m = rho.matrix
-    twirl = m.copy()
-    for gate in (X_GATE, Y_GATE, Z_GATE):
-        p = _pauli_on(n, qubit, gate)
-        twirl = twirl + p @ m @ p.conj().T
-    return DensityState((1.0 - eps) * m + (eps / 4.0) * twirl)
+    reduced = np.trace(m.reshape((2,) * (2 * n)), axis1=qubit, axis2=n + qubit)
+    mixed = np.moveaxis(np.multiply.outer(reduced, np.eye(2) / 2.0),
+                        (2 * n - 2, 2 * n - 1), (qubit, n + qubit))
+    return DensityState((1.0 - eps) * m + eps * mixed.reshape(m.shape))
 
 
 # -------------------------------------------------------------- magic demo

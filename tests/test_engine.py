@@ -26,6 +26,7 @@ from magicert.verifier import RoundType
 
 SP4 = SecurityParam(4)
 HONEST = parse_prover_spec("honest")
+DEEP_FRAME = b"[" * 100000 + b"]" * 100000 + b"\n"
 
 
 # --------------------------------------------------------------------- codec
@@ -54,6 +55,7 @@ class TestMessageCodec:
             b'{"v":1,"sid":"1","seq":0,"kind":"KEYS","payload":[]}\n',
             b'{"v":1,"sid":"x","seq":0,"kind":"KEYS","payload":{}}\n',
             b'{"v":1,"seq":0,"kind":"KEYS","payload":{}}\n',
+            pytest.param(DEEP_FRAME, id="deeply-nested"),
         ],
     )
     def test_malformed_frames_raise(self, line):
@@ -399,6 +401,47 @@ class TestWire:
             with pytest.raises(TransportError, match="QUESTIONS"):
                 engine._client_one(cli_r, cli_w, HONEST, master_seed, keys)
             assert Message.decode(srv_r.readline()).kind == "COMMIT"
+
+    def test_deeply_nested_frame_ends_serve_with_transport_error(self):
+        thread, holder = serve_in_thread(SP4, 1515, 2)
+        with socket.create_connection(("127.0.0.1", holder["port"]), timeout=10.0) as conn:
+            rfile = conn.makefile("rb")
+            assert Message.decode(rfile.readline()).kind == "KEYS"
+            conn.sendall(DEEP_FRAME)
+            thread.join(10.0)
+        assert not thread.is_alive()
+        _, transcripts = holder["result"]
+        assert len(transcripts) == 1
+        assert transcripts[0].abort.startswith("TransportError: undecodable frame")
+
+    def test_deeply_nested_frame_ends_connect_with_transport_error(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            port = listener.getsockname()[1]
+
+            def peer():
+                conn, _ = listener.accept()
+                with conn:
+                    conn.sendall(DEEP_FRAME)
+
+            thread = threading.Thread(target=peer, daemon=True)
+            thread.start()
+            with pytest.raises(TransportError, match="undecodable frame"):
+                engine.connect(f"127.0.0.1:{port}", "honest", 1616)
+            thread.join(10.0)
+
+    @pytest.mark.parametrize("lam", [0, 3, -3, 10**6])
+    def test_unsupported_lam_in_keys_raises_transport_error(self, lam):
+        master_seed, index = 1717, 0
+        keys = Message(sid=engine.session_seed(master_seed, index), seq=0, kind="KEYS",
+                       payload={"index": index, "lam": lam, "keys": []})
+        server_sock, client_sock = socket.socketpair()
+        with server_sock, client_sock:
+            client_sock.settimeout(10.0)
+            server_sock.sendall(keys.encode())
+            server_sock.shutdown(socket.SHUT_WR)
+            cli_r, cli_w = client_sock.makefile("rb"), client_sock.makefile("wb")
+            with pytest.raises(TransportError, match="KEYS"):
+                engine._client_sessions(cli_r, cli_w, HONEST, master_seed)
 
     def test_parse_endpoint_forms(self):
         assert parse_endpoint("stdio") == ("stdio",)

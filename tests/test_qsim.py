@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from magicert import qsim
@@ -385,6 +385,40 @@ def test_depolarize_full_strength_gives_maximally_mixed():
     for i in range(3):
         rho = depolarize(rho, i, 1.0)
     np.testing.assert_allclose(rho.matrix, np.eye(8) / 8, atol=1e-10)
+
+
+Y_GATE = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
+
+
+@st.composite
+def _depolarize_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    d = 1 << n
+    parts = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+    re = np.array(draw(st.lists(parts, min_size=d * d, max_size=d * d))).reshape(d, d)
+    im = np.array(draw(st.lists(parts, min_size=d * d, max_size=d * d))).reshape(d, d)
+    a = re + 1j * im
+    m = a @ a.conj().T
+    tr = np.trace(m).real
+    assume(tr > 1e-6)
+    qubit = draw(st.integers(min_value=0, max_value=n - 1))
+    eps = draw(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+    return DensityState(m / tr), qubit, eps
+
+
+@given(_depolarize_cases())
+@settings(max_examples=200, deadline=None)
+def test_depolarize_matches_pauli_twirl(case):
+    rho, qubit, eps = case
+    m = rho.matrix
+    twirl = m.copy()
+    for gate in (qsim.X_GATE, Y_GATE, qsim.Z_GATE):
+        p = np.ones((1, 1), dtype=np.complex128)
+        for pos in range(rho.n):
+            p = np.kron(p, gate if pos == qubit else np.eye(2))
+        twirl = twirl + p @ m @ p.conj().T
+    expected = (1.0 - eps) * m + (eps / 4.0) * twirl
+    np.testing.assert_allclose(depolarize(rho, qubit, eps).matrix, expected, rtol=0, atol=1e-14)
 
 
 def test_depolarize_zero_is_identity():
