@@ -3,13 +3,16 @@
 A session couples one verifier state machine with one prover strategy. The
 batch runner executes many sessions with per-index seed derivation so that
 results never depend on scheduling. The wire mode splits the two parties
-across a newline-delimited message stream; the key oracle is rebuilt on the
-prover side from the shared master seed (trusted setup), so wire transcripts
-reproduce in-process transcripts bit for bit.
+across a newline-delimited message stream: the server runs the same
+run_session with a RemoteProver that relays each prover call to the peer,
+so wire transcripts equal in-process transcripts bit for bit by
+construction. The key oracle is rebuilt on the prover side from the shared
+master seed (trusted setup).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import sys
@@ -90,14 +93,6 @@ class Message:
         return Message(sid=sid, seq=seq, kind=kind, payload=payload)
 
 
-def _send(wfile, msg: Message) -> None:
-    try:
-        wfile.write(msg.encode())
-        wfile.flush()
-    except OSError as exc:
-        raise TransportError(f"connection lost while sending: {exc}") from exc
-
-
 def _recv(rfile) -> Message | None:
     try:
         line = rfile.readline()
@@ -108,17 +103,43 @@ def _recv(rfile) -> Message | None:
     return Message.decode(line)
 
 
-def _expect(rfile, sid: int, seq: int, kind: str) -> Message:
-    msg = _recv(rfile)
-    if msg is None:
-        raise TransportError(f"connection closed while waiting for {kind}")
-    if msg.kind != kind:
-        raise TransportError(f"expected {kind}, got {msg.kind}")
-    if msg.sid != sid or msg.seq != seq:
-        raise TransportError(
-            f"frame out of order: sid {msg.sid}/{sid}, seq {msg.seq}/{seq}"
-        )
-    return msg
+class _Channel:
+    """One session's frames on a stream: sid, next seq, and a broken bit.
+
+    Each frame is one write and one flush. Any TransportError sets broken,
+    since the peer's place in the stream is then unknown.
+    """
+
+    def __init__(self, rfile, wfile, sid: int, seq: int = 0):
+        self.rfile, self.wfile, self.sid, self.seq = rfile, wfile, sid, seq
+        self.broken = False
+
+    def send(self, kind: str, payload: dict) -> None:
+        frame = Message(sid=self.sid, seq=self.seq, kind=kind, payload=payload).encode()
+        try:
+            self.wfile.write(frame)
+            self.wfile.flush()
+        except OSError as exc:
+            self.broken = True
+            raise TransportError(f"connection lost while sending: {exc}") from exc
+        self.seq += 1
+
+    def expect(self, kind: str) -> Message:
+        try:
+            msg = _recv(self.rfile)
+            if msg is None:
+                raise TransportError(f"connection closed while waiting for {kind}")
+            if msg.kind != kind:
+                raise TransportError(f"expected {kind}, got {msg.kind}")
+            if msg.sid != self.sid or msg.seq != self.seq:
+                raise TransportError(
+                    f"frame out of order: sid {msg.sid}/{self.sid}, seq {msg.seq}/{self.seq}"
+                )
+        except TransportError:
+            self.broken = True
+            raise
+        self.seq += 1
+        return msg
 
 
 # --------------------------------------------------------------- transcript
@@ -209,11 +230,16 @@ def write_transcripts(sink, transcripts) -> None:
 
 
 def read_transcripts(source) -> list[SessionTranscript]:
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        with open(source, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+    """Parse a transcript file; any bad input raises TranscriptParseError."""
+    try:
+        if hasattr(source, "read"):
+            lines = source.read().splitlines()
+        else:
+            with open(source, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = exc.object[:exc.start].count(b"\n") + 1
+        raise TranscriptParseError(f"line {lineno}: not UTF-8: {exc}") from exc
     out = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -221,7 +247,7 @@ def read_transcripts(source) -> list[SessionTranscript]:
         try:
             rec = json.loads(line)
             out.append(SessionTranscript.from_record(rec))
-        except (json.JSONDecodeError, TranscriptParseError) as exc:
+        except (json.JSONDecodeError, RecursionError, TranscriptParseError) as exc:
             raise TranscriptParseError(f"line {lineno}: {exc}") from exc
     return out
 
@@ -335,12 +361,12 @@ def run_session(
     theta: tuple[int, int, int] | None = None,
     round: RoundType | None = None,
 ) -> SessionTranscript:
-    """One full protocol run in-process.
+    """One full protocol run: the only code that walks the round flow.
 
     prover_factory has the (registry, rng, index) signature produced by
-    parse_prover_spec. theta and round pin the sampled basis triple and
-    round type for conditioned statistics; both default to the protocol's
-    own uniform draws.
+    parse_prover_spec; serve passes one that returns a RemoteProver. theta
+    and round pin the sampled basis triple and round type for conditioned
+    statistics; both default to the protocol's own uniform draws.
     """
     seed = session_seed(master_seed, index)
     vrng = _rekeyed(derive_seed(seed, _VERIFIER_LANE), "verifier")
@@ -533,87 +559,54 @@ def connect(endpoint: str, prover_spec: str, master_seed: int) -> list[dict]:
 
 
 def _serve_sessions(rfile, wfile, sp, master_seed, n_sessions) -> list[SessionTranscript]:
+    """Verifier side: run_session against the peer, then send its VERDICT.
+
+    A failed VERDICT send leaves the recorded verdict as it is and only
+    ends the stream.
+    """
     transcripts = []
     for index in range(n_sessions):
-        t, alive = _serve_one(rfile, wfile, sp, master_seed, index)
+        chan = _Channel(rfile, wfile, session_seed(master_seed, index))
+        t = run_session(sp, lambda registry, rng, i: RemoteProver(chan, sp, i), master_seed, index)
         transcripts.append(t)
-        if not alive:
+        if not chan.broken:
+            with contextlib.suppress(TransportError):
+                chan.send("VERDICT", {"accept": t.accept, "flag": t.flag, "abort": t.abort})
+        if chan.broken:
             break
     return transcripts
 
 
-def _serve_one(rfile, wfile, sp, master_seed, index) -> tuple[SessionTranscript, bool]:
-    """Run one wire session; the bool says whether the stream is still usable."""
-    seed = session_seed(master_seed, index)
-    vrng = _rekeyed(derive_seed(seed, _VERIFIER_LANE), "verifier")
-    registry = entcf.OracleRegistry()
-    sess = verifier.begin(sp, vrng, registry=registry)
+class RemoteProver:
+    """The prover of one served session, played by the peer across chan.
 
-    base = dict(
-        index=index,
-        seed=seed,
-        lam=sp.lam,
-        theta=sess.theta,
-        keys=tuple(
-            entcf.export_key_record(h, t) for h, t in zip(sess.handles, sess.trapdoors)
-        ),
-        ys=None, round=None, test_index=None, preimages=None,
-        ds=None, q=None, vs=None, flag=None, accept=False, abort=None,
-    )
-    w = sp.w
-    seq = 0
+    Each call sends the verifier's frame and parses the peer's reply, so a
+    malformed answer raises MalformedAnswerError and a broken stream
+    TransportError, just where an in-process prover would raise.
+    """
 
-    def send(kind, payload):
-        nonlocal seq
-        _send(wfile, Message(sid=seed, seq=seq, kind=kind, payload=payload))
-        seq += 1
+    def __init__(self, chan: _Channel, sp: entcf.SecurityParam, index: int):
+        self.chan, self.sp, self.index = chan, sp, index
 
-    def expect(kind):
-        nonlocal seq
-        msg = _expect(rfile, seed, seq, kind)
-        seq += 1
-        return msg
-
-    alive = True
-    try:
-        send("KEYS", {
-            "index": index,
-            "lam": sp.lam,
-            "keys": [{"id": str(h.key_id), "w": h.w} for h in sess.handles],
+    def commit(self, handles) -> list[int]:
+        self.chan.send("KEYS", {
+            "index": self.index,
+            "lam": self.sp.lam,
+            "keys": [{"id": str(h.key_id), "w": h.w} for h in handles],
         })
-        commit = expect("COMMIT")
-        ys = _parse_bit_list(commit.payload.get("ys"), 3, w + 1)
-        round_type = sess.receive_commit(ys)
-        base.update(ys=tuple(ys), round=round_type.value)
-        send("ROUND", {"round": round_type.value})
-        if round_type is RoundType.PREIMAGE:
-            msg = expect("PREIMAGES")
-            answers = _parse_preimages(msg.payload.get("answers"), w)
-            sess.check_preimage(answers)
-            base.update(preimages=tuple(answers))
-        else:
-            msg = expect("HADAMARD_D")
-            ds = _parse_bit_list(msg.payload.get("ds"), 3, w)
-            q = sess.send_questions()
-            send("QUESTIONS", {"q": "".join(map(str, q))})
-            msg = expect("ANSWERS")
-            vs = _parse_answer_bits(msg.payload.get("vs"))
-            sess.check_hadamard(ds, vs)
-            base.update(ds=tuple(ds), q=q, test_index=sess.test_index, vs=tuple(vs))
-        accept, flag = sess.verdict()
-        base.update(flag=flag.value, accept=accept)
-        send("VERDICT", {"accept": accept, "flag": flag.value, "abort": None})
-    except (AnswerError, ProtocolOrderError) as exc:
-        base.update(abort=f"{type(exc).__name__}: {exc}")
-        try:
-            send("VERDICT", {"accept": False, "flag": None,
-                             "abort": f"{type(exc).__name__}: {exc}"})
-        except TransportError:
-            alive = False
-    except TransportError as exc:
-        base.update(abort=f"TransportError: {exc}")
-        alive = False
-    return SessionTranscript(**base), alive
+        return _parse_bit_list(self.chan.expect("COMMIT").payload.get("ys"), 3, self.sp.w + 1)
+
+    def answer_preimage(self) -> list[tuple[int, int]]:
+        self.chan.send("ROUND", {"round": RoundType.PREIMAGE.value})
+        return _parse_preimages(self.chan.expect("PREIMAGES").payload.get("answers"), self.sp.w)
+
+    def answer_hadamard(self) -> list[int]:
+        self.chan.send("ROUND", {"round": RoundType.HADAMARD.value})
+        return _parse_bit_list(self.chan.expect("HADAMARD_D").payload.get("ds"), 3, self.sp.w)
+
+    def answer_questions(self, q) -> list[int]:
+        self.chan.send("QUESTIONS", {"q": "".join(map(str, q))})
+        return _parse_answer_bits(self.chan.expect("ANSWERS").payload.get("vs"))
 
 
 def _client_sessions(rfile, wfile, factory, master_seed) -> list[dict]:
@@ -652,38 +645,25 @@ def _client_one(rfile, wfile, factory, master_seed, keys_msg: Message) -> dict:
 
     prover = factory(registry, _rekeyed(derive_seed(seed, _PROVER_LANE), "prover"), index)
     w = sp.w
-    seq = 1
-
-    def send(kind, payload):
-        nonlocal seq
-        _send(wfile, Message(sid=seed, seq=seq, kind=kind, payload=payload))
-        seq += 1
-
-    def expect(kind):
-        nonlocal seq
-        msg = _expect(rfile, seed, seq, kind)
-        seq += 1
-        return msg
-
+    chan = _Channel(rfile, wfile, seed, seq=1)
     ys = prover.commit(list(replay.handles))
-    send("COMMIT", {"ys": [bits_str(int(y), w + 1) for y in ys]})
-    round_msg = expect("ROUND")
-    round_value = round_msg.payload.get("round")
+    chan.send("COMMIT", {"ys": [bits_str(int(y), w + 1) for y in ys]})
+    round_value = chan.expect("ROUND").payload.get("round")
     if round_value == RoundType.PREIMAGE.value:
         answers = prover.answer_preimage()
-        send("PREIMAGES", {"answers": [[str(int(b)), bits_str(int(x), w)] for b, x in answers]})
+        chan.send("PREIMAGES",
+                  {"answers": [[str(int(b)), bits_str(int(x), w)] for b, x in answers]})
     elif round_value == RoundType.HADAMARD.value:
         ds = prover.answer_hadamard()
-        send("HADAMARD_D", {"ds": [bits_str(int(d), w) for d in ds]})
-        q_raw = expect("QUESTIONS").payload.get("q")
+        chan.send("HADAMARD_D", {"ds": [bits_str(int(d), w) for d in ds]})
+        q_raw = chan.expect("QUESTIONS").payload.get("q")
         if not isinstance(q_raw, str) or len(q_raw) != 3 or any(ch not in "01" for ch in q_raw):
             raise TransportError(f"malformed QUESTIONS payload {q_raw!r}")
         vs = prover.answer_questions(tuple(int(ch) for ch in q_raw))
-        send("ANSWERS", {"vs": "".join(str(int(v)) for v in vs)})
+        chan.send("ANSWERS", {"vs": "".join(str(int(v)) for v in vs)})
     else:
         raise TransportError(f"malformed ROUND payload {round_value!r}")
-    verdict = expect("VERDICT")
-    return dict(verdict.payload)
+    return dict(chan.expect("VERDICT").payload)
 
 
 def _parse_bit_list(items, count, width) -> list[int]:

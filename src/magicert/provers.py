@@ -167,10 +167,6 @@ class NoisyProver:
         return list(vs)
 
 
-def noisy(inner: HonestProver, spec: NoiseSpec) -> NoisyProver:
-    return NoisyProver(inner, spec)
-
-
 class ScriptedProver:
     """Replays canned answers; no randomness, no oracle access."""
 
@@ -184,7 +180,7 @@ class ScriptedProver:
             raise ScriptError(f"script record lacks field {name!r}")
         try:
             return convert(self.record[name])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ScriptError(f"script field {name!r} is malformed: {exc}") from exc
 
     def commit(self, handles) -> list[int]:

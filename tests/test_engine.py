@@ -101,6 +101,14 @@ class TestTranscriptPersistence:
         with pytest.raises(TranscriptParseError, match="line 2"):
             read_transcripts(path)
 
+    @pytest.mark.parametrize("bad", [DEEP_FRAME, b"\xff\xfe\n"], ids=["deeply-nested", "not-utf8"])
+    def test_hostile_line_is_named(self, tmp_path, bad):
+        path = tmp_path / "hostile.jsonl"
+        good = self.sample_transcripts()[0]
+        path.write_bytes(json.dumps(good.to_record()).encode() + b"\n" + bad)
+        with pytest.raises(TranscriptParseError, match="line 2"):
+            read_transcripts(path)
+
     def test_missing_field_is_named(self, tmp_path):
         path = tmp_path / "short.jsonl"
         rec = self.sample_transcripts()[0].to_record()
@@ -280,21 +288,68 @@ def serve_in_thread(sp, master_seed, n_sessions):
 
 
 class TestWire:
-    def test_loopback_honest_sessions_match_in_process(self):
+    @pytest.mark.parametrize(
+        "spec", ["honest", "stabilizer", "noisy:bitflip:0.2", "noisy:depol:0.3"]
+    )
+    def test_loopback_honest_sessions_match_in_process(self, spec):
         n, master_seed = 6, 777
         thread, holder = serve_in_thread(SP4, master_seed, n)
-        verdicts = engine.connect(f"127.0.0.1:{holder['port']}", "honest", master_seed)
+        verdicts = engine.connect(f"127.0.0.1:{holder['port']}", spec, master_seed)
         thread.join(10.0)
         stats, transcripts = holder["result"]
 
-        assert len(verdicts) == n
-        assert all(v["accept"] for v in verdicts)
-        for index, wire_t in enumerate(transcripts):
-            local_t = run_session(SP4, HONEST, master_seed, index)
+        assert len(verdicts) == len(transcripts) == n
+        factory = parse_prover_spec(spec)
+        for index, (wire_t, verdict) in enumerate(zip(transcripts, verdicts)):
+            local_t = run_session(SP4, factory, master_seed, index)
+            assert verdict == {"accept": local_t.accept, "flag": local_t.flag, "abort": None}
             assert wire_t == local_t
             assert json.dumps(wire_t.to_record(), sort_keys=True) == json.dumps(
                 local_t.to_record(), sort_keys=True
             )
+
+    def test_failed_verdict_send_keeps_the_verdict_and_ends_the_stream(self):
+        master_seed = 1818
+
+        class VerdictFails:
+            """A write end that loses the connection on the VERDICT frame."""
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def write(self, data):
+                if Message.decode(data).kind == "VERDICT":
+                    raise OSError("connection reset")
+                return self.inner.write(data)
+
+            def flush(self):
+                self.inner.flush()
+
+        client_errors = []
+
+        def client():
+            try:
+                engine._client_sessions(cli_r, cli_w, HONEST, master_seed)
+            except TransportError as exc:
+                client_errors.append(exc)
+
+        server_sock, client_sock = socket.socketpair()
+        with server_sock, client_sock:
+            client_sock.settimeout(10.0)
+            cli_r, cli_w = client_sock.makefile("rb"), client_sock.makefile("wb")
+            srv_r, srv_w = server_sock.makefile("rb"), server_sock.makefile("wb")
+            thread = threading.Thread(target=client, daemon=True)
+            thread.start()
+            transcripts = engine._serve_sessions(
+                srv_r, VerdictFails(srv_w), SP4, master_seed, 2
+            )
+            server_sock.shutdown(socket.SHUT_RDWR)
+            thread.join(10.0)
+        assert not thread.is_alive()
+        # the verdict stands as recorded and session 1 is never started
+        assert transcripts == [run_session(SP4, HONEST, master_seed, 0)]
+        assert transcripts[0].abort is None and transcripts[0].accept
+        assert len(client_errors) == 1 and "VERDICT" in str(client_errors[0])
 
     def test_wrong_master_seed_fails_replay_check(self):
         thread, holder = serve_in_thread(SP4, 888, 1)

@@ -22,7 +22,6 @@ from magicert.provers import (
     NoisyProver,
     ScriptedProver,
     StabilizerProver,
-    noisy,
     parse_prover_spec,
     script_record,
 )
@@ -326,19 +325,19 @@ def transcript(theta, factory, seed, round, q=(1, 0, 0)):
 class TestNoisyProver:
     def test_zero_epsilon_bitflip_is_bit_identical(self):
         spec = NoiseSpec("bitflip", 0.0)
-        wrap = lambda reg, rng: noisy(HonestProver(reg, rng), spec)
+        wrap = lambda reg, rng: NoisyProver(HonestProver(reg, rng), spec)
         for round in (RoundType.PREIMAGE, RoundType.HADAMARD):
             assert transcript((1, 1, 1), HONEST, 20, round) == transcript((1, 1, 1), wrap, 20, round)
 
     def test_zero_epsilon_depolarizing_is_bit_identical(self):
         spec = NoiseSpec("depolarizing", 0.0)
-        wrap = lambda reg, rng: noisy(HonestProver(reg, rng), spec)
+        wrap = lambda reg, rng: NoisyProver(HonestProver(reg, rng), spec)
         for round in (RoundType.PREIMAGE, RoundType.HADAMARD):
             assert transcript((1, 0, 0), HONEST, 21, round) == transcript((1, 0, 0), wrap, 21, round)
 
     def test_full_bitflip_inverts_every_answer(self):
         spec = NoiseSpec("bitflip", 1.0)
-        wrap = lambda reg, rng: noisy(HonestProver(reg, rng), spec)
+        wrap = lambda reg, rng: NoisyProver(HonestProver(reg, rng), spec)
         ys_h, ds_h, vs_h = transcript((1, 1, 1), HONEST, 22, RoundType.HADAMARD)
         ys_n, ds_n, vs_n = transcript((1, 1, 1), wrap, 22, RoundType.HADAMARD)
         assert (ys_h, ds_h) == (ys_n, ds_n)
@@ -346,7 +345,7 @@ class TestNoisyProver:
 
     def test_bitflip_leaves_preimage_round_untouched(self):
         spec = NoiseSpec("bitflip", 1.0)
-        wrap = lambda reg, rng: noisy(HonestProver(reg, rng), spec)
+        wrap = lambda reg, rng: NoisyProver(HonestProver(reg, rng), spec)
         assert transcript((0, 0, 0), HONEST, 23, RoundType.PREIMAGE) == transcript(
             (0, 0, 0), wrap, 23, RoundType.PREIMAGE
         )
@@ -394,7 +393,7 @@ class TestNoisyProver:
         rng = rng_from(241)
         n, viol = 4000, 0
         for _ in range(n):
-            prover = noisy(HonestProver(registry, rng), spec)
+            prover = NoisyProver(HonestProver(registry, rng), spec)
             ys = prover.commit(handles)
             ds = prover.answer_hadamard()
             vs = prover.answer_questions((1, 0, 0))
@@ -476,6 +475,12 @@ class TestScriptedProver:
         with pytest.raises(ScriptError):
             ScriptedProver({})
         p = ScriptedProver({"ys": [1, 2, 3]})
+        with pytest.raises(ScriptError):
+            p.answer_preimage()
+        # json.load accepts Infinity, and int(inf) raises OverflowError
+        p = ScriptedProver({"ys": [float("inf"), 0, 0], "preimages": [[0, float("inf")]] * 3})
+        with pytest.raises(ScriptError):
+            p.commit([])
         with pytest.raises(ScriptError):
             p.answer_preimage()
         with pytest.raises(ScriptError):
