@@ -35,6 +35,9 @@ from .util import rng_from  # noqa: F401  (kept importable here; perfbench/traci
 from .verifier import Flag, RoundType
 
 WIRE_VERSION = 1
+# longest frame line read, newline included; a legitimate frame stays under
+# 300 bytes at the widest lam, so a longer line is a hostile or broken peer
+MAX_FRAME = 1 << 20
 MESSAGE_KINDS = (
     "KEYS",
     "COMMIT",
@@ -95,11 +98,13 @@ class Message:
 
 def _recv(rfile) -> Message | None:
     try:
-        line = rfile.readline()
+        line = rfile.readline(MAX_FRAME + 1)
     except OSError as exc:
         raise TransportError(f"connection lost while reading: {exc}") from exc
     if not line:
         return None
+    if len(line) > MAX_FRAME:
+        raise TransportError(f"frame longer than {MAX_FRAME} bytes")
     return Message.decode(line)
 
 

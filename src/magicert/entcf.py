@@ -24,6 +24,10 @@ from the base with two xor masks drawn from the key's seed:
 This keeps per-key generation O(1) instead of O(2^w) (a fresh shuffle
 per key costs milliseconds at w=16, far too slow for batch runs on one
 core) while preserving bijectivity, exact inversion and uniform images.
+
+Key material.  Key ids, permutation seeds and masks are computed from the
+first raw words of freshly rekeyed Philox streams, with the arithmetic
+NumPy's bounded draws would do (SCHEMA.md, "Seeds and randomness").
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import FamilyMisuseError, KeyLookupError, ParameterError
-from .util import _rekeyed, bits_str, derive_seed, parity, rand_bits, rand_u64, rng_from
+from .util import _rekeyed, bits_str, derive_seed, parity, rand_bits, rng_from
 
 W_MIN = 4
 W_MAX = 24
@@ -85,7 +89,10 @@ class Trapdoor:
     """Secret inversion material. Never serialized into protocol messages.
 
     mask_in and mask_out are the permutation masks, derived from perm_seed
-    once at creation so that inversion never touches a generator.
+    once at creation so that inversion never touches a generator. They are
+    the two (w+1)-bit draws of rand_bits on rng_from(perm_seed), which take
+    the top w+1 bits of the low and then the high 32-bit half of its first
+    raw word (Lemire's method on a power-of-two range never rejects).
     """
 
     family: Family
@@ -101,9 +108,9 @@ class Trapdoor:
                 raise ParameterError("claw family requires a nonzero w-bit shift")
         elif self.shift is not None:
             raise ParameterError("injective family carries no shift")
-        rng = _rekeyed(self.perm_seed, "masks")
-        object.__setattr__(self, "mask_in", rand_bits(rng, self.w + 1))
-        object.__setattr__(self, "mask_out", rand_bits(rng, self.w + 1))
+        x = int(_rekeyed(self.perm_seed, "masks").bit_generator.random_raw())
+        object.__setattr__(self, "mask_in", (x & 0xFFFFFFFF) >> (31 - self.w))
+        object.__setattr__(self, "mask_out", x >> (63 - self.w))
 
 
 @dataclass(frozen=True)
@@ -200,8 +207,13 @@ class OracleRegistry:
         family = Family(family)
         w = sp.w
         rng = _rekeyed(derive_seed(seed, _LANE_BY_FAMILY[family.value], w), "keygen")
-        key_id = rand_u64(rng)
-        perm_seed = rand_u64(rng)
+        # two rand_u64 draws: each is a 63-bit Lemire draw (the word >> 1,
+        # never rejected) and a coin, the coins being the top bits of the
+        # low and then the high 32-bit half of the second word; the shift
+        # draw then starts where those draws would have left the stream
+        w1, w2, w3 = rng.bit_generator.random_raw(3).tolist()
+        key_id = w1 >> 1 << 1 | (w2 >> 31) & 1
+        perm_seed = w3 >> 1 << 1 | w2 >> 63
         shift = None
         if family is Family.CLAW:
             shift = int(rng.integers(1, 1 << w))  # uniform over nonzero w-bit values

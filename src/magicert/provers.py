@@ -8,20 +8,44 @@ depolarization, a Clifford-limited device, and a canned script.
 
 A prover only ever sees key handles and the public oracle operations. It is
 never told which family a key belongs to, the basis triple, or any trapdoor.
+
+The opened register is a product of |0>, |1>, |+> or |-> per qubit, with or
+without the phase gate, so the pure-state provers take it, and each
+question's cumulative outcome weights, from tables filled on first use:
+64 patterns, 2 gate choices and 8 questions. Every draw is unchanged.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import entcf, qsim
 from .errors import ParameterError, ProtocolOrderError, ScriptError
-from .util import int_to_tuple, sample_index
+from .util import int_to_tuple, sample_edges, sample_index
 
 NOISE_MODELS = ("bitflip", "depolarizing")
+
+
+@lru_cache(maxsize=None)
+def _register(qubits: tuple[entcf.CollapsedQubit, ...], gate: bool) -> qsim.StateVector:
+    """The opened register, with the three-qubit phase gate when gate is true."""
+    amps = qubits[0].amplitudes()
+    for qubit in qubits[1:]:
+        # the products np.kron forms, without its reshaping overhead
+        amps = np.multiply.outer(amps, qubit.amplitudes()).ravel()
+    state = qsim.StateVector(amps)
+    return qsim.apply_gate(state, "CCZ") if gate else state
+
+
+@lru_cache(maxsize=None)
+def _edges(qubits: tuple[entcf.CollapsedQubit, ...], gate: bool,
+           q: tuple[int, ...]) -> tuple[float, ...]:
+    """Cumulative outcome weights of the register read in bases q."""
+    return tuple(np.cumsum(qsim.outcome_distribution(_register(qubits, gate), q)).tolist())
 
 
 class HonestProver:
@@ -69,26 +93,24 @@ class HonestProver:
             d, qubit = entcf.hadamard_open(c, self.rng)
             ds.append(d)
             qubits.append(qubit)
-        self.qubits = qubits
-        amps = qubits[0].amplitudes()
-        for qubit in qubits[1:]:
-            # the products np.kron forms, without its reshaping overhead
-            amps = np.multiply.outer(amps, qubit.amplitudes()).ravel()
-        self.state = self._entangle(qsim.StateVector(amps), qubits)
+        self.qubits = tuple(qubits)
+        self.state = _register(self.qubits, self._gate(self.qubits))
         self._stage = "opened"
         return ds
 
     def answer_questions(self, q) -> list[int]:
+        """Measure as qsim.measure_pauli would, from the question's table."""
         self._require("opened")
-        vs = qsim.measure_pauli(self.state, tuple(q), self.rng)
+        # int() as qsim's basis check does, so the table holds valid patterns only
+        edges = _edges(self.qubits, self._gate(self.qubits), tuple(map(int, q)))
         self._stage = "finished"
-        return list(vs)
+        return list(int_to_tuple(sample_edges(edges, self.rng), len(self.qubits)))
 
     # -------------------------------------------------------------- hooks
 
-    def _entangle(self, state: qsim.StateVector, qubits) -> qsim.StateVector:
-        """The three-qubit phase gate; subclasses may restrict it."""
-        return qsim.apply_gate(state, "CCZ")
+    def _gate(self, qubits) -> bool:
+        """Whether the device applies the phase gate; subclasses may restrict it."""
+        return True
 
     def _require(self, stage: str) -> None:
         if self._stage != stage:
@@ -104,10 +126,8 @@ class StabilizerProver(HonestProver):
     a non-stabilizer state, so this device leaves the product state alone.
     """
 
-    def _entangle(self, state: qsim.StateVector, qubits) -> qsim.StateVector:
-        if all(qubit.basis == "X" for qubit in qubits):
-            return state
-        return qsim.apply_gate(state, "CCZ")
+    def _gate(self, qubits) -> bool:
+        return not all(qubit.basis == "X" for qubit in qubits)
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,16 @@ platform.
 for one call only use `_rekeyed` instead: it resets a reused per-thread
 Philox to the same key at counter 0, so the documented streams are
 unchanged while construction (a SeedSequence with an OS entropy read) is
-paid once per thread and slot.
+paid once per thread and slot. A site that only needs the first draws of
+such a stream may read raw 64-bit words from the bit generator and do the
+draws' arithmetic itself; SCHEMA.md gives the word-to-draw mapping.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -49,7 +53,7 @@ def rng_from(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & MASK64))
 
 
-_ZEROS4 = np.zeros(4, dtype=np.uint64)
+_ZEROS4 = (0, 0, 0, 0)
 _reused = threading.local()
 
 
@@ -66,11 +70,11 @@ def _rekeyed(seed: int, slot: str) -> np.random.Generator:
     if gen is None:
         gen = np.random.Generator(np.random.Philox(key=0))
         setattr(_reused, slot, gen)
-    key = np.zeros(2, dtype=np.uint64)
-    key[0] = seed & MASK64
+    # plain tuples: the state setter reads them element by element, and
+    # building uint64 arrays per call cost more than the rekey itself
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZEROS4, "key": key},
+        "state": {"counter": _ZEROS4, "key": (seed & MASK64, 0)},
         "buffer": _ZEROS4,
         "buffer_pos": 4,
         "has_uint32": 0,
@@ -103,7 +107,9 @@ def bits_str(x: int, width: int) -> str:
 
 def parse_bits(s: str) -> tuple[int, int]:
     """Parse an MSB-first 0/1 string; returns (value, width)."""
-    if not s or any(ch not in "01" for ch in s):
+    if not isinstance(s, str):
+        raise TypeError(f"not a bit string: {s!r}")
+    if not s or s.strip("01"):
         raise ValueError(f"not a bit string: {s!r}")
     return int(s, 2), len(s)
 
@@ -114,7 +120,14 @@ def int_to_tuple(x: int, width: int) -> tuple[int, ...]:
 
 def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
     """Draw an index from a probability vector with a single uniform."""
-    edges = np.cumsum(probs)
+    return sample_edges(np.cumsum(probs).tolist(), rng)
+
+
+def sample_edges(edges: Sequence[float], rng: np.random.Generator) -> int:
+    """Draw an index from cumulative weights with a single uniform.
+
+    The index is the first edge above u * edges[-1], capped at the last
+    index for a product that rounds up to edges[-1].
+    """
     r = rng.random() * edges[-1]
-    idx = int(np.searchsorted(edges, r, side="right"))
-    return min(idx, len(probs) - 1)
+    return min(bisect_right(edges, r), len(edges) - 1)

@@ -1,11 +1,15 @@
 """Engine tests: codec, transcripts, batch determinism, stats, wire transport."""
 
+import contextlib
+import io
 import json
 import socket
 import sys
 import threading
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from magicert import engine, entcf
 from magicert.engine import (
@@ -21,12 +25,13 @@ from magicert.engine import (
 from magicert.entcf import SecurityParam
 from magicert.errors import ParameterError, TranscriptParseError, TransportError
 from magicert.provers import ScriptedProver, parse_prover_spec
-from magicert.util import _rekeyed, rng_from
+from magicert.util import _rekeyed, parse_bits, rng_from
 from magicert.verifier import RoundType
 
 SP4 = SecurityParam(4)
 HONEST = parse_prover_spec("honest")
 DEEP_FRAME = b"[" * 100000 + b"]" * 100000 + b"\n"
+UNTERMINATED = b"0" * (8 << 20)  # no newline: eight times the frame cap
 
 
 # --------------------------------------------------------------------- codec
@@ -61,6 +66,36 @@ class TestMessageCodec:
     def test_malformed_frames_raise(self, line):
         with pytest.raises(TransportError):
             Message.decode(line)
+
+
+    def test_frame_cap_counts_the_newline(self):
+        at_cap = b"x" * (engine.MAX_FRAME - 1) + b"\n"
+        with pytest.raises(TransportError, match="undecodable frame"):
+            engine._recv(io.BytesIO(at_cap))
+        with pytest.raises(TransportError, match="frame longer than"):
+            engine._recv(io.BytesIO(b"x" + at_cap))
+
+
+class TestParseBits:
+    @given(s=st.text() | st.text(alphabet="01"))
+    @example(s="0b1")
+    @example(s=" 1")
+    @example(s="1_0")
+    @example(s="+1")
+    @example(s="\u0661")  # ARABIC-INDIC DIGIT ONE, which int(s, 2) reads as 1
+    @example(s="01\n")
+    @example(s="")
+    def test_accepts_exactly_the_per_character_rule(self, s):
+        if s and all(ch in "01" for ch in s):
+            assert parse_bits(s) == (int(s, 2), len(s))
+        else:
+            with pytest.raises(ValueError, match="not a bit string"):
+                parse_bits(s)
+
+    @pytest.mark.parametrize("bad", [None, 7, b"01", ["0", "1"]])
+    def test_non_text_raises_type_error(self, bad):
+        with pytest.raises(TypeError):
+            parse_bits(bad)
 
 
 # --------------------------------------------------------------- transcripts
@@ -483,6 +518,35 @@ class TestWire:
             with pytest.raises(TransportError, match="undecodable frame"):
                 engine.connect(f"127.0.0.1:{port}", "honest", 1616)
             thread.join(10.0)
+
+    def test_unterminated_line_ends_serve_with_transport_error(self):
+        thread, holder = serve_in_thread(SP4, 1818, 2)
+        with socket.create_connection(("127.0.0.1", holder["port"]), timeout=10.0) as conn:
+            rfile = conn.makefile("rb")
+            assert Message.decode(rfile.readline()).kind == "KEYS"
+            with contextlib.suppress(OSError):  # the server hangs up mid-send
+                conn.sendall(UNTERMINATED)
+            thread.join(10.0)
+        assert not thread.is_alive()
+        _, transcripts = holder["result"]
+        assert len(transcripts) == 1
+        assert transcripts[0].abort.startswith("TransportError: frame longer than")
+
+    def test_unterminated_line_ends_connect_with_transport_error(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            port = listener.getsockname()[1]
+
+            def peer():
+                conn, _ = listener.accept()
+                with conn, contextlib.suppress(OSError):  # the client hangs up mid-send
+                    conn.sendall(UNTERMINATED)
+
+            thread = threading.Thread(target=peer, daemon=True)
+            thread.start()
+            with pytest.raises(TransportError, match="frame longer than"):
+                engine.connect(f"127.0.0.1:{port}", "honest", 1919)
+            thread.join(10.0)
+            assert not thread.is_alive()
 
     @pytest.mark.parametrize("lam", [0, 3, -3, 10**6])
     def test_unsupported_lam_in_keys_raises_transport_error(self, lam):

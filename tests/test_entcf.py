@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magicert import entcf
+from magicert import entcf, util
 from magicert.entcf import (
     ClawPair,
     CollapsedQubit,
@@ -28,7 +28,7 @@ from magicert.entcf import (
     permutation_table,
 )
 from magicert.errors import FamilyMisuseError, KeyLookupError, ParameterError
-from magicert.util import bits_str, parity, rng_from
+from magicert.util import bits_str, derive_seed, parity, rand_bits, rand_u64, rng_from
 
 SP4 = SecurityParam(4)
 SP6 = SecurityParam(6)
@@ -381,6 +381,38 @@ def test_random_seed_claw_shift_consistency(seed):
     y, c = reg.sample_commitment(h, rng)
     assert c.held.x0 ^ c.held.x1 == t.shift
     assert decode_u(t, y, t.shift) == parity(t.shift & t.shift)
+
+
+def live_state(gen):
+    """A Philox state, without the cached 32-bit half when it is spent.
+
+    With has_uint32 at 0 the next 32-bit draw refills uinteger before
+    reading it, so two states differing only there give the same stream.
+    """
+    s = gen.bit_generator.state
+    return (s["state"]["counter"].tolist(), s["state"]["key"].tolist(), s["buffer"].tolist(),
+            s["buffer_pos"], s["has_uint32"], s["uinteger"] if s["has_uint32"] else None)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1),
+       w=st.integers(min_value=entcf.W_MIN, max_value=entcf.W_MAX),
+       family=st.sampled_from(list(Family)))
+@settings(max_examples=200, deadline=None)
+def test_key_material_equals_the_bounded_draws(seed, w, family):
+    """gen and Trapdoor read raw words; the draws they stand for are the reference."""
+    handle, trapdoor = OracleRegistry().gen(family, SecurityParam(w), seed)
+    slots = live_state(util._reused.keygen), live_state(util._reused.masks)
+    keygen = rng_from(derive_seed(seed, entcf._LANE_BY_FAMILY[family.value], w))
+    key_id = rand_u64(keygen)
+    perm_seed = rand_u64(keygen)
+    shift = int(keygen.integers(1, 1 << w)) if family is Family.CLAW else None
+    masks = rng_from(perm_seed)
+    mask_in = rand_bits(masks, w + 1)
+    mask_out = rand_bits(masks, w + 1)
+    assert handle == KeyHandle(key_id=key_id, w=w)
+    assert trapdoor == Trapdoor(family=family, perm_seed=perm_seed, w=w, shift=shift)
+    assert (trapdoor.mask_in, trapdoor.mask_out) == (mask_in, mask_out)
+    assert slots == (live_state(keygen), live_state(masks))
 
 
 # -------------------------------------------------------------------- export

@@ -8,6 +8,7 @@ trial against trapdoor decodings the test performs itself.
 
 import dataclasses
 import enum
+import itertools
 import json
 
 import numpy as np
@@ -453,6 +454,58 @@ class TestStabilizerProver:
                 u = entcf.decode_u(trapdoors[j], ys[j], ds[j])
                 flags += int(u != vs[j] ^ (vs[rest[0]] & vs[rest[1]]))
         assert abs(flags / n - 3 / 32) <= hoeffding(n)
+
+
+# --------------------------------------------------------------------------
+# register and outcome tables
+# --------------------------------------------------------------------------
+
+OPENED = [entcf.CollapsedQubit(basis, bit) for basis in "ZX" for bit in (0, 1)]
+PATTERNS = list(itertools.product(OPENED, repeat=3))
+QUESTIONS = list(itertools.product((0, 1), repeat=3))
+
+
+class GateFreeProver(HonestProver):
+    def _gate(self, qubits) -> bool:
+        return False
+
+
+def per_session_register(qubits, gate):
+    """The register built afresh for one session, as before the tables."""
+    amps = qubits[0].amplitudes()
+    for qubit in qubits[1:]:
+        amps = np.multiply.outer(amps, qubit.amplitudes()).ravel()
+    state = qsim.StateVector(amps)
+    return qsim.apply_gate(state, "CCZ") if gate else state
+
+
+def opened_prover(cls, qubits, rng):
+    prover = cls(OracleRegistry(), rng)
+    prover.qubits, prover._stage = tuple(qubits), "opened"
+    return prover
+
+
+class TestRegisterTables:
+    @pytest.mark.parametrize("gate", [True, False])
+    def test_cached_register_equals_a_per_session_build(self, gate):
+        for qubits in PATTERNS:
+            cached = provers._register(qubits, gate)
+            assert np.array_equal(cached.amps, per_session_register(qubits, gate).amps)
+
+    @pytest.mark.parametrize("cls, gate", [(HonestProver, True), (GateFreeProver, False)])
+    def test_table_draws_equal_measure_pauli(self, cls, gate):
+        """Every pattern and question, the same uniform on both sides, 200 seeds."""
+        states = {qubits: per_session_register(qubits, gate) for qubits in PATTERNS}
+        for seed in range(200):
+            table_rng, measure_rng = rng_from(seed), rng_from(seed)
+            for qubits, q in itertools.product(PATTERNS, QUESTIONS):
+                got = opened_prover(cls, qubits, table_rng).answer_questions(q)
+                assert got == list(qsim.measure_pauli(states[qubits], q, measure_rng))
+
+    @pytest.mark.parametrize("q", [(2, 0, 0), (0, 0), (0, 1, 0, 1), (-1, 1, 1)])
+    def test_bad_question_raises(self, q):
+        with pytest.raises(ParameterError):
+            opened_prover(HonestProver, PATTERNS[0], rng_from(0)).answer_questions(q)
 
 
 # --------------------------------------------------------------------------
