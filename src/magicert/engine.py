@@ -1,24 +1,27 @@
 """Session orchestration: end-to-end runs, wire transport, transcripts, stats.
 
 A session couples one verifier state machine with one prover strategy. The
-batch runner executes many sessions with per-index seed derivation so that
-results never depend on scheduling. The wire mode splits the two parties
-across a newline-delimited message stream: the server runs the same
-run_session with a RemoteProver that relays each prover call to the peer,
-so wire transcripts equal in-process transcripts bit for bit by
-construction. The key oracle is rebuilt on the prover side from the shared
-master seed (trusted setup).
+batch runner gives each worker one contiguous span of session indices;
+seeds are derived per index, so results never depend on the split. The
+wire mode splits the two parties across a newline-delimited message stream:
+the server runs the same run_session with a RemoteProver that relays each
+prover call to the peer, so wire transcripts equal in-process transcripts
+bit for bit by construction. Both ends derive a session's seed lanes in one
+helper; the prover side rebuilds the key oracle from the shared master seed
+(trusted setup).
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import operator
 import socket
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import entcf, verifier
 from .errors import (
@@ -64,18 +67,17 @@ class Message:
     seq: int
     kind: str
     payload: dict
-    v: int = WIRE_VERSION
 
     def encode(self) -> bytes:
         body = {"kind": self.kind, "payload": self.payload, "seq": self.seq,
-                "sid": str(self.sid), "v": self.v}
+                "sid": str(self.sid), "v": WIRE_VERSION}
         return json.dumps(body, sort_keys=True, separators=(",", ":")).encode() + b"\n"
 
     @staticmethod
     def decode(line: bytes | str) -> "Message":
         try:
             body = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # ValueError: also an over-long integer
             raise TransportError(f"undecodable frame: {exc}") from exc
         if not isinstance(body, dict):
             raise TransportError("frame is not an object")
@@ -152,23 +154,23 @@ class _Channel:
 
 @dataclass(frozen=True)
 class SessionTranscript:
-    """Everything one session produced, in replayable form."""
+    """Everything one session produced; stages never reached keep their defaults."""
 
     index: int
     seed: int
     lam: int
     theta: tuple[int, int, int]
     keys: tuple[dict, ...]
-    ys: tuple[int, ...] | None
-    round: str | None
-    test_index: int | None
-    preimages: tuple[tuple[int, int], ...] | None
-    ds: tuple[int, ...] | None
-    q: tuple[int, int, int] | None
-    vs: tuple[int, ...] | None
-    flag: str | None
-    accept: bool
-    abort: str | None
+    ys: tuple[int, ...] | None = None
+    round: str | None = None
+    test_index: int | None = None
+    preimages: tuple[tuple[int, int], ...] | None = None
+    ds: tuple[int, ...] | None = None
+    q: tuple[int, int, int] | None = None
+    vs: tuple[int, ...] | None = None
+    flag: str | None = None
+    accept: bool = False
+    abort: str | None = None
 
     @property
     def w(self) -> int:
@@ -252,7 +254,7 @@ def read_transcripts(source) -> list[SessionTranscript]:
         try:
             rec = json.loads(line)
             out.append(SessionTranscript.from_record(rec))
-        except (json.JSONDecodeError, RecursionError, TranscriptParseError) as exc:
+        except (ValueError, RecursionError) as exc:  # TranscriptParseError is a ValueError
             raise TranscriptParseError(f"line {lineno}: {exc}") from exc
     return out
 
@@ -281,9 +283,8 @@ class FlagStats:
         self.cells[(t.round, cls, t.flag)] += 1
 
     def merge(self, other: "FlagStats") -> "FlagStats":
-        merged = FlagStats(cells=self.cells + other.cells,
-                           n_aborted=self.n_aborted + other.n_aborted)
-        return merged
+        return FlagStats(cells=self.cells + other.cells,
+                         n_aborted=self.n_aborted + other.n_aborted)
 
     @classmethod
     def from_transcripts(cls, transcripts) -> "FlagStats":
@@ -330,12 +331,6 @@ class FlagStats:
     def n_fail_hyper(self) -> int:
         return self._total(flag=Flag.FAIL_HYPER.value)
 
-    @property
-    def n_rejected(self) -> int:
-        return self._total(flag=Flag.FAIL_PRE.value) + self._total(
-            flag=Flag.FAIL_TEST.value
-        ) + self._total(flag=Flag.FAIL_HYPER.value) + self.n_aborted
-
     def as_dict(self) -> dict:
         return {
             "sessions": self.n_sessions,
@@ -357,6 +352,14 @@ def session_seed(master_seed: int, index: int) -> int:
     return derive_seed(master_seed, index)
 
 
+def _session_lanes(sp, master_seed, index, theta=None):
+    """Seed, verifier (oracle: sess.registry) and prover rng; both wire ends call this."""
+    seed = session_seed(master_seed, index)
+    sess = verifier.begin(sp, _rekeyed(derive_seed(seed, _VERIFIER_LANE), "verifier"),
+                          theta=theta)
+    return seed, sess, _rekeyed(derive_seed(seed, _PROVER_LANE), "prover")
+
+
 def run_session(
     sp: entcf.SecurityParam,
     prover_factory,
@@ -373,69 +376,50 @@ def run_session(
     and round pin the sampled basis triple and round type for conditioned
     statistics; both default to the protocol's own uniform draws.
     """
-    seed = session_seed(master_seed, index)
-    vrng = _rekeyed(derive_seed(seed, _VERIFIER_LANE), "verifier")
-    prng = _rekeyed(derive_seed(seed, _PROVER_LANE), "prover")
-    registry = entcf.OracleRegistry()
-    sess = verifier.begin(sp, vrng, registry=registry, theta=theta)
-
-    base = dict(
-        index=index,
-        seed=seed,
-        lam=sp.lam,
-        theta=sess.theta,
-        keys=tuple(
-            entcf.export_key_record(h, t) for h, t in zip(sess.handles, sess.trapdoors)
-        ),
-        ys=None,
-        round=None,
-        test_index=None,
-        preimages=None,
-        ds=None,
-        q=None,
-        vs=None,
-        flag=None,
-        accept=False,
-        abort=None,
-    )
-
+    seed, sess, prng = _session_lanes(sp, master_seed, index, theta)
+    reached = {}
     try:
-        prover = prover_factory(registry, prng, index)
+        prover = prover_factory(sess.registry, prng, index)
         ys = [int(y) for y in prover.commit(list(sess.handles))]
         round_type = sess.receive_commit(ys, round=round)
-        base.update(ys=tuple(ys), round=round_type.value)
+        reached.update(ys=tuple(ys), round=round_type.value)
         if round_type is RoundType.PREIMAGE:
-            answers = prover.answer_preimage()
+            answers = _preimage_pairs(prover.answer_preimage(), sp.w)
             sess.check_preimage(answers)
-            base.update(preimages=tuple((int(b), int(x)) for b, x in answers))
+            reached.update(preimages=answers)
         else:
             ds = [int(d) for d in prover.answer_hadamard()]
             q = sess.send_questions()
             vs = [int(v) for v in prover.answer_questions(q)]
             sess.check_hadamard(ds, vs)
-            base.update(
-                ds=tuple(ds), q=q, test_index=sess.test_index, vs=tuple(vs)
-            )
+            reached.update(ds=tuple(ds), q=q, test_index=sess.test_index, vs=tuple(vs))
         accept, flag = sess.verdict()
-        base.update(flag=flag.value, accept=accept)
+        reached.update(flag=flag.value, accept=accept)
     except (AnswerError, ProtocolOrderError, TransportError) as exc:
-        base.update(abort=f"{type(exc).__name__}: {exc}", accept=False, flag=None)
-    return SessionTranscript(**base)
+        reached.update(abort=f"{type(exc).__name__}: {exc}")
+    keys = tuple(entcf.export_key_record(h, t) for h, t in zip(sess.handles, sess.trapdoors))
+    return SessionTranscript(index=index, seed=seed, lam=sp.lam, theta=sess.theta, keys=keys,
+                             **reached)
 
 
-def _batch_worker(args) -> tuple[FlagStats, list | None]:
-    lam, prover_spec, master_seed, start, stop, theta, round, keep = args
-    sp = entcf.SecurityParam(lam)
-    factory = parse_prover_spec(prover_spec)
-    round_type = None if round is None else RoundType(round)
-    stats = FlagStats()
-    kept = [] if keep else None
-    for index in range(start, stop):
-        t = run_session(sp, factory, master_seed, index, theta=theta, round=round_type)
-        stats.add(t)
-        if keep:
-            kept.append(t)
-    return stats, kept
+def _preimage_pairs(answers, w: int) -> tuple[tuple[int, int], ...]:
+    """Three (bit, w-bit value) pairs, the rule _parse_preimages applies on the wire."""
+    try:
+        pairs = tuple((operator.index(b), operator.index(x)) for b, x in answers)
+    except (TypeError, ValueError) as exc:
+        raise MalformedAnswerError(f"preimage answers are not (bit, value) pairs: {exc}") from exc
+    if len(pairs) != 3 or any(b not in (0, 1) or not 0 <= x < 1 << w for b, x in pairs):
+        raise MalformedAnswerError(f"preimage answers are not 3 pairs of a bit and a {w}-bit value")
+    return pairs
+
+
+def _batch_worker(lam, prover_spec, master_seed, theta, round, keep, start, stop):
+    """Sessions start..stop-1: their stats, and their transcripts if keep."""
+    sp, factory = entcf.SecurityParam(lam), parse_prover_spec(prover_spec)
+    sessions = (run_session(sp, factory, master_seed, index, theta=theta, round=round)
+                for index in range(start, stop))
+    kept = list(sessions) if keep else None
+    return FlagStats.from_transcripts(kept if keep else sessions), kept
 
 
 def run_batch(
@@ -452,9 +436,10 @@ def run_batch(
 ) -> tuple[FlagStats, list[SessionTranscript] | None]:
     """N independent sessions; stats and sink order follow the session index.
 
-    prover_spec is a selection string (see parse_prover_spec) so that worker
-    processes can rebuild the factory. Transcripts are kept only when a sink
-    or collect=True asks for them.
+    _batch_worker runs max(1, min(parallelism, n)) contiguous index spans,
+    in this process for one span and in a process pool otherwise; pool
+    workers rebuild the factory from the prover_spec string. Transcripts are
+    kept only when a sink or collect=True asks for them.
     """
     if n < 0:
         raise ParameterError(f"session count {n} is negative")
@@ -462,47 +447,22 @@ def run_batch(
         raise ParameterError(f"parallelism {parallelism} must be at least 1")
     parse_prover_spec(prover_spec)  # validate before spawning anything
     keep = sink is not None or collect
-    round_value = None if round is None else RoundType(round).value
-
-    chunks = _chunk_ranges(n, parallelism)
-    results: list[tuple[FlagStats, list | None]] = []
-    if parallelism == 1 or n == 0 or len(chunks) <= 1:
-        for start, stop in chunks:
-            results.append(
-                _batch_worker(
-                    (sp.lam, prover_spec, master_seed, start, stop, theta, round_value, keep)
-                )
-            )
+    workers = max(1, min(parallelism, n))
+    bounds = [n * k // workers for k in range(workers + 1)]
+    job = partial(_batch_worker, sp.lam, prover_spec, master_seed, theta, round, keep)
+    if workers == 1:
+        results = [job(0, n)]
     else:
-        tasks = [
-            (sp.lam, prover_spec, master_seed, start, stop, theta, round_value, keep)
-            for start, stop in chunks
-        ]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(_batch_worker, tasks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(job, bounds[:-1], bounds[1:]))
 
-    stats = FlagStats()
-    for part, _ in results:
+    stats, transcripts = FlagStats(), []
+    for part, kept in results:
         stats = stats.merge(part)
-    transcripts = None
-    if keep:
-        transcripts = [t for _, kept in results for t in kept]
-        if sink is not None:
-            write_transcripts(sink, transcripts)
+        transcripts += kept or []
+    if sink is not None:
+        write_transcripts(sink, transcripts)
     return stats, (transcripts if collect else None)
-
-
-def _chunk_ranges(n: int, parallelism: int) -> list[tuple[int, int]]:
-    if n == 0:
-        return [(0, 0)]
-    workers = min(parallelism, n)
-    size, extra = divmod(n, workers)
-    ranges, start = [], 0
-    for k in range(workers):
-        stop = start + size + (1 if k < extra else 0)
-        ranges.append((start, stop))
-        start = stop
-    return ranges
 
 
 # ----------------------------------------------------------------- endpoints
@@ -635,32 +595,27 @@ def _client_one(rfile, wfile, factory, master_seed, keys_msg: Message) -> dict:
     except (KeyError, TypeError, ValueError, ParameterError) as exc:
         raise TransportError(f"malformed KEYS payload: {exc}") from exc
 
-    seed = session_seed(master_seed, index)
+    # trusted setup: rebuild the oracle locally by replaying the verifier's
+    # key generation, then check the session id and advertised handles line up
+    seed, replay, prng = _session_lanes(sp, master_seed, index)
     if keys_msg.sid != seed:
         raise TransportError("session id does not match the shared master seed")
-
-    # trusted setup: rebuild the oracle locally by replaying the verifier's
-    # key generation, then check the advertised handles line up
-    registry = entcf.OracleRegistry()
-    vrng = _rekeyed(derive_seed(seed, _VERIFIER_LANE), "verifier")
-    replay = verifier.begin(sp, vrng, registry=registry)
-    local = [(h.key_id, h.w) for h in replay.handles]
-    if local != advertised:
+    if [(h.key_id, h.w) for h in replay.handles] != advertised:
         raise TransportError("advertised keys do not match the replayed oracle")
 
-    prover = factory(registry, _rekeyed(derive_seed(seed, _PROVER_LANE), "prover"), index)
+    prover = factory(replay.registry, prng, index)
     w = sp.w
     chan = _Channel(rfile, wfile, seed, seq=1)
     ys = prover.commit(list(replay.handles))
-    chan.send("COMMIT", {"ys": [bits_str(int(y), w + 1) for y in ys]})
+    chan.send("COMMIT", {"ys": [_answer_bits(y, w + 1) for y in ys]})
     round_value = chan.expect("ROUND").payload.get("round")
     if round_value == RoundType.PREIMAGE.value:
         answers = prover.answer_preimage()
         chan.send("PREIMAGES",
-                  {"answers": [[str(int(b)), bits_str(int(x), w)] for b, x in answers]})
+                  {"answers": [[str(int(b)), _answer_bits(x, w)] for b, x in answers]})
     elif round_value == RoundType.HADAMARD.value:
         ds = prover.answer_hadamard()
-        chan.send("HADAMARD_D", {"ds": [bits_str(int(d), w) for d in ds]})
+        chan.send("HADAMARD_D", {"ds": [_answer_bits(d, w) for d in ds]})
         q_raw = chan.expect("QUESTIONS").payload.get("q")
         if not isinstance(q_raw, str) or len(q_raw) != 3 or any(ch not in "01" for ch in q_raw):
             raise TransportError(f"malformed QUESTIONS payload {q_raw!r}")
@@ -669,6 +624,14 @@ def _client_one(rfile, wfile, factory, master_seed, keys_msg: Message) -> dict:
     else:
         raise TransportError(f"malformed ROUND payload {round_value!r}")
     return dict(chan.expect("VERDICT").payload)
+
+
+def _answer_bits(x, width: int) -> str:
+    """A local prover's answer as a wire bit string; one that cannot be is malformed."""
+    try:
+        return bits_str(int(x), width)
+    except ValueError as exc:
+        raise MalformedAnswerError(f"prover answer cannot be sent: {exc}") from exc
 
 
 def _parse_bit_list(items, count, width) -> list[int]:

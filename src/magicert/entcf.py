@@ -183,13 +183,6 @@ def _perm_backward(t: Trapdoor, y: int) -> int:
     return int(inv[y ^ t.mask_out]) ^ t.mask_in
 
 
-def permutation_table(t: Trapdoor) -> np.ndarray:
-    """Materialize the key's full permutation of {0,1}^{w+1} (diagnostics)."""
-    perm, _ = _base(t.w)
-    idx = np.arange(perm.size, dtype=np.uint32) ^ np.uint32(t.mask_in)
-    return perm[idx] ^ np.uint32(t.mask_out)
-
-
 class OracleRegistry:
     """Append-only map from key ids to secret records.
 

@@ -23,7 +23,6 @@ from .util import int_to_tuple, sample_index
 
 N_MAX = 4
 ATOL_EXACT = 1e-12   # single algebraic steps in double precision
-ATOL_ENUM = 1e-9     # values accumulated over many operations
 ATOL_PSD = 1e-10
 
 _SQRT2 = np.sqrt(2.0)
@@ -84,11 +83,6 @@ class Observable:
     @property
     def n(self) -> int:
         return self.matrix.shape[0].bit_length() - 1
-
-    def is_binary(self) -> bool:
-        """Eigenvalues confined to {-1, 0, +1}: O^3 = O."""
-        m = self.matrix
-        return bool(np.max(np.abs(m @ m @ m - m)) <= ATOL_ENUM)
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,10 +306,6 @@ def _as_density_matrix(a: StateVector | DensityState) -> np.ndarray:
     return a.matrix
 
 
-def trace_norm(m: np.ndarray) -> float:
-    return float(np.linalg.svd(m, compute_uv=False).sum())
-
-
 def trace_distance(a: StateVector | DensityState, b: StateVector | DensityState) -> float:
     ma, mb = _as_density_matrix(a), _as_density_matrix(b)
     if ma.shape != mb.shape:
@@ -449,11 +439,4 @@ def distribution_table(dist: np.ndarray, n: int) -> str:
     lines = [f"{'outcome':>{max(7, n)}}  {'probability':>14}"]
     for z, p in enumerate(dist):
         lines.append(f"{format(z, f'0{n}b'):>{max(7, n)}}  {p:14.12f}")
-    return "\n".join(lines)
-
-
-def distribution_csv(dist: np.ndarray, n: int) -> str:
-    lines = ["outcome,probability"]
-    for z, p in enumerate(dist):
-        lines.append(f"{format(z, f'0{n}b')},{p:.12f}")
     return "\n".join(lines)

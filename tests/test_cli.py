@@ -56,6 +56,19 @@ class TestRun:
         assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_unwritable_preimage_answer_aborts_and_is_written(self, capsys, tmp_path):
+        script, out = tmp_path / "script.json", tmp_path / "t.jsonl"
+        script.write_text(json.dumps({"ys": [0, 0, 0], "preimages": [[0, 99999], [1, 0], [0, 0]]}))
+        code, stdout, _ = run_cli(
+            capsys, "run", "--sessions", "8", "--lambda", "4",
+            "--prover", f"scripted:{script}", "--seed", "5", "--out", str(out),
+        )
+        assert code == 0
+        summary = json.loads(stdout)
+        assert summary["aborted"] == 8 and summary["fail_pre"] == 0
+        aborts = [t.abort for t in read_transcripts(out)]
+        assert any(a.startswith("MalformedAnswerError") for a in aborts)
+
     def test_zero_sessions(self, capsys, tmp_path):
         out = tmp_path / "empty.jsonl"
         code, stdout, _ = run_cli(

@@ -23,7 +23,12 @@ from magicert.engine import (
     write_transcripts,
 )
 from magicert.entcf import SecurityParam
-from magicert.errors import ParameterError, TranscriptParseError, TransportError
+from magicert.errors import (
+    MalformedAnswerError,
+    ParameterError,
+    TranscriptParseError,
+    TransportError,
+)
 from magicert.provers import ScriptedProver, parse_prover_spec
 from magicert.util import _rekeyed, parse_bits, rng_from
 from magicert.verifier import RoundType
@@ -32,6 +37,10 @@ SP4 = SecurityParam(4)
 HONEST = parse_prover_spec("honest")
 DEEP_FRAME = b"[" * 100000 + b"]" * 100000 + b"\n"
 UNTERMINATED = b"0" * (8 << 20)  # no newline: eight times the frame cap
+# past CPython's 4,300-digit cap on int parsing, where json.loads raises a plain ValueError
+HUGE_INT = b"1" * 5000
+HUGE_COMMIT = b'{"v":1,"sid":"1","seq":1,"kind":"COMMIT","payload":{"ys":[' + HUGE_INT + b']}}\n'
+UNWRITABLE_PREIMAGES = [[0, 99999], [1, 0], [0, 0]]  # 99999 is wider than w at lam 4
 
 
 # --------------------------------------------------------------------- codec
@@ -61,6 +70,7 @@ class TestMessageCodec:
             b'{"v":1,"sid":"x","seq":0,"kind":"KEYS","payload":{}}\n',
             b'{"v":1,"seq":0,"kind":"KEYS","payload":{}}\n',
             pytest.param(DEEP_FRAME, id="deeply-nested"),
+            pytest.param(HUGE_COMMIT, id="huge-integer"),
         ],
     )
     def test_malformed_frames_raise(self, line):
@@ -136,7 +146,8 @@ class TestTranscriptPersistence:
         with pytest.raises(TranscriptParseError, match="line 2"):
             read_transcripts(path)
 
-    @pytest.mark.parametrize("bad", [DEEP_FRAME, b"\xff\xfe\n"], ids=["deeply-nested", "not-utf8"])
+    @pytest.mark.parametrize("bad", [DEEP_FRAME, b"\xff\xfe\n", b'{"index": ' + HUGE_INT + b"}\n"],
+                             ids=["deeply-nested", "not-utf8", "huge-integer"])
     def test_hostile_line_is_named(self, tmp_path, bad):
         path = tmp_path / "hostile.jsonl"
         good = self.sample_transcripts()[0]
@@ -186,6 +197,16 @@ class TestRunSession:
         t = run_session(SP4, bad_factory, master_seed=444, index=0)
         assert t.abort is not None and not t.accept and t.flag is None
         assert t.ys is None
+
+    def test_unwritable_preimage_answer_aborts_before_grading(self, tmp_path):
+        script = {"ys": [0, 0, 0], "preimages": UNWRITABLE_PREIMAGES}
+        factory = lambda reg, rng, idx: ScriptedProver(script)
+        t = run_session(SP4, factory, master_seed=333, index=0, round=RoundType.PREIMAGE)
+        assert t.abort.startswith("MalformedAnswerError") and t.flag is None and not t.accept
+        assert t.ys == (0, 0, 0) and t.preimages is None
+        path = tmp_path / "aborted.jsonl"
+        write_transcripts(path, [t])
+        assert read_transcripts(path) == [t]
 
     def test_overrides_pin_theta_and_round(self):
         t = run_session(
@@ -281,6 +302,16 @@ class TestRunBatch:
         assert read_transcripts(sink) == transcripts
         assert [t.index for t in transcripts] == list(range(25))
 
+    @pytest.mark.parametrize("n, p", [(0, 2), (3, 4), (25, 2)])
+    def test_pinned_batch_is_the_same_at_any_parallelism(self, tmp_path, n, p):
+        pinned = dict(theta=(1, 1, 1), round=RoundType.HADAMARD)
+        serial, split = tmp_path / "p1.jsonl", tmp_path / f"p{p}.jsonl"
+        stats1, _ = run_batch(SP4, "honest", n, 8, 1, sink=serial, **pinned)
+        stats_p, _ = run_batch(SP4, "honest", n, 8, p, sink=split, **pinned)
+        assert split.read_bytes() == serial.read_bytes()
+        assert stats_p.as_dict() == stats1.as_dict()
+        assert stats1.n_hyper_hadamard == n
+
     def test_conditioned_stabilizer_rate(self):
         stats, _ = run_batch(
             SP4, "stabilizer", 4000, master_seed=5,
@@ -373,18 +404,48 @@ class TestWire:
             client_sock.settimeout(10.0)
             cli_r, cli_w = client_sock.makefile("rb"), client_sock.makefile("wb")
             srv_r, srv_w = server_sock.makefile("rb"), server_sock.makefile("wb")
-            thread = threading.Thread(target=client, daemon=True)
-            thread.start()
-            transcripts = engine._serve_sessions(
-                srv_r, VerdictFails(srv_w), SP4, master_seed, 2
-            )
-            server_sock.shutdown(socket.SHUT_RDWR)
-            thread.join(10.0)
+            with cli_r, cli_w, srv_r, srv_w:
+                thread = threading.Thread(target=client, daemon=True)
+                thread.start()
+                transcripts = engine._serve_sessions(
+                    srv_r, VerdictFails(srv_w), SP4, master_seed, 2
+                )
+                server_sock.shutdown(socket.SHUT_RDWR)
+                thread.join(10.0)
         assert not thread.is_alive()
         # the verdict stands as recorded and session 1 is never started
         assert transcripts == [run_session(SP4, HONEST, master_seed, 0)]
         assert transcripts[0].abort is None and transcripts[0].accept
         assert len(client_errors) == 1 and "VERDICT" in str(client_errors[0])
+
+    def test_huge_integer_frame_aborts_the_served_session(self):
+        wfile = io.BytesIO()
+        transcripts = engine._serve_sessions(io.BytesIO(HUGE_COMMIT), wfile, SP4, 2121, 3)
+        assert len(transcripts) == 1
+        assert transcripts[0].abort.startswith("TransportError: undecodable frame")
+        assert Message.decode(wfile.getvalue()).kind == "KEYS"  # and no VERDICT after it
+
+    def test_unwritable_local_answer_raises_malformed_answer_error(self):
+        master_seed = 2222
+        unwritable = lambda reg, rng, idx: ScriptedProver({"ys": [99999, 0, 0]})
+        holder = {}
+        server_sock, client_sock = socket.socketpair()
+        with server_sock, client_sock:
+            server_sock.settimeout(10.0)
+            client_sock.settimeout(10.0)
+            cli_r, cli_w = client_sock.makefile("rb"), client_sock.makefile("wb")
+            srv_r, srv_w = server_sock.makefile("rb"), server_sock.makefile("wb")
+            with cli_r, cli_w, srv_r, srv_w:
+                thread = threading.Thread(target=lambda: holder.__setitem__(
+                    "served", engine._serve_sessions(srv_r, srv_w, SP4, master_seed, 1)),
+                    daemon=True)
+                thread.start()
+                with pytest.raises(MalformedAnswerError, match="cannot be sent"):
+                    engine._client_sessions(cli_r, cli_w, unwritable, master_seed)
+                client_sock.shutdown(socket.SHUT_RDWR)
+                thread.join(10.0)
+        assert not thread.is_alive()
+        assert holder["served"][0].abort.startswith("TransportError")
 
     def test_wrong_master_seed_fails_replay_check(self):
         thread, holder = serve_in_thread(SP4, 888, 1)

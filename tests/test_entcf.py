@@ -25,13 +25,19 @@ from magicert.entcf import (
     export_key_record,
     hadamard_open,
     invert,
-    permutation_table,
 )
 from magicert.errors import FamilyMisuseError, KeyLookupError, ParameterError
 from magicert.util import bits_str, derive_seed, parity, rand_bits, rand_u64, rng_from
 
 SP4 = SecurityParam(4)
 SP6 = SecurityParam(6)
+
+
+def permutation_table(t: Trapdoor) -> np.ndarray:
+    """Materialize the key's full permutation of {0,1}^{w+1}."""
+    perm, _ = entcf._base(t.w)
+    idx = np.arange(perm.size, dtype=np.uint32) ^ np.uint32(t.mask_in)
+    return perm[idx] ^ np.uint32(t.mask_out)
 
 
 def make(family, sp=SP4, seed=7):

