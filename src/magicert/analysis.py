@@ -9,8 +9,6 @@ fidelity certificates for simulated device states.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -147,23 +145,20 @@ def t_est(rates, sp: SoundnessParams) -> float:
     return sp.c * sum(float(p) ** half for p in rates) + sp.negl
 
 
-def deviation_exponent(r: float) -> float:
-    """Exponent t such that each radius enters the deviation bound as radius^t."""
+def _deviation_rule(r: float) -> tuple[float, float]:
+    """(factor, exponent) with which each radius enters the deviation bound."""
     half = r / 2.0
     if half < 1.0:
-        return half
-    frac = half - math.floor(half)
-    return 1.0 if frac == 0.0 else frac
-
-
-def _deviation_term(radius: float, r: float) -> float:
-    half = r / 2.0
-    if half < 1.0:
-        return radius**half
+        return 1.0, half
     frac = half - math.floor(half)
     if frac == 0.0:
-        return (2.0**half - 1.0) * radius
-    return (2.0 * 2.0**half - 1.0) * radius**frac
+        return 2.0**half - 1.0, 1.0
+    return 2.0 * 2.0**half - 1.0, frac
+
+
+def deviation_exponent(r: float) -> float:
+    """Exponent t such that each radius enters the deviation bound as radius^t."""
+    return _deviation_rule(r)[1]
 
 
 def deviation_bound(radii, sp: SoundnessParams) -> float:
@@ -171,7 +166,8 @@ def deviation_bound(radii, sp: SoundnessParams) -> float:
     per-estimate radii. Piecewise in the exponent: for r/2 < 1 each radius
     enters as radius^(r/2); for integer r/2 linearly with factor 2^(r/2)-1;
     otherwise with the fractional exponent and factor 2*2^(r/2)-1."""
-    return sp.c * sum(_deviation_term(float(rad), sp.r) for rad in radii)
+    factor, exponent = _deviation_rule(sp.r)
+    return sp.c * sum(factor * float(rad) ** exponent for rad in radii)
 
 
 # ------------------------------------------------------------ certification
@@ -261,33 +257,3 @@ def render_report(report: CertificationReport) -> str:
     ]
     return "\n".join(lines) + "\n"
 
-
-def report_csv(report: CertificationReport) -> str:
-    fields: list[tuple[str, object]] = [
-        ("eps_prime", report.estimation.eps_prime),
-        ("delta_prime", report.estimation.delta_prime),
-        ("c", report.soundness.c),
-        ("r", report.soundness.r),
-        ("negl", report.soundness.negl),
-    ]
-    for label, est in zip(("pre", "test", "hyper"), report.rates):
-        fields += [
-            (f"flags_{label}", est.flags),
-            (f"denom_{label}", est.denominator),
-            (f"rate_{label}", est.rate),
-            (f"radius_{label}", est.radius),
-        ]
-    for label, value in zip(("pre", "test", "hyper"), report.gamma):
-        fields.append((f"gamma_{label}", value))
-    fields += [
-        ("t_est", report.t_est),
-        ("threshold", report.threshold),
-        ("deviation_bound", report.deviation_bound),
-        ("confidence", report.confidence),
-        ("accept", report.accept),
-    ]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow([name for name, _ in fields])
-    writer.writerow([str(value) for _, value in fields])
-    return buf.getvalue()

@@ -141,7 +141,7 @@ def _demo_stabilizer_fidelity() -> int:
             float(np.abs(np.vdot(st.amps, target.amps)) ** 2) for st in states
         )
         dist = math.sqrt(1.0 - best)
-        good = abs(best - 0.5625) <= 1e-9 and dist >= 0.5
+        good = abs(best - analysis.MAGIC_FIDELITY_BOUND) <= 1e-9 and dist >= 0.5
         ok = ok and good
         print(f"s={s1}{s2}{s3}  max fidelity {best:.12f}  "
               f"trace distance >= {dist:.12f}  over {len(states)} states"
@@ -213,12 +213,14 @@ def cmd_serve(args) -> int:
 
     stats, _ = engine.serve(sp, args.listen, args.seed, args.sessions,
                             sink=args.out, on_listen=announce)
-    print(json.dumps(stats.as_dict(), indent=2))
+    out = sys.stderr if args.listen == "stdio" else sys.stdout  # stdio: stdout is the wire
+    print(json.dumps(stats.as_dict(), indent=2), file=out)
     return EXIT_ACCEPT
 
 
 def cmd_connect(args) -> int:
     verdicts = engine.connect(args.addr, args.prover, args.seed)
+    out = sys.stderr if args.addr == "stdio" else sys.stdout  # stdio: stdout is the wire
     for index, verdict in enumerate(verdicts):
         if verdict.get("abort"):
             line = f"session {index}: abort ({verdict['abort']})"
@@ -226,8 +228,8 @@ def cmd_connect(args) -> int:
             line = f"session {index}: accept"
         else:
             line = f"session {index}: reject (flag={verdict.get('flag')})"
-        print(line)
-    print(f"{sum(1 for v in verdicts if v.get('accept'))}/{len(verdicts)} accepted")
+        print(line, file=out)
+    print(f"{sum(1 for v in verdicts if v.get('accept'))}/{len(verdicts)} accepted", file=out)
     return EXIT_ACCEPT
 
 

@@ -41,6 +41,8 @@ WIRE_VERSION = 1
 # longest frame line read, newline included; a legitimate frame stays under
 # 300 bytes at the widest lam, so a longer line is a hostile or broken peer
 MAX_FRAME = 1 << 20
+# seconds a TCP peer may stay silent, on either end, before the stream ends
+IDLE_TIMEOUT = 60.0
 MESSAGE_KINDS = (
     "KEYS",
     "COMMIT",
@@ -51,6 +53,18 @@ MESSAGE_KINDS = (
     "ANSWERS",
     "VERDICT",
 )
+
+
+def _not_an_integer(text: str):
+    raise ValueError(f"number {text} is not an integer")
+
+
+# the one JSON decoder for frames and transcript lines; every number in them
+# is an integer, and json.loads would read NaN, Infinity or 1e999 as floats
+_JSON = json.JSONDecoder(parse_float=_not_an_integer, parse_constant=_not_an_integer)
+
+_ROUNDS = (None, *(r.value for r in RoundType))
+_FLAGS = (None, *(f.value for f in Flag))
 
 _VERIFIER_LANE = 0
 _PROVER_LANE = 1
@@ -74,9 +88,9 @@ class Message:
         return json.dumps(body, sort_keys=True, separators=(",", ":")).encode() + b"\n"
 
     @staticmethod
-    def decode(line: bytes | str) -> "Message":
+    def decode(line: bytes) -> "Message":
         try:
-            body = json.loads(line)
+            body = _JSON.decode(line.decode("utf-8"))
         except (ValueError, RecursionError) as exc:  # ValueError: also an over-long integer
             raise TransportError(f"undecodable frame: {exc}") from exc
         if not isinstance(body, dict):
@@ -204,7 +218,7 @@ class SessionTranscript:
             ys = rec["ys"]
             preimages = rec["preimages"]
             ds = rec["ds"]
-            return SessionTranscript(
+            t = SessionTranscript(
                 index=int(rec["index"]),
                 seed=int(rec["seed"]),
                 lam=int(rec["lam"]),
@@ -219,11 +233,30 @@ class SessionTranscript:
                 q=None if rec["q"] is None else tuple(int(ch) for ch in rec["q"]),
                 vs=None if rec["vs"] is None else tuple(int(ch) for ch in rec["vs"]),
                 flag=rec["flag"],
-                accept=bool(rec["accept"]),
+                accept=rec["accept"],
                 abort=rec["abort"],
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise TranscriptParseError(f"bad transcript record: {exc}") from exc
+        # SCHEMA.md's field rules; no decision reads bit-string widths
+        rule = ("theta is not a basis choice" if t.theta not in verifier.BASIS_CHOICES
+                else "round is not null, preimage or hadamard" if t.round not in _ROUNDS
+                else "flag is not null or a flag value" if t.flag not in _FLAGS
+                else "accept is not a boolean" if not isinstance(t.accept, bool)
+                else "abort is not null or a string"
+                if not (t.abort is None or isinstance(t.abort, str))
+                else "test_index is not null or 0-2"
+                if t.test_index not in (None, 0, 1, 2) or isinstance(t.test_index, bool)
+                else "lam is not a supported width" if not entcf.W_MIN <= t.lam <= entcf.W_MAX
+                else "not exactly one of flag and abort is null"
+                if (t.flag is None) == (t.abort is None)
+                else "a record without an abort has no round"
+                if t.abort is None and t.round is None
+                else "accept does not match the flag" if t.accept != (t.flag == Flag.NONE)
+                else None)
+        if rule is not None:
+            raise TranscriptParseError(f"bad transcript record: {rule}")
+        return t
 
 
 def write_transcripts(sink, transcripts) -> None:
@@ -236,26 +269,17 @@ def write_transcripts(sink, transcripts) -> None:
         write_transcripts(fh, transcripts)
 
 
-def read_transcripts(source) -> list[SessionTranscript]:
-    """Parse a transcript file; any bad input raises TranscriptParseError."""
-    try:
-        if hasattr(source, "read"):
-            lines = source.read().splitlines()
-        else:
-            with open(source, encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        lineno = exc.object[:exc.start].count(b"\n") + 1
-        raise TranscriptParseError(f"line {lineno}: not UTF-8: {exc}") from exc
+def read_transcripts(path) -> list[SessionTranscript]:
+    """Parse a transcript file line by line; a bad line raises TranscriptParseError naming it."""
     out = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            out.append(SessionTranscript.from_record(rec))
-        except (ValueError, RecursionError) as exc:  # TranscriptParseError is a ValueError
-            raise TranscriptParseError(f"line {lineno}: {exc}") from exc
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                text = line.decode("utf-8")
+                if not text.isspace():
+                    out.append(SessionTranscript.from_record(_JSON.decode(text)))
+            except (ValueError, RecursionError) as exc:  # TranscriptParseError is a ValueError
+                raise TranscriptParseError(f"line {lineno}: {exc}") from exc
     return out
 
 
@@ -500,6 +524,7 @@ def serve(
             if on_listen is not None:
                 on_listen(server.getsockname()[1])
             conn, _ = server.accept()
+            conn.settimeout(IDLE_TIMEOUT)
             with conn:
                 rfile = conn.makefile("rb")
                 wfile = conn.makefile("wb")
@@ -517,7 +542,7 @@ def connect(endpoint: str, prover_spec: str, master_seed: int) -> list[dict]:
     if kind[0] == "stdio":
         return _client_sessions(sys.stdin.buffer, sys.stdout.buffer, factory, master_seed)
     _, host, port = kind
-    with socket.create_connection((host, port)) as conn:
+    with socket.create_connection((host, port), timeout=IDLE_TIMEOUT) as conn:
         rfile = conn.makefile("rb")
         wfile = conn.makefile("wb")
         return _client_sessions(rfile, wfile, factory, master_seed)
@@ -571,7 +596,8 @@ class RemoteProver:
 
     def answer_questions(self, q) -> list[int]:
         self.chan.send("QUESTIONS", {"q": "".join(map(str, q))})
-        return _parse_answer_bits(self.chan.expect("ANSWERS").payload.get("vs"))
+        return list(_three_bits(self.chan.expect("ANSWERS").payload.get("vs"), "ANSWERS",
+                                MalformedAnswerError))
 
 
 def _client_sessions(rfile, wfile, factory, master_seed) -> list[dict]:
@@ -616,10 +642,8 @@ def _client_one(rfile, wfile, factory, master_seed, keys_msg: Message) -> dict:
     elif round_value == RoundType.HADAMARD.value:
         ds = prover.answer_hadamard()
         chan.send("HADAMARD_D", {"ds": [_answer_bits(d, w) for d in ds]})
-        q_raw = chan.expect("QUESTIONS").payload.get("q")
-        if not isinstance(q_raw, str) or len(q_raw) != 3 or any(ch not in "01" for ch in q_raw):
-            raise TransportError(f"malformed QUESTIONS payload {q_raw!r}")
-        vs = prover.answer_questions(tuple(int(ch) for ch in q_raw))
+        q = _three_bits(chan.expect("QUESTIONS").payload.get("q"), "QUESTIONS", TransportError)
+        vs = prover.answer_questions(q)
         chan.send("ANSWERS", {"vs": "".join(str(int(v)) for v in vs)})
     else:
         raise TransportError(f"malformed ROUND payload {round_value!r}")
@@ -669,7 +693,8 @@ def _parse_preimages(items, w) -> list[tuple[int, int]]:
     return out
 
 
-def _parse_answer_bits(vs) -> list[int]:
-    if not isinstance(vs, str) or len(vs) != 3 or any(ch not in "01" for ch in vs):
-        raise MalformedAnswerError(f"malformed ANSWERS payload {vs!r}")
-    return [int(ch) for ch in vs]
+def _three_bits(s, kind: str, error) -> tuple[int, int, int]:
+    """A bitstr(3) payload field (QUESTIONS q, ANSWERS vs); anything else raises error."""
+    if not isinstance(s, str) or len(s) != 3 or any(ch not in "01" for ch in s):
+        raise error(f"malformed {kind} payload {s!r}")
+    return tuple(int(ch) for ch in s)

@@ -172,25 +172,19 @@ def _base(w: int) -> tuple[np.ndarray, np.ndarray]:
         return cached
 
 
-@dataclass(frozen=True)
-class _SecretRecord:
-    handle: KeyHandle
-    trapdoor: Trapdoor
-
-
 def _perm_backward(t: Trapdoor, y: int) -> int:
     _, inv = _base(t.w)
     return int(inv[y ^ t.mask_out]) ^ t.mask_in
 
 
 class OracleRegistry:
-    """Append-only map from key ids to secret records.
+    """Append-only map from key ids to trapdoors.
 
     A registry serves one session and is not shared between threads.
     """
 
     def __init__(self) -> None:
-        self._records: dict[int, _SecretRecord] = {}
+        self._records: dict[int, Trapdoor] = {}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -211,39 +205,32 @@ class OracleRegistry:
         if family is Family.CLAW:
             shift = int(rng.integers(1, 1 << w))  # uniform over nonzero w-bit values
         trapdoor = Trapdoor(family=family, perm_seed=perm_seed, w=w, shift=shift)
-        handle = KeyHandle(key_id=key_id, w=w)
-        record = _SecretRecord(handle=handle, trapdoor=trapdoor)
-        existing = self._records.get(key_id)
-        if existing is None:
-            self._records[key_id] = record
-        elif existing != record:
+        if self._records.setdefault(key_id, trapdoor) != trapdoor:
             raise KeyLookupError(f"key id collision: {key_id}")
-        return handle, trapdoor
+        return KeyHandle(key_id=key_id, w=w), trapdoor
 
-    def _record(self, k: KeyHandle) -> _SecretRecord:
-        rec = self._records.get(k.key_id)
-        if rec is None:
+    def _trapdoor(self, k: KeyHandle) -> Trapdoor:
+        t = self._records.get(k.key_id)
+        if t is None:
             raise KeyLookupError(f"unknown key id {k.key_id}")
-        return rec
+        return t
 
     def eval(self, k: KeyHandle, b: int, x: int) -> int:
-        rec = self._record(k)
-        w = rec.handle.w
+        t = self._trapdoor(k)
+        w = t.w
         _check_bit(b)
         _check_range(x, w, "x")
-        t = rec.trapdoor
         if t.family is Family.INJECTIVE:
             z = (b << w) | x
         else:
             z = x ^ (t.shift if b else 0)
-        return _forward(rec, z)
+        perm, _ = _base(w)
+        return int(perm[z ^ t.mask_in]) ^ t.mask_out
 
     def chk(self, k: KeyHandle, b: int, x: int, y: int) -> bool:
-        rec = self._record(k)
-        _check_bit(b)
-        _check_range(x, rec.handle.w, "x")
-        _check_range(y, rec.handle.w + 1, "y")
-        return self.eval(k, b, x) == y
+        fx = self.eval(k, b, x)
+        _check_range(y, self._trapdoor(k).w + 1, "y")
+        return fx == y
 
     def sample_commitment(self, k: KeyHandle, rng: np.random.Generator) -> tuple[int, Commitment]:
         """Classical stand-in for committing a uniform superposition to y.
@@ -251,9 +238,8 @@ class OracleRegistry:
         Injective key: the post-measurement state retains a definite (b, x).
         Claw key: both colliding preimages of y survive in superposition.
         """
-        rec = self._record(k)
-        w = rec.handle.w
-        t = rec.trapdoor
+        t = self._trapdoor(k)
+        w = t.w
         if t.family is Family.INJECTIVE:
             b = rand_bits(rng, 1)
             x = rand_bits(rng, w)
@@ -262,30 +248,6 @@ class OracleRegistry:
         x0 = rand_bits(rng, w)
         y = self.eval(k, 0, x0)
         return y, Commitment(w=w, held=ClawPair(x0=x0, x1=x0 ^ t.shift, y=y))
-
-
-def _forward(rec: _SecretRecord, z: int) -> int:
-    t = rec.trapdoor
-    perm, _ = _base(t.w)
-    return int(perm[z ^ t.mask_in]) ^ t.mask_out
-
-
-def invert(t: Trapdoor, b: int, y: int) -> int | None:
-    """Trapdoor inversion of y on branch b; None when y has no preimage there.
-
-    Injective family: y determines (b, x) outright, so the branch argument
-    is ignored and the x part is returned (decode_b recovers the bit).
-    Claw family: returns the branch-b member of the claw, or None when y
-    lies outside the shared image.
-    """
-    _check_bit(b)
-    _check_range(y, t.w + 1, "y")
-    z = _perm_backward(t, y)
-    if t.family is Family.INJECTIVE:
-        return z & ((1 << t.w) - 1)
-    if z >> t.w:
-        return None  # claw-family image is the top-bit-0 slice
-    return z ^ (t.shift if b else 0)
 
 
 def decode_b(t: Trapdoor, y: int) -> int:

@@ -99,7 +99,7 @@ class HonestProver:
         return ds
 
     def answer_questions(self, q) -> list[int]:
-        """Measure as qsim.measure_pauli would, from the question's table."""
+        """Sample as util.sample_index would on the register's qsim.outcome_distribution(q)."""
         self._require("opened")
         # int() as qsim's basis check does, so the table holds valid patterns only
         edges = _edges(self.qubits, self._gate(self.qubits), tuple(map(int, q)))

@@ -19,7 +19,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError
-from .util import int_to_tuple, sample_index
 
 N_MAX = 4
 ATOL_EXACT = 1e-12   # single algebraic steps in double precision
@@ -118,12 +117,6 @@ class DensityState:
 # ------------------------------------------------------------------- states
 
 
-def basis_state(n: int, index: int) -> StateVector:
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(amps)
-
-
 def plus_state(n: int) -> StateVector:
     return StateVector(np.full(1 << n, 1.0 / np.sqrt(1 << n), dtype=np.complex128))
 
@@ -220,12 +213,6 @@ def outcome_distribution_density(rho: DensityState, q) -> np.ndarray:
     return np.einsum("ij,jk,ik->i", r, rho.matrix, r.conj()).real
 
 
-def measure_pauli(state: StateVector, q, rng: np.random.Generator) -> tuple[int, ...]:
-    """Sample outcomes: qubit i read in the X basis when q_i = 1, else Z."""
-    dist = outcome_distribution(state, q)
-    return int_to_tuple(sample_index(dist, rng), state.n)
-
-
 # -------------------------------------------------------------- observables
 
 
@@ -291,12 +278,10 @@ def expectation(state: StateVector, obs: Observable) -> float:
 
 
 def fidelity(a: StateVector | DensityState, b: StateVector) -> float:
-    if isinstance(a, StateVector):
-        if a.n != b.n:
-            raise ParameterError("fidelity: qubit counts differ")
-        return float(np.abs(np.vdot(a.amps, b.amps)) ** 2)
     if a.n != b.n:
         raise ParameterError("fidelity: qubit counts differ")
+    if isinstance(a, StateVector):
+        return float(np.abs(np.vdot(a.amps, b.amps)) ** 2)
     return float(np.vdot(b.amps, a.matrix @ b.amps).real)
 
 

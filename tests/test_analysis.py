@@ -5,8 +5,6 @@ radius, ceiling sample size, the 15/96/8 bound constants, the score formula)
 rather than read back from the implementation.
 """
 
-import csv
-import io
 import math
 
 import numpy as np
@@ -27,7 +25,6 @@ from magicert.analysis import (
     fidelity_certificate,
     gamma_bounds,
     render_report,
-    report_csv,
     sample_size,
     t_est,
 )
@@ -401,18 +398,6 @@ class TestRendering:
         report = self.make_report()
         text = render_report(report)
         assert "0.5" in text  # r/2 for r = 1
-
-    def test_csv_round_trips(self):
-        report = self.make_report()
-        rows = list(csv.reader(io.StringIO(report_csv(report))))
-        assert len(rows) == 2
-        header, values = rows
-        assert len(header) == len(values)
-        record = dict(zip(header, values))
-        assert float(record["t_est"]) == pytest.approx(report.t_est)
-        assert record["accept"] in ("True", "False")
-        assert float(record["rate_hyper"]) == pytest.approx(report.rates[2].rate)
-        assert float(record["gamma_test"]) == pytest.approx(report.gamma[1])
 
     def test_accept_flag_matches_strict_comparison(self):
         report = self.make_report()

@@ -1,12 +1,17 @@
 """Command-line interface tests: flags, exit codes, output shapes."""
 
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import magicert
 from magicert import cli, engine, entcf
 from magicert.engine import read_transcripts
 
@@ -157,6 +162,16 @@ class TestAnalyze:
         assert code == 2
         assert stderr.strip() != ""
 
+    @pytest.mark.parametrize("constant", ["Infinity", "-Infinity", "NaN"])
+    def test_json_constant_index_exits_2(self, capsys, tmp_path, constant):
+        path = self.make_transcripts(tmp_path, "honest", 3, 1)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace('"index": 1,', f'"index": {constant},')
+        path.write_text("\n".join(lines) + "\n")
+        code, _, stderr = run_cli(capsys, "analyze", str(path))
+        assert code == 2
+        assert stderr.startswith("error: line 2:")
+
 
 class TestDemo:
     def test_magic_impossibility(self, capsys):
@@ -240,6 +255,36 @@ class TestServeConnect:
         transcripts = read_transcripts(out)
         assert len(transcripts) == 3
         assert all(t.accept for t in transcripts)
+
+    def test_stdio_pair_finishes_cleanly_and_serves_the_run_bytes(self, capsys, tmp_path):
+        """serve --listen stdio and connect --addr stdio joined by two pipes."""
+        served, ran = tmp_path / "served.jsonl", tmp_path / "ran.jsonl"
+        common = ["--lambda", "4", "--seed", "31"]
+        env = {**os.environ, "PYTHONPATH": str(Path(magicert.__file__).parents[1])}
+        to_client_r, to_client_w = os.pipe()
+        to_server_r, to_server_w = os.pipe()
+        cmd = [sys.executable, "-m", "magicert.cli"]
+        try:
+            server = subprocess.Popen(
+                [*cmd, "serve", "--listen", "stdio", "--sessions", "5", *common,
+                 "--out", str(served)],
+                stdin=to_server_r, stdout=to_client_w, stderr=subprocess.PIPE, env=env)
+            client = subprocess.Popen(
+                [*cmd, "connect", "--addr", "stdio", "--prover", "honest", "--seed", "31"],
+                stdin=to_client_r, stdout=to_server_w, stderr=subprocess.PIPE, env=env)
+        finally:
+            for fd in (to_client_r, to_client_w, to_server_r, to_server_w):
+                os.close(fd)
+        _, server_err = server.communicate(timeout=60)
+        _, client_err = client.communicate(timeout=60)
+        assert (server.returncode, client.returncode) == (0, 0), client_err.decode()
+        assert json.loads(server_err)["sessions"] == 5
+        assert client_err.decode().endswith("5/5 accepted\n")
+
+        code, _, _ = run_cli(capsys, "run", "--sessions", "5", *common, "--prover", "honest",
+                             "--out", str(ran))
+        assert code == 0
+        assert served.read_bytes() == ran.read_bytes()
 
     def test_bad_listen_spec_exits_2(self, capsys):
         code, _, stderr = run_cli(capsys, "serve", "--listen", "not-an-endpoint")

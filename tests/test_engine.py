@@ -1,6 +1,7 @@
 """Engine tests: codec, transcripts, batch determinism, stats, wire transport."""
 
 import contextlib
+import functools
 import io
 import json
 import socket
@@ -8,7 +9,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magicert import engine, entcf
@@ -153,6 +154,29 @@ class TestTranscriptPersistence:
         good = self.sample_transcripts()[0]
         path.write_bytes(json.dumps(good.to_record()).encode() + b"\n" + bad)
         with pytest.raises(TranscriptParseError, match="line 2"):
+            read_transcripts(path)
+
+    @pytest.mark.parametrize("which, edits, rule", [
+        pytest.param(0, {"theta": "2"}, "theta is not", id="theta"),
+        pytest.param(0, {"round": "bogus"}, "round is not", id="round"),
+        pytest.param(0, {"flag": "maybe"}, "flag is not", id="flag"),
+        pytest.param(0, {"accept": "false"}, "accept is not a boolean", id="accept"),
+        pytest.param(3, {"abort": 5}, "abort is not", id="abort"),
+        pytest.param(1, {"test_index": 3}, "test_index is not", id="test-index"),
+        pytest.param(0, {"lam": 3}, "lam is not", id="lam"),
+        pytest.param(0, {"flag": None, "accept": False}, "not exactly one",
+                     id="flag-and-abort-null"),
+        pytest.param(0, {"round": None}, "a record without an abort", id="no-round"),
+        pytest.param(0, {"accept": False}, "accept does not match", id="accept-without-flag-none"),
+    ])
+    def test_record_breaking_a_schema_rule_is_named(self, tmp_path, which, edits, rule):
+        good = self.sample_transcripts()
+        assert (good[0].flag, good[3].abort is not None) == ("none", True)
+        path = tmp_path / "rules.jsonl"
+        write_transcripts(path, good[:1])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({**good[which].to_record(), **edits}) + "\n")
+        with pytest.raises(TranscriptParseError, match=f"line 2: bad transcript record: {rule}"):
             read_transcripts(path)
 
     def test_missing_field_is_named(self, tmp_path):
@@ -425,6 +449,22 @@ class TestWire:
         assert transcripts[0].abort.startswith("TransportError: undecodable frame")
         assert Message.decode(wfile.getvalue()).kind == "KEYS"  # and no VERDICT after it
 
+    @pytest.mark.parametrize("constant", [b"Infinity", b"-Infinity", b"NaN", b"1e999"])
+    def test_json_constant_sid_aborts_the_served_session(self, constant):
+        frame = b'{"v":1,"sid":' + constant + b',"seq":1,"kind":"COMMIT","payload":{}}\n'
+        transcripts = engine._serve_sessions(io.BytesIO(frame), io.BytesIO(), SP4, 2121, 3)
+        assert len(transcripts) == 1
+        assert transcripts[0].abort.startswith("TransportError: undecodable frame")
+
+    @pytest.mark.parametrize("field", ["index", "lam"])
+    def test_json_constant_in_keys_raises_transport_error(self, field):
+        master_seed = 1717
+        payload = {"index": 0, "lam": 4, "keys": [], field: "CONSTANT"}
+        keys = Message(sid=engine.session_seed(master_seed, 0), seq=0, kind="KEYS",
+                       payload=payload).encode().replace(b'"CONSTANT"', b"Infinity")
+        with pytest.raises(TransportError, match="undecodable frame"):
+            engine._client_sessions(io.BytesIO(keys), io.BytesIO(), HONEST, master_seed)
+
     def test_unwritable_local_answer_raises_malformed_answer_error(self):
         master_seed = 2222
         unwritable = lambda reg, rng, idx: ScriptedProver({"ys": [99999, 0, 0]})
@@ -623,6 +663,36 @@ class TestWire:
             with pytest.raises(TransportError, match="KEYS"):
                 engine._client_sessions(cli_r, cli_w, HONEST, master_seed)
 
+    def test_silent_peer_ends_serve_with_one_aborted_session(self, monkeypatch):
+        monkeypatch.setattr(engine, "IDLE_TIMEOUT", 0.5)
+        thread, holder = serve_in_thread(SP4, 2323, 3)
+        with socket.create_connection(("127.0.0.1", holder["port"]), timeout=10.0):
+            thread.join(5.0)
+        assert not thread.is_alive()
+        _, transcripts = holder["result"]
+        assert len(transcripts) == 1
+        assert transcripts[0].abort.startswith("TransportError: connection lost")
+
+    def test_silent_server_ends_connect_with_transport_error(self, monkeypatch):
+        monkeypatch.setattr(engine, "IDLE_TIMEOUT", 0.5)
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            done = threading.Event()
+
+            def peer():  # silent until the client gives up, or 5 s at most
+                conn, _ = listener.accept()
+                with conn:
+                    done.wait(5.0)
+
+            thread = threading.Thread(target=peer, daemon=True)
+            thread.start()
+            try:
+                with pytest.raises(TransportError, match="connection lost"):
+                    engine.connect(f"127.0.0.1:{listener.getsockname()[1]}", "honest", 2424)
+            finally:
+                done.set()
+            thread.join(5.0)
+            assert not thread.is_alive()
+
     def test_parse_endpoint_forms(self):
         assert parse_endpoint("stdio") == ("stdio",)
         assert parse_endpoint("127.0.0.1:88") == ("tcp", "127.0.0.1", 88)
@@ -630,6 +700,178 @@ class TestWire:
         for bad in ("", "nohost", "host:", ":99", "host:notaport"):
             with pytest.raises(ParameterError):
                 parse_endpoint(bad)
+
+
+# ---------------------------------------------------------- hostile input
+
+PEER_SEED, PEER_SESSIONS = 1214, 5  # sessions 1-3 hold both round types
+# where a replacement may land: every field SCHEMA.md gives a frame or a record
+FRAME_PATHS = [
+    ("v",), ("sid",), ("seq",), ("kind",), ("payload",),
+    ("payload", "index"), ("payload", "lam"), ("payload", "keys"), ("payload", "keys", 0),
+    ("payload", "keys", 1, "id"), ("payload", "keys", 2, "w"), ("payload", "ys"),
+    ("payload", "ys", 0), ("payload", "round"), ("payload", "answers"),
+    ("payload", "answers", 1), ("payload", "answers", 2, 0), ("payload", "answers", 0, 1),
+    ("payload", "ds"), ("payload", "ds", 2), ("payload", "q"), ("payload", "vs"),
+    ("payload", "accept"), ("payload", "flag"), ("payload", "abort"),
+]
+RECORD_PATHS = [
+    ("index",), ("seed",), ("lam",), ("theta",), ("keys",), ("keys", 0), ("keys", 1, "w"),
+    ("ys",), ("ys", 0), ("round",), ("test_index",), ("preimages",), ("preimages", 0),
+    ("preimages", 1, 0), ("ds",), ("ds", 1), ("q",), ("vs",), ("flag",), ("accept",),
+    ("abort",),
+]
+RAW_VALUES = st.one_of(
+    st.sampled_from([b"NaN", b"Infinity", b"-Infinity", b"1e999", HUGE_INT,
+                     b"[" * 3000 + b"]" * 3000, b"null", b"true", b"2.5", b"[]", b"{}",
+                     b'""', b'"01"', b'"0x1"', b'["0","1"]']),
+    st.integers().map(lambda n: str(n).encode()),
+    st.text(max_size=6).map(lambda text: json.dumps(text).encode()),
+)
+HOLE = "\0hole\0"
+
+
+def mutations(paths):
+    """Edits of a list of lines: drop, duplicate, swap, replace a field, truncate, insert bytes."""
+    index = st.integers(0, 99)
+    return st.lists(st.one_of(
+        st.tuples(st.just("drop"), index),
+        st.tuples(st.just("duplicate"), index),
+        st.tuples(st.just("swap"), index, index),
+        st.tuples(st.just("replace"), index, st.sampled_from(paths), RAW_VALUES),
+        st.tuples(st.just("truncate"), index, st.integers(0, 300)),
+        st.tuples(st.just("insert"), index, st.integers(0, 300),
+                  st.binary(min_size=1, max_size=4) | st.just(b"\xff\xfe")),
+    ), min_size=1, max_size=4)
+
+
+def replaced(line: bytes, path, raw: bytes) -> bytes:
+    """line with the value at path swapped for the raw JSON text; as is when there is none."""
+    try:
+        body = json.loads(line)
+        node = body
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]]  # the field is there
+        node[path[-1]] = HOLE
+    except (ValueError, RecursionError, LookupError, TypeError):
+        return line
+    text = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
+    return text.replace(json.dumps(HOLE).encode(), raw) + b"\n"
+
+
+def mutate(lines, ops) -> bytes:
+    lines = list(lines)
+    for op, i, *args in ops:
+        if not lines:
+            break
+        i %= len(lines)
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = args[0] % len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "replace":
+            lines[i] = replaced(lines[i], *args)
+        elif op == "truncate":  # may cut the newline and glue two lines
+            lines[i] = lines[i][:args[0]]
+        else:
+            at, junk = args
+            lines[i] = lines[i][:at] + junk + lines[i][at:]
+    return b"".join(lines)
+
+
+class _Recording:
+    """A write end that keeps a copy of every frame written through it."""
+
+    def __init__(self, inner):
+        self.inner, self.frames = inner, []
+
+    def write(self, data):
+        self.frames.append(bytes(data))
+        return self.inner.write(data)
+
+    def flush(self):
+        self.inner.flush()
+
+
+@functools.lru_cache(maxsize=None)
+def honest_frames():
+    """(server frames, client frames) of a real honest wire run."""
+    server_sock, client_sock = socket.socketpair()
+    with server_sock, client_sock:
+        client_sock.settimeout(10.0)
+        srv_r, srv_w = server_sock.makefile("rb"), server_sock.makefile("wb")
+        cli_r, cli_w = client_sock.makefile("rb"), client_sock.makefile("wb")
+        with srv_r, srv_w, cli_r, cli_w:
+            server, client = _Recording(srv_w), _Recording(cli_w)
+            thread = threading.Thread(target=engine._client_sessions,
+                                      args=(cli_r, client, HONEST, PEER_SEED), daemon=True)
+            thread.start()
+            transcripts = engine._serve_sessions(srv_r, server, SP4, PEER_SEED, PEER_SESSIONS)
+            server_sock.shutdown(socket.SHUT_WR)
+            thread.join(10.0)
+    assert not thread.is_alive()
+    assert {t.round for t in transcripts} == {"preimage", "hadamard"}
+    assert all(t.accept for t in transcripts)
+    return tuple(server.frames), tuple(client.frames)
+
+
+@functools.lru_cache(maxsize=None)
+def honest_lines():
+    _, transcripts = run_batch(SP4, "honest", PEER_SESSIONS, PEER_SEED, collect=True)
+    return tuple(json.dumps(t.to_record(), sort_keys=True).encode() + b"\n" for t in transcripts)
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("hostile") / "lines.jsonl"
+
+
+class TestHostileInput:
+    """Hypothesis edits of real honest traffic; only the documented outcomes may occur."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ops=mutations(FRAME_PATHS))
+    @example(ops=[("replace", 0, ("sid",), b"Infinity")])
+    def test_server_returns_verdicts_or_aborts(self, ops):
+        _, client_frames = honest_frames()
+        transcripts = engine._serve_sessions(
+            io.BytesIO(mutate(client_frames, ops)), io.BytesIO(), SP4, PEER_SEED, PEER_SESSIONS)
+        assert len(transcripts) <= PEER_SESSIONS
+        for t in transcripts:
+            if t.abort is None:
+                assert t.flag is not None and t.accept == (t.flag == "none")
+            else:
+                assert t.flag is None and not t.accept
+                assert t.abort.split(":")[0] in ("TransportError", "MalformedAnswerError")
+            assert SessionTranscript.from_record(json.loads(json.dumps(t.to_record()))) == t
+
+    @settings(max_examples=300, deadline=None)
+    @given(ops=mutations(FRAME_PATHS))
+    @example(ops=[("replace", 0, ("payload", "index"), b"Infinity")])
+    @example(ops=[("replace", 0, ("payload", "lam"), b"Infinity")])
+    def test_client_returns_verdicts_or_raises_transport_error(self, ops):
+        server_frames, _ = honest_frames()
+        try:
+            verdicts = engine._client_sessions(
+                io.BytesIO(mutate(server_frames, ops)), io.BytesIO(), HONEST, PEER_SEED)
+        except TransportError:
+            return
+        assert all(isinstance(v, dict) for v in verdicts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ops=mutations(RECORD_PATHS))
+    @example(ops=[("replace", 0, ("index",), b"Infinity")])
+    def test_read_transcripts_returns_or_raises_parse_error(self, scratch_file, ops):
+        scratch_file.write_bytes(mutate(honest_lines(), ops))
+        try:
+            transcripts = read_transcripts(scratch_file)
+        except TranscriptParseError:
+            return
+        assert len(transcripts) <= len(scratch_file.read_bytes().splitlines())
 
 
 # ---------------------------------------------------------------- threads

@@ -24,7 +24,6 @@ from magicert.entcf import (
     decode_u,
     export_key_record,
     hadamard_open,
-    invert,
 )
 from magicert.errors import FamilyMisuseError, KeyLookupError, ParameterError
 from magicert.util import bits_str, derive_seed, parity, rand_bits, rand_u64, rng_from
@@ -38,6 +37,23 @@ def permutation_table(t: Trapdoor) -> np.ndarray:
     perm, _ = entcf._base(t.w)
     idx = np.arange(perm.size, dtype=np.uint32) ^ np.uint32(t.mask_in)
     return perm[idx] ^ np.uint32(t.mask_out)
+
+
+def invert(t: Trapdoor, b: int, y: int) -> int | None:
+    """Trapdoor inversion of y on branch b; None when y has no preimage there.
+
+    Injective family: y determines (b, x), so b is ignored and the x part is
+    returned. Claw family: the branch-b member of the claw, or None when y
+    lies outside the shared image.
+    """
+    entcf._check_bit(b)
+    entcf._check_range(y, t.w + 1, "y")
+    z = entcf._perm_backward(t, y)
+    if t.family is Family.INJECTIVE:
+        return z & ((1 << t.w) - 1)
+    if z >> t.w:
+        return None  # claw-family image is the top-bit-0 slice
+    return z ^ (t.shift if b else 0)
 
 
 def make(family, sp=SP4, seed=7):
@@ -158,6 +174,23 @@ def test_chk_claw_both_branches():
     y = reg.eval(h, 0, x0)
     assert reg.chk(h, 0, x0, y)
     assert reg.chk(h, 1, x0 ^ t.shift, y)
+
+
+@pytest.mark.parametrize(
+    "key_flip, b, x, y, error, match",
+    [
+        (1, 2, 16, 32, KeyLookupError, "unknown key id"),
+        (0, 2, 16, 32, ParameterError, "branch bit"),
+        (0, 0, 16, 32, ParameterError, "x=16"),
+        (0, 0, 0, 32, ParameterError, "y=32"),
+        (0, 0, 0, -1, ParameterError, "y=-1"),
+    ],
+)
+def test_chk_rejects_bad_inputs_key_then_bit_then_x_then_y(key_flip, b, x, y, error, match):
+    reg, h, _ = make(Family.CLAW)
+    k = KeyHandle(key_id=h.key_id ^ key_flip, w=h.w)
+    with pytest.raises(error, match=match):
+        reg.chk(k, b, x, y)
 
 
 # -------------------------------------------------------------------- invert

@@ -22,7 +22,6 @@ from magicert.qsim import (
     Observable,
     StateVector,
     apply_gate,
-    basis_state,
     canonical_form,
     depolarize,
     distribution_table,
@@ -32,7 +31,6 @@ from magicert.qsim import (
     fidelity,
     generalized_stabilizers,
     magic_impossibility_demo,
-    measure_pauli,
     outcome_distribution,
     outcome_distribution_density,
     plus_state,
@@ -40,7 +38,7 @@ from magicert.qsim import (
     theorem_observables,
     trace_distance,
 )
-from magicert.util import int_to_tuple, rng_from
+from magicert.util import int_to_tuple, rng_from, sample_index
 
 I2 = np.eye(2, dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -49,6 +47,17 @@ Z = np.diag([1, -1]).astype(complex)
 
 # triple-controlled phase: -1 on |111> only
 CCZ_MATRIX = np.diag([1, 1, 1, 1, 1, 1, 1, -1]).astype(complex)
+
+
+def basis_state(n: int, index: int) -> StateVector:
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps[index] = 1.0
+    return StateVector(amps)
+
+
+def measure_pauli(state: StateVector, q, rng) -> tuple[int, ...]:
+    """Sample outcomes: qubit i read in the X basis when q_i = 1, else Z."""
+    return int_to_tuple(sample_index(outcome_distribution(state, q), rng), state.n)
 
 
 def kron3(a, b, c):
