@@ -106,8 +106,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    transcripts = engine.read_transcripts(args.transcripts)
-    stats = engine.FlagStats.from_transcripts(transcripts)
+    stats = engine.FlagStats.from_transcripts(engine.iter_transcripts(args.transcripts))
     report = analysis.certify(
         stats,
         analysis.EstimationParams(args.epsilon, args.delta),
@@ -223,7 +222,8 @@ def cmd_connect(args) -> int:
     out = sys.stderr if args.addr == "stdio" else sys.stdout  # stdio: stdout is the wire
     for index, verdict in enumerate(verdicts):
         if verdict.get("abort"):
-            line = f"session {index}: abort ({verdict['abort']})"
+            # the text is the peer's: escaped, so no control byte reaches the terminal
+            line = f"session {index}: abort ({ascii(verdict['abort'])})"
         elif verdict.get("accept"):
             line = f"session {index}: accept"
         else:

@@ -21,9 +21,12 @@ import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
+from typing import NamedTuple
 
-from . import entcf, verifier
+import numpy as np
+
+from . import entcf, provers, verifier
 from .errors import (
     AnswerError,
     MalformedAnswerError,
@@ -32,8 +35,17 @@ from .errors import (
     TranscriptParseError,
     TransportError,
 )
-from .provers import parse_prover_spec
-from .util import _rekeyed, bits_str, derive_seed, parse_bits
+from .provers import PURE_PROVERS, HonestProver, parse_noise_spec, parse_prover_spec
+from .util import (
+    _rekeyed,
+    bits_str,
+    derive_seed,
+    lemire,
+    lemire_rejects,
+    parse_bits,
+    philox_words,
+    sample_edges_rows,
+)
 from .util import rng_from  # noqa: F401  (kept importable here; perfbench/tracing.py wraps it)
 from .verifier import Flag, RoundType
 
@@ -241,22 +253,30 @@ class SessionTranscript:
         # SCHEMA.md's field rules; no decision reads bit-string widths
         rule = ("theta is not a basis choice" if t.theta not in verifier.BASIS_CHOICES
                 else "round is not null, preimage or hadamard" if t.round not in _ROUNDS
-                else "flag is not null or a flag value" if t.flag not in _FLAGS
-                else "accept is not a boolean" if not isinstance(t.accept, bool)
-                else "abort is not null or a string"
-                if not (t.abort is None or isinstance(t.abort, str))
-                else "test_index is not null or 0-2"
-                if t.test_index not in (None, 0, 1, 2) or isinstance(t.test_index, bool)
-                else "lam is not a supported width" if not entcf.W_MIN <= t.lam <= entcf.W_MAX
-                else "not exactly one of flag and abort is null"
-                if (t.flag is None) == (t.abort is None)
-                else "a record without an abort has no round"
-                if t.abort is None and t.round is None
-                else "accept does not match the flag" if t.accept != (t.flag == Flag.NONE)
-                else None)
+                else _broken_verdict_rule(t.accept, t.flag, t.abort)
+                or ("test_index is not null or 0-2"
+                    if t.test_index not in (None, 0, 1, 2) or isinstance(t.test_index, bool)
+                    else "lam is not a supported width"
+                    if not entcf.W_MIN <= t.lam <= entcf.W_MAX
+                    else "a record without an abort has no round"
+                    if t.abort is None and t.round is None
+                    else None))
         if rule is not None:
             raise TranscriptParseError(f"bad transcript record: {rule}")
         return t
+
+
+def _broken_verdict_rule(accept, flag, abort) -> str | None:
+    """The first of SCHEMA.md's verdict rules that a verdict breaks, or None.
+
+    Transcript records and VERDICT payloads both carry accept, flag, abort.
+    """
+    return ("flag is not null or a flag value" if flag not in _FLAGS
+            else "accept is not a boolean" if not isinstance(accept, bool)
+            else "abort is not null or a string" if not (abort is None or isinstance(abort, str))
+            else "not exactly one of flag and abort is null" if (flag is None) == (abort is None)
+            else "accept does not match the flag" if accept != (flag == Flag.NONE)
+            else None)
 
 
 def write_transcripts(sink, transcripts) -> None:
@@ -269,18 +289,23 @@ def write_transcripts(sink, transcripts) -> None:
         write_transcripts(fh, transcripts)
 
 
-def read_transcripts(path) -> list[SessionTranscript]:
+def iter_transcripts(path):
     """Parse a transcript file line by line; a bad line raises TranscriptParseError naming it."""
-    out = []
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
                 text = line.decode("utf-8")
-                if not text.isspace():
-                    out.append(SessionTranscript.from_record(_JSON.decode(text)))
+                if text.isspace():
+                    continue
+                t = SessionTranscript.from_record(_JSON.decode(text))
             except (ValueError, RecursionError) as exc:  # TranscriptParseError is a ValueError
                 raise TranscriptParseError(f"line {lineno}: {exc}") from exc
-    return out
+            yield t
+
+
+def read_transcripts(path) -> list[SessionTranscript]:
+    """Every record of a transcript file, as iter_transcripts parses them."""
+    return list(iter_transcripts(path))
 
 
 # -------------------------------------------------------------------- stats
@@ -446,6 +471,227 @@ def _batch_worker(lam, prover_spec, master_seed, theta, round, keep, start, stop
     return FlagStats.from_transcripts(kept if keep else sessions), kept
 
 
+# ------------------------------------------------------------ array batches
+
+# sessions per array chunk; the array path's memory is O(_CHUNK) whatever n is
+_CHUNK = 2048
+_LO32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_CLAW = np.array(verifier.BASIS_CHOICES, dtype=bool).T  # [coordinate, theta index]
+_FLAGS_BY_CODE = tuple(Flag)
+
+
+class _Words:
+    """Raw words of rng_from(k) for many uint64 keys k, a block of four at a time as read."""
+
+    def __init__(self, keys: np.ndarray, blocks: int = 0):
+        self.keys, self.rows = keys, list(philox_words(keys, 0, blocks)) if blocks else []
+
+    def row(self, j: int) -> np.ndarray:
+        while len(self.rows) <= j:
+            self.rows.extend(philox_words(self.keys, len(self.rows) // 4, 1))
+        return self.rows[j]
+
+
+class _Stream:
+    """Draws of rng_from(k) for some of a _Words' keys, as NumPy's Generator makes them.
+
+    A 32-bit draw takes the pending high half if there is one, else the low
+    half of the next word; a 64-bit draw takes the next word and leaves the
+    pending half pending.
+    """
+
+    def __init__(self, words: _Words, lanes=slice(None)):
+        self.words, self.lanes, self.next, self.pending = words, lanes, 0, None
+
+    def word(self) -> np.ndarray:
+        self.next += 1
+        return self.words.row(self.next - 1)[self.lanes]
+
+    def half(self) -> np.ndarray:
+        if self.pending is None:
+            word = self.word()
+            self.pending = word >> _32
+            return word & _LO32
+        half, self.pending = self.pending, None
+        return half
+
+    def bits(self, width: int) -> np.ndarray:
+        """rand_bits(rng, width): Lemire's draw on a power-of-two range never rejects."""
+        return lemire(self.half(), 1 << width)
+
+    def uniform(self) -> np.ndarray:
+        """rng.random(): the next word's top 53 bits over 2^53."""
+        return (self.word() >> 11) * 2.0 ** -53
+
+
+class _Keys(NamedTuple):
+    """One coordinate's keys across a group's sessions, in the Trapdoor fields entcf reads."""
+
+    family: entcf.Family
+    w: int
+    shift: np.ndarray
+    mask_in: np.ndarray
+    mask_out: np.ndarray
+
+
+def _array_plan(prover_spec: str, theta, round):
+    """(prover class, noise, theta index, round) for a batch the array path covers, else None.
+
+    Covered: honest, stabilizer and bit-flip provers, with valid or no pins
+    (None for an unpinned theta or round). The depolarizing prover and
+    invalid pins are left to run_session, which raises for the latter.
+    """
+    if prover_spec in PURE_PROVERS:
+        cls, noise = PURE_PROVERS[prover_spec], None
+    elif prover_spec.startswith("noisy:"):
+        cls, noise = HonestProver, parse_noise_spec(prover_spec)
+        if noise.model != "bitflip":
+            return None
+    else:
+        return None
+    try:
+        t = None if theta is None else verifier.BASIS_CHOICES.index(tuple(int(b) for b in theta))
+        r = None if round is None else RoundType(round)
+    except (TypeError, ValueError):
+        return None
+    return cls, noise, t, r
+
+
+def _array_chunk(lam, plan, master_seed, start, stop):
+    """Sessions start..stop-1 of a covered batch, drawn as run_session draws them.
+
+    Returns per-session arrays: the theta index into BASIS_CHOICES, whether
+    the round is a Hadamard round, the flag's index into Flag, and whether
+    the session must be replayed through run_session instead: a Lemire draw
+    on a range that is not a power of two rejects its first half, or two of
+    its key ids collide.
+    """
+    cls, noise, theta, round = plan
+    seeds = derive_seed(master_seed, np.arange(start, stop, dtype=np.uint64))
+    n, w = len(seeds), lam
+    # verifier.begin: the basis triple, then a rand_u64 key seed per coordinate;
+    # the verifier reads at most seven words, so both blocks are drawn at once
+    ver = _Stream(_Words(derive_seed(seeds, _VERIFIER_LANE), blocks=2))
+    if theta is None:
+        half = ver.half()
+        t_index, replay = lemire(half, 5), lemire_rejects(half, 5)
+    else:
+        t_index, replay = np.full(n, theta, dtype=np.uint64), np.zeros(n, dtype=bool)
+    key_seeds = np.concatenate([ver.word() >> 1 << 1 | ver.bits(1) for _ in range(3)])
+    # OracleRegistry.gen for the three coordinates at once, coordinate-major
+    claw = _CLAW[:, t_index].ravel()
+    lane = np.where(claw, np.uint64(entcf._LANE_BY_FAMILY["F"]),
+                    np.uint64(entcf._LANE_BY_FAMILY["G"]))
+    keygen = _Words(derive_seed(key_seeds, lane, w))
+    key_id, perm_seed = entcf._key_words(keygen.row(0), keygen.row(1), keygen.row(2))
+    half, k = keygen.row(3) & _LO32, (1 << w) - 1
+    shift = np.where(claw, 1 + lemire(half, k), 0).reshape(3, n)
+    replay |= (claw & lemire_rejects(half, k)).reshape(3, n).any(axis=0)
+    ids = key_id.reshape(3, n)
+    replay |= (ids[0] == ids[1]) | (ids[0] == ids[2]) | (ids[1] == ids[2])
+    m_in, m_out = (m.reshape(3, n) for m in entcf._masks(_Words(perm_seed).row(0), w))
+    # receive_commit's round coin, then send_questions' q and test index
+    if round is None:
+        hadamard = ver.bits(1) == 1
+    else:
+        hadamard = np.full(n, round is RoundType.HADAMARD)
+    q, half = ver.bits(3), ver.half()
+    test_index = lemire(half, 3)
+    replay |= hadamard & (t_index == 0) & lemire_rejects(half, 3)
+
+    flag = np.zeros(n, dtype=np.int8)
+    table = _answer_table(cls)
+    prover_words = _Words(derive_seed(seeds, _PROVER_LANE))
+    for t in np.flatnonzero(np.bincount(t_index.astype(np.intp))).tolist():
+        bases = verifier.BASIS_CHOICES[t]
+        for had in (False, True):
+            lanes = np.flatnonzero((t_index == t) & (hadamard == had))
+            if not len(lanes):
+                continue
+            keys = [_Keys(entcf.Family.CLAW if c else entcf.Family.INJECTIVE, w,
+                          shift[i, lanes], m_in[i, lanes], m_out[i, lanes])
+                    for i, c in enumerate(bases)]
+            flag[lanes] = _array_group(table[bases], noise, bases, had, keys,
+                                       _Stream(prover_words, lanes), q[lanes], test_index[lanes])
+    return t_index, hadamard, flag, replay
+
+
+@lru_cache(maxsize=None)
+def _answer_table(cls) -> dict:
+    """The prover's answer edges per theta: 64 rows, one per pattern code, opened bits << 3
+    | question bits, each from provers._edges.
+
+    Built whole on a prover's first batch, so that no later chunk pays for a
+    row and a batch's time does not depend on which rows came before it.
+    """
+    table = {}
+    for bases in verifier.BASIS_CHOICES:
+        rows = table[bases] = np.empty((64, 8))
+        for c in range(64):
+            qubits = tuple(entcf.CollapsedQubit("X" if claw else "Z", c >> (5 - i) & 1)
+                           for i, claw in enumerate(bases))
+            gate, q = cls._gate(qubits), (c >> 2 & 1, c >> 1 & 1, c & 1)
+            rows[c] = provers._edges(qubits, gate, q)
+    return table
+
+
+def _array_group(rows, noise, bases, hadamard, keys, stream, q, test_index):
+    """Flag indices of one (theta, round) group: the prover's draws, then the verifier's rules.
+
+    rows are the prover's answer edges for this theta, by pattern code.
+    """
+    w = keys[0].w
+    # HonestProver.commit: sample_commitment per coordinate, b then x, or a claw's x0
+    bs, xs = [], []
+    for claw in bases:
+        bs.append(0 if claw else stream.bits(1))
+        xs.append(stream.bits(w))
+    ys = [entcf._image(k, b, x) for k, b, x in zip(keys, bs, xs)]
+    if not hadamard:
+        # answer_preimage opens a claw on a fair-coin branch; check_preimage grades it
+        ok = True
+        for claw, k, b, x, y in zip(bases, keys, bs, xs, ys):
+            if claw:
+                b = stream.bits(1)
+                x = x ^ b * k.shift
+            ok = ok & entcf._opens(k, b, x, y)
+        return np.where(ok, 0, _FLAGS_BY_CODE.index(Flag.FAIL_PRE))
+    # answer_hadamard: a uniform d per coordinate; a claw collapses to <d, x0 ^ x1>
+    # in X, and x0 ^ x1 is the shift, so the prover's bit is the verifier's u
+    ds = [stream.bits(w) for _ in bases]
+    us = [np.bitwise_count(d & k.shift).astype(np.uint64) & 1 for k, d in zip(keys, ds)]
+    opened = [u if claw else b for claw, u, b in zip(bases, us, bs)]
+    # answer_questions: one uniform against the register's table row
+    code = opened[0] << 5 | opened[1] << 4 | opened[2] << 3 | q
+    outcome = sample_edges_rows(rows[code], stream.uniform()).astype(np.uint64)
+    vs = [outcome >> 2 & 1, outcome >> 1 & 1, outcome & 1]
+    if noise is not None and noise.epsilon > 0:
+        vs = [v ^ (stream.uniform() < noise.epsilon) for v in vs]
+    # check_hadamard
+    tops = [entcf._perm_backward(k, y) >> w for k, y in zip(keys, ys)]
+    fail = verifier.hadamard_fails(bases, [q >> 2 & 1, q >> 1 & 1, q & 1], test_index,
+                                   tops, us, vs)
+    return np.where(fail != 0, _FLAGS_BY_CODE.index(verifier.failure_flag(bases)), 0)
+
+
+def _array_stats(sp, prover_spec, n, master_seed, theta, round, plan) -> FlagStats:
+    """FlagStats of a covered batch, folded chunk by chunk; replayed sessions run run_session."""
+    stats, factory = FlagStats(), parse_prover_spec(prover_spec)
+    for start in range(0, n, _CHUNK):
+        t_index, hadamard, flag, replay = _array_chunk(sp.lam, plan, master_seed, start,
+                                                       min(start + _CHUNK, n))
+        kept = ~replay
+        cell = (hadamard[kept] * 5 + t_index[kept].astype(np.intp)) * 4 + flag[kept]
+        counts = np.bincount(cell)
+        for c in np.flatnonzero(counts).tolist():
+            theta_cls = verifier.theta_class(verifier.BASIS_CHOICES[c // 4 % 5])
+            round_value = (RoundType.PREIMAGE, RoundType.HADAMARD)[c // 20].value
+            stats.cells[(round_value, theta_cls, _FLAGS_BY_CODE[c % 4].value)] += int(counts[c])
+        for index in (np.flatnonzero(replay) + start).tolist():
+            stats.add(run_session(sp, factory, master_seed, index, theta=theta, round=round))
+    return stats
+
+
 def run_batch(
     sp: entcf.SecurityParam,
     prover_spec: str,
@@ -460,10 +706,16 @@ def run_batch(
 ) -> tuple[FlagStats, list[SessionTranscript] | None]:
     """N independent sessions; stats and sink order follow the session index.
 
-    _batch_worker runs max(1, min(parallelism, n)) contiguous index spans,
-    in this process for one span and in a process pool otherwise; pool
-    workers rebuild the factory from the prover_spec string. Transcripts are
-    kept only when a sink or collect=True asks for them.
+    A batch that keeps no transcripts, of an honest, stabilizer or bit-flip
+    prover, runs on the array path in this process: it computes every
+    session's draws and checks as array operations, a chunk of indices at a
+    time, with the same per-session outcomes as run_session, which replays
+    the few sessions the arrays do not cover. Every other batch runs
+    _batch_worker on max(1, min(parallelism, n)) contiguous index spans, in
+    this process for one span and in a process pool otherwise; pool workers
+    rebuild the factory from the prover_spec string. parallelism fans out
+    only that run_session path. Transcripts are kept only when a sink or
+    collect=True asks for them.
     """
     if n < 0:
         raise ParameterError(f"session count {n} is negative")
@@ -471,6 +723,9 @@ def run_batch(
         raise ParameterError(f"parallelism {parallelism} must be at least 1")
     parse_prover_spec(prover_spec)  # validate before spawning anything
     keep = sink is not None or collect
+    plan = None if keep else _array_plan(prover_spec, theta, round)
+    if plan is not None:
+        return _array_stats(sp, prover_spec, n, master_seed, theta, round, plan), None
     workers = max(1, min(parallelism, n))
     bounds = [n * k // workers for k in range(workers + 1)]
     job = partial(_batch_worker, sp.lam, prover_spec, master_seed, theta, round, keep)
@@ -647,7 +902,12 @@ def _client_one(rfile, wfile, factory, master_seed, keys_msg: Message) -> dict:
         chan.send("ANSWERS", {"vs": "".join(str(int(v)) for v in vs)})
     else:
         raise TransportError(f"malformed ROUND payload {round_value!r}")
-    return dict(chan.expect("VERDICT").payload)
+    payload = chan.expect("VERDICT").payload
+    verdict = {key: payload.get(key) for key in ("accept", "flag", "abort")}
+    rule = _broken_verdict_rule(**verdict)
+    if rule is not None:
+        raise TransportError(f"malformed VERDICT payload: {rule}")
+    return verdict
 
 
 def _answer_bits(x, width: int) -> str:

@@ -28,6 +28,11 @@ core) while preserving bijectivity, exact inversion and uniform images.
 Key material.  Key ids, permutation seeds and masks are computed from the
 first raw words of freshly rekeyed Philox streams, with the arithmetic
 NumPy's bounded draws would do (SCHEMA.md, "Seeds and randomness").
+
+The key-material words, the permutation and its inverse, and chk's rule
+are written in bitwise arithmetic on anything with a trapdoor's fields, so
+they run unchanged on one Trapdoor with int arguments and on a batch of
+keys held as uint64 arrays.
 """
 
 from __future__ import annotations
@@ -108,9 +113,25 @@ class Trapdoor:
                 raise ParameterError("claw family requires a nonzero w-bit shift")
         elif self.shift is not None:
             raise ParameterError("injective family carries no shift")
-        x = int(_rekeyed(self.perm_seed, "masks").bit_generator.random_raw())
-        object.__setattr__(self, "mask_in", (x & 0xFFFFFFFF) >> (31 - self.w))
-        object.__setattr__(self, "mask_out", x >> (63 - self.w))
+        m_in, m_out = _masks(int(_rekeyed(self.perm_seed, "masks").bit_generator.random_raw()),
+                             self.w)
+        object.__setattr__(self, "mask_in", m_in)
+        object.__setattr__(self, "mask_out", m_out)
+
+
+def _key_words(w1, w2, w3):
+    """(key_id, perm_seed) from a key stream's first three raw words.
+
+    Two rand_u64 draws: each is a 63-bit Lemire draw (the word >> 1, never
+    rejected) and a coin, the coins being the top bits of the low and then
+    the high 32-bit half of the second word.
+    """
+    return w1 >> 1 << 1 | (w2 >> 31) & 1, w3 >> 1 << 1 | w2 >> 63
+
+
+def _masks(x, w: int):
+    """(mask_in, mask_out) from a mask stream's first raw word x."""
+    return (x & 0xFFFFFFFF) >> (31 - w), x >> (63 - w)
 
 
 @dataclass(frozen=True)
@@ -172,9 +193,27 @@ def _base(w: int) -> tuple[np.ndarray, np.ndarray]:
         return cached
 
 
-def _perm_backward(t: Trapdoor, y: int) -> int:
+def _gather(table: np.ndarray, i):
+    """table[i]: an int for an int index (NumPy scalar arithmetic is slow), else an array."""
+    return table[i] if isinstance(i, np.ndarray) else int(table[i])
+
+
+def _image(t: Trapdoor, b, x):
+    """f_{k,b}(x) for an in-range bit b and w-bit x: P_k(b || x), or P_k(0 || x ^ b*s)."""
+    perm, _ = _base(t.w)
+    z = b << t.w | x if t.family is Family.INJECTIVE else x ^ b * t.shift
+    return _gather(perm, z ^ t.mask_in) ^ t.mask_out
+
+
+def _perm_backward(t: Trapdoor, y):
+    """P_k^{-1}(y) for an in-range y; its top bit is b (injective) or 1 off a claw key's image."""
     _, inv = _base(t.w)
-    return int(inv[y ^ t.mask_out]) ^ t.mask_in
+    return _gather(inv, y ^ t.mask_out) ^ t.mask_in
+
+
+def _opens(t: Trapdoor, b, x, y):
+    """chk's rule for an in-range b and x: f_{k,b}(x) == y, y a (w+1)-bit value."""
+    return (_image(t, b, x) == y) & (y >> (t.w + 1) == 0)
 
 
 class OracleRegistry:
@@ -194,13 +233,9 @@ class OracleRegistry:
         family = Family(family)
         w = sp.w
         rng = _rekeyed(derive_seed(seed, _LANE_BY_FAMILY[family.value], w), "keygen")
-        # two rand_u64 draws: each is a 63-bit Lemire draw (the word >> 1,
-        # never rejected) and a coin, the coins being the top bits of the
-        # low and then the high 32-bit half of the second word; the shift
-        # draw then starts where those draws would have left the stream
-        w1, w2, w3 = rng.bit_generator.random_raw(3).tolist()
-        key_id = w1 >> 1 << 1 | (w2 >> 31) & 1
-        perm_seed = w3 >> 1 << 1 | w2 >> 63
+        # the shift draw starts where the two rand_u64 draws would have
+        # left the stream
+        key_id, perm_seed = _key_words(*rng.bit_generator.random_raw(3).tolist())
         shift = None
         if family is Family.CLAW:
             shift = int(rng.integers(1, 1 << w))  # uniform over nonzero w-bit values
@@ -217,20 +252,16 @@ class OracleRegistry:
 
     def eval(self, k: KeyHandle, b: int, x: int) -> int:
         t = self._trapdoor(k)
-        w = t.w
         _check_bit(b)
-        _check_range(x, w, "x")
-        if t.family is Family.INJECTIVE:
-            z = (b << w) | x
-        else:
-            z = x ^ (t.shift if b else 0)
-        perm, _ = _base(w)
-        return int(perm[z ^ t.mask_in]) ^ t.mask_out
+        _check_range(x, t.w, "x")
+        return _image(t, int(b), int(x))
 
     def chk(self, k: KeyHandle, b: int, x: int, y: int) -> bool:
-        fx = self.eval(k, b, x)
-        _check_range(y, self._trapdoor(k).w + 1, "y")
-        return fx == y
+        t = self._trapdoor(k)
+        _check_bit(b)
+        _check_range(x, t.w, "x")
+        _check_range(y, t.w + 1, "y")
+        return bool(_opens(t, int(b), int(x), int(y)))
 
     def sample_commitment(self, k: KeyHandle, rng: np.random.Generator) -> tuple[int, Commitment]:
         """Classical stand-in for committing a uniform superposition to y.
@@ -243,10 +274,10 @@ class OracleRegistry:
         if t.family is Family.INJECTIVE:
             b = rand_bits(rng, 1)
             x = rand_bits(rng, w)
-            y = self.eval(k, b, x)
+            y = _image(t, b, x)
             return y, Commitment(w=w, held=DefinitePreimage(b=b, x=x))
         x0 = rand_bits(rng, w)
-        y = self.eval(k, 0, x0)
+        y = _image(t, 0, x0)
         return y, Commitment(w=w, held=ClawPair(x0=x0, x1=x0 ^ t.shift, y=y))
 
 

@@ -10,9 +10,10 @@ A prover only ever sees key handles and the public oracle operations. It is
 never told which family a key belongs to, the basis triple, or any trapdoor.
 
 The opened register is a product of |0>, |1>, |+> or |-> per qubit, with or
-without the phase gate, so the pure-state provers take it, and each
-question's cumulative outcome weights, from tables filled on first use:
-64 patterns, 2 gate choices and 8 questions. Every draw is unchanged.
+without the phase gate, so the provers take it, and each question's
+cumulative outcome weights, from tables filled on first use: 64 patterns,
+2 gate choices and 8 questions, and for the depolarizing prover each noise
+level too. Every draw is unchanged.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import entcf, qsim
 from .errors import ParameterError, ProtocolOrderError, ScriptError
-from .util import int_to_tuple, sample_edges, sample_index
+from .util import int_to_tuple, sample_edges
 
 NOISE_MODELS = ("bitflip", "depolarizing")
 
@@ -46,6 +47,24 @@ def _edges(qubits: tuple[entcf.CollapsedQubit, ...], gate: bool,
            q: tuple[int, ...]) -> tuple[float, ...]:
     """Cumulative outcome weights of the register read in bases q."""
     return tuple(np.cumsum(qsim.outcome_distribution(_register(qubits, gate), q)).tolist())
+
+
+@lru_cache(maxsize=None)
+def _depolarized_register(qubits: tuple[entcf.CollapsedQubit, ...], gate: bool,
+                          eps: float) -> qsim.DensityState:
+    """The register with each qubit depolarized by eps, built once for all eight questions."""
+    rho = qsim.DensityState.from_statevector(_register(qubits, gate))
+    for qubit in range(rho.n):
+        rho = qsim.depolarize(rho, qubit, eps)
+    return rho
+
+
+@lru_cache(maxsize=None)
+def _depolarized_edges(qubits: tuple[entcf.CollapsedQubit, ...], gate: bool, eps: float,
+                       q: tuple[int, ...]) -> tuple[float, ...]:
+    """Cumulative outcome weights of the register, each qubit depolarized by eps, read in q."""
+    rho = _depolarized_register(qubits, gate, eps)
+    return tuple(np.cumsum(qsim.outcome_distribution_density(rho, q)).tolist())
 
 
 class HonestProver:
@@ -99,7 +118,7 @@ class HonestProver:
         return ds
 
     def answer_questions(self, q) -> list[int]:
-        """Sample as util.sample_index would on the register's qsim.outcome_distribution(q)."""
+        """One uniform against the register's cumulative qsim.outcome_distribution(q)."""
         self._require("opened")
         # int() as qsim's basis check does, so the table holds valid patterns only
         edges = _edges(self.qubits, self._gate(self.qubits), tuple(map(int, q)))
@@ -108,7 +127,8 @@ class HonestProver:
 
     # -------------------------------------------------------------- hooks
 
-    def _gate(self, qubits) -> bool:
+    @staticmethod
+    def _gate(qubits) -> bool:
         """Whether the device applies the phase gate; subclasses may restrict it."""
         return True
 
@@ -126,7 +146,8 @@ class StabilizerProver(HonestProver):
     a non-stabilizer state, so this device leaves the product state alone.
     """
 
-    def _gate(self, qubits) -> bool:
+    @staticmethod
+    def _gate(qubits) -> bool:
         return not all(qubit.basis == "X" for qubit in qubits)
 
 
@@ -149,41 +170,35 @@ class NoisyProver:
 
     bitflip: each returned answer bit flips independently with probability
     epsilon. depolarizing: each register qubit is replaced by the maximally
-    mixed state with probability epsilon before measurement, which moves the
-    final measurement onto the density-state path. epsilon = 0 delegates
+    mixed state with probability epsilon before measurement, so the answer
+    is drawn from the depolarized register's table. epsilon = 0 delegates
     everything, so transcripts match the inner prover bit for bit.
     """
 
     def __init__(self, inner: HonestProver, spec: NoiseSpec):
         self.inner = inner
         self.spec = spec
-        self.rho: qsim.DensityState | None = None
 
     def commit(self, handles) -> list[int]:
-        self.rho = None
         return self.inner.commit(handles)
 
     def answer_preimage(self) -> list[tuple[int, int]]:
         return self.inner.answer_preimage()
 
     def answer_hadamard(self) -> list[int]:
-        ds = self.inner.answer_hadamard()
-        if self.spec.model == "depolarizing" and self.spec.epsilon > 0:
-            rho = qsim.DensityState.from_statevector(self.inner.state)
-            for qubit in range(rho.n):
-                rho = qsim.depolarize(rho, qubit, self.spec.epsilon)
-            self.rho = rho
-        return ds
+        return self.inner.answer_hadamard()
 
     def answer_questions(self, q) -> list[int]:
-        if self.rho is not None:
-            dist = qsim.outcome_distribution_density(self.rho, tuple(q))
-            outcome = sample_index(dist, self.inner.rng)
-            return list(int_to_tuple(outcome, self.rho.n))
-        vs = self.inner.answer_questions(q)
-        if self.spec.model == "bitflip" and self.spec.epsilon > 0:
-            draws = self.inner.rng.random(len(vs))
-            vs = [v ^ int(u < self.spec.epsilon) for v, u in zip(vs, draws)]
+        inner, eps = self.inner, self.spec.epsilon
+        if self.spec.model == "depolarizing" and eps > 0:
+            inner._require("opened")
+            qubits = inner.qubits
+            edges = _depolarized_edges(qubits, inner._gate(qubits), eps, tuple(map(int, q)))
+            return list(int_to_tuple(sample_edges(edges, inner.rng), len(qubits)))
+        vs = inner.answer_questions(q)
+        if self.spec.model == "bitflip" and eps > 0:
+            draws = inner.rng.random(len(vs))
+            vs = [v ^ int(u < eps) for v, u in zip(vs, draws)]
         return list(vs)
 
 
@@ -230,7 +245,23 @@ def script_record(data, index: int) -> dict:
     raise ScriptError("script must be a mapping or a list of mappings")
 
 
+PURE_PROVERS = {"honest": HonestProver, "stabilizer": StabilizerProver}
 _NOISE_ALIASES = {"bitflip": "bitflip", "depol": "depolarizing", "depolarizing": "depolarizing"}
+
+
+def parse_noise_spec(spec: str) -> NoiseSpec:
+    """The NoiseSpec of a noisy:<model>:<epsilon> selection string."""
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise ParameterError(f"noisy spec {spec!r} wants noisy:<model>:<epsilon>")
+    model = _NOISE_ALIASES.get(parts[1])
+    if model is None:
+        raise ParameterError(f"unknown noise model {parts[1]!r}")
+    try:
+        epsilon = float(parts[2])
+    except ValueError as exc:
+        raise ParameterError(f"bad noise probability {parts[2]!r}") from exc
+    return NoiseSpec(model=model, epsilon=epsilon)
 
 
 def parse_prover_spec(spec: str):
@@ -239,22 +270,11 @@ def parse_prover_spec(spec: str):
     Accepted forms: honest | stabilizer | noisy:bitflip:<p> | noisy:depol:<p>
     | scripted:<path>. The factory signature is (registry, rng, index).
     """
-    if spec == "honest":
-        return lambda registry, rng, index: HonestProver(registry, rng)
-    if spec == "stabilizer":
-        return lambda registry, rng, index: StabilizerProver(registry, rng)
+    if spec in PURE_PROVERS:
+        cls = PURE_PROVERS[spec]
+        return lambda registry, rng, index: cls(registry, rng)
     if spec.startswith("noisy:"):
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ParameterError(f"noisy spec {spec!r} wants noisy:<model>:<epsilon>")
-        model = _NOISE_ALIASES.get(parts[1])
-        if model is None:
-            raise ParameterError(f"unknown noise model {parts[1]!r}")
-        try:
-            epsilon = float(parts[2])
-        except ValueError as exc:
-            raise ParameterError(f"bad noise probability {parts[2]!r}") from exc
-        ns = NoiseSpec(model=model, epsilon=epsilon)
+        ns = parse_noise_spec(spec)
         return lambda registry, rng, index: NoisyProver(HonestProver(registry, rng), ns)
     if spec.startswith("scripted:"):
         path = spec[len("scripted:"):]

@@ -12,6 +12,10 @@ unchanged while construction (a SeedSequence with an OS entropy read) is
 paid once per thread and slot. A site that only needs the first draws of
 such a stream may read raw 64-bit words from the bit generator and do the
 draws' arithmetic itself; SCHEMA.md gives the word-to-draw mapping.
+
+The seed derivation and Lemire's bounded draw run unchanged on Python ints
+and on uint64 arrays, and `philox_words` computes the raw words of many
+streams at once, so a batch of sessions can be drawn as array operations.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def mix64(x: int) -> int:
-    """splitmix64 finalizer: scramble a 64-bit integer."""
-    x &= MASK64
+def mix64(x):
+    """splitmix64 finalizer: scramble a 64-bit integer (an int, or each of a uint64 array)."""
+    x = x & MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
     return x ^ (x >> 31)
@@ -40,11 +44,12 @@ def derive_seed(seed: int, *lanes: int) -> int:
     """Fold lane indices into a seed, one splitmix64 step per lane.
 
     derive_seed(s, a, b) == derive_seed(derive_seed(s, a), b); the lane
-    tuple addresses a node in a seed tree (session index, role, ...).
+    tuple addresses a node in a seed tree (session index, role, ...). The
+    seed or any lane may be a uint64 array, giving one seed per element.
     """
     s = seed & MASK64
     for lane in lanes:
-        s = mix64((s + _GOLDEN + (lane & MASK64)) & MASK64)
+        s = mix64(s + (_GOLDEN + lane & MASK64))
     return s
 
 
@@ -83,6 +88,64 @@ def _rekeyed(seed: int, slot: str) -> np.random.Generator:
     return gen
 
 
+# Philox4x64-10 round multipliers, split into 32-bit limbs, and the two key
+# increments (Salmon et al., SC'11); NumPy scalars, because a Python int
+# operand costs a range check on every array operation
+_U64 = np.uint64
+_PHILOX_M = tuple((_U64(m), _U64(m & 0xFFFFFFFF), _U64(m >> 32))
+                  for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
+_PHILOX_W0 = _U64(0x9E3779B97F4A7C15)
+_PHILOX_W1 = tuple(_U64(r * 0xBB67AE8584CAA73B & MASK64) for r in range(10))
+_LO32, _32 = _U64(0xFFFFFFFF), _U64(32)
+
+
+def _mulhilo(a: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of each a * m, from 32-bit limb products.
+
+    No sum below can wrap: (2^32 - 1)^2 + 2 (2^32 - 1) < 2^64.
+    """
+    m, m_lo, m_hi = m
+    a_lo, a_hi = a & _LO32, a >> _32
+    carry = a_lo * m_hi + (a_lo * m_lo >> _32)
+    mid = a_hi * m_lo + (carry & _LO32)
+    return a_hi * m_hi + (carry >> _32) + (mid >> _32), a * m
+
+
+def philox_words(keys: np.ndarray, first_block: int, blocks: int) -> np.ndarray:
+    """Raw words 4*first_block .. 4*(first_block+blocks)-1 of rng_from(k), per uint64 key k.
+
+    Row j of the result is word 4*first_block + j of every key's stream:
+    NumPy's Philox keys its stream (k, 0), raises the counter before each
+    block, and hands a block's four words out in order, so block b is
+    Philox4x64-10 of the counter (b + 1, 0, 0, 0).
+    """
+    n = len(keys)
+    key = np.tile(keys, blocks)
+    c0 = np.repeat(np.arange(first_block + 1, first_block + blocks + 1, dtype=_U64), n)
+    zero = np.zeros_like(c0)
+    c = (c0, zero, zero, zero)
+    for r in range(10):
+        if r:
+            key = key + _PHILOX_W0
+        hi0, lo0 = _mulhilo(c[0], _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(c[2], _PHILOX_M[1])
+        c = (hi1 ^ c[1] ^ key, lo1, hi0 ^ c[3] ^ _PHILOX_W1[r], lo0)
+    return np.stack(c).reshape(4, blocks, n).transpose(1, 0, 2).reshape(4 * blocks, n)
+
+
+def lemire(x, k: int):
+    """NumPy's bounded draw integers(0, k), 1 < k < 2^32, from one 32-bit half x."""
+    return x * k >> 32
+
+
+def lemire_rejects(x, k: int):
+    """Whether that draw rejects x and reads another half: (x*k mod 2^32) < 2^32 mod k.
+
+    It never does when k is a power of two.
+    """
+    return (x * k & 0xFFFFFFFF) < (1 << 32) % k
+
+
 def rand_bits(rng: np.random.Generator, width: int) -> int:
     """One uniform draw from {0,1}^width, packed MSB-first into an int."""
     if width <= 0:
@@ -118,11 +181,6 @@ def int_to_tuple(x: int, width: int) -> tuple[int, ...]:
     return tuple((x >> (width - 1 - i)) & 1 for i in range(width))
 
 
-def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw an index from a probability vector with a single uniform."""
-    return sample_edges(np.cumsum(probs).tolist(), rng)
-
-
 def sample_edges(edges: Sequence[float], rng: np.random.Generator) -> int:
     """Draw an index from cumulative weights with a single uniform.
 
@@ -131,3 +189,20 @@ def sample_edges(edges: Sequence[float], rng: np.random.Generator) -> int:
     """
     r = rng.random() * edges[-1]
     return min(bisect_right(edges, r), len(edges) - 1)
+
+
+def sample_edges_rows(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sample_edges for many draws: row i holds draw i's edges and u[i] its uniform.
+
+    The search repeats bisect_right's halving step for step, so each index
+    equals sample_edges' even where a row's edges are not sorted.
+    """
+    r = u * rows[:, -1]
+    width, lanes = rows.shape[1], np.arange(len(r))
+    lo, hi = np.zeros(len(r), dtype=np.intp), np.full(len(r), width, dtype=np.intp)
+    for _ in range(width.bit_length()):
+        mid = (lo + hi) // 2
+        below = r < rows[lanes, np.minimum(mid, width - 1)]
+        live = lo < hi
+        lo, hi = np.where(live & ~below, mid + 1, lo), np.where(live & below, mid, hi)
+    return np.minimum(lo, width - 1)

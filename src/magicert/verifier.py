@@ -8,6 +8,11 @@ One session walks a fixed state machine:
 The basis triple theta picks the key family per coordinate (0 injective,
 1 claw) and selects which check table row applies in a Hadamard round.
 At most one flag is raised per session; accept means no flag.
+
+The check table (`hadamard_fails`) and the preimage check (`entcf._opens`,
+behind `OracleRegistry.chk`) are bitwise arithmetic that runs unchanged on
+ints and on arrays: a session calls them with ints, the engine's array path
+with one element per session.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 from . import entcf
 from .errors import MalformedAnswerError, ParameterError, ProtocolOrderError
-from .util import rand_u64
+from .util import parity, rand_u64
 
 # allowed basis triples: all-injective, the three single-claw patterns, all-claw
 BASIS_CHOICES: tuple[tuple[int, int, int], ...] = (
@@ -46,6 +51,45 @@ class Flag(str, Enum):
 def theta_class(theta: tuple[int, int, int]) -> str:
     """Conditioning class: weight <= 1 is the test case, 111 the hypergraph case."""
     return "hyper" if sum(theta) == 3 else "test"
+
+
+# the two coordinates other than j, for j = 0, 1, 2
+_OTHERS = ((1, 2), (0, 2), (0, 1))
+
+
+def failure_flag(theta: tuple[int, int, int]) -> Flag:
+    """The flag a Hadamard round with this basis triple raises when its check fails."""
+    return Flag.FAIL_HYPER if theta_class(theta) == "hyper" else Flag.FAIL_TEST
+
+
+def hadamard_fails(theta, q, test_index, tops, us, vs):
+    """The Hadamard check table: 1 where a round fails its check, else 0.
+
+    theta is one basis triple. q and vs are the question and answer bits,
+    test_index the checked coordinate (theta 000 only). tops[i] is the top
+    bit of P_k^{-1}(y_i): the branch bit b_i of an injective key, or 1
+    where y_i lies off a claw key's image (decode_u's None). us[i] is the
+    claw parity <d_i, s_i>. Every argument but theta may hold ints or
+    arrays; the result is of the same kind.
+    """
+    if theta == (0, 0, 0):
+        # the checked coordinate, asked in the computational basis, must read b
+        fail = 0
+        for i in range(3):
+            fail = fail | (test_index == i) & (q[i] ^ 1) & (tops[i] ^ vs[i])
+        return fail
+    if sum(theta) == 1:
+        # the claw coordinate, asked in the conjugate basis, must read u ^ b b'
+        j = theta.index(1)
+        o1, o2 = _OTHERS[j]
+        return q[j] & (tops[j] | (us[j] ^ (tops[o1] & tops[o2]) ^ vs[j]))
+    # all-claw case: only the three weight-one questions are checked, each
+    # against u_j = v_j ^ v v'
+    fail = 0
+    for j, (o1, o2) in enumerate(_OTHERS):
+        one_hot = q[j] & (q[o1] ^ 1) & (q[o2] ^ 1)
+        fail = fail | one_hot & (tops[j] | (us[j] ^ vs[j] ^ (vs[o1] & vs[o2])))
+    return fail
 
 
 @dataclass
@@ -138,41 +182,17 @@ class VerifierSession:
         return self.flag
 
     def _hadamard_flag(self, ds: list[int], vs: list[int]) -> Flag:
-        theta, q = self.theta, self.q
-        if theta == (0, 0, 0):
-            i = self.test_index
-            if q[i] == 0 and self._decode_b(i) != vs[i]:
-                return Flag.FAIL_TEST
+        tops = [entcf._perm_backward(t, y) >> t.w for t, y in zip(self.trapdoors, self.ys)]
+        us = [parity(d & (t.shift or 0)) for t, d in zip(self.trapdoors, ds)]
+        if not hadamard_fails(self.theta, self.q, self.test_index, tops, us, vs):
             return Flag.NONE
-        if sum(theta) == 1:
-            j = theta.index(1)
-            if q[j] == 1:
-                others = [l for l in range(3) if l != j]
-                u = self._decode_u(j, ds[j])
-                b_prod = self._decode_b(others[0]) & self._decode_b(others[1])
-                if u is None or u ^ b_prod != vs[j]:
-                    return Flag.FAIL_TEST
-            return Flag.NONE
-        # all-claw case: only the three weight-one question patterns are checked
-        for j in range(3):
-            if q == tuple(1 if l == j else 0 for l in range(3)):
-                others = [l for l in range(3) if l != j]
-                u = self._decode_u(j, ds[j])
-                if u is None or u != vs[j] ^ (vs[others[0]] & vs[others[1]]):
-                    return Flag.FAIL_HYPER
-        return Flag.NONE
+        return failure_flag(self.theta)
 
     def verdict(self) -> tuple[bool, Flag]:
         self._require("checked")
         return self.flag is Flag.NONE, self.flag
 
     # -------------------------------------------------------------- helpers
-
-    def _decode_b(self, i: int) -> int:
-        return entcf.decode_b(self.trapdoors[i], self.ys[i])
-
-    def _decode_u(self, i: int, d: int) -> int | None:
-        return entcf.decode_u(self.trapdoors[i], self.ys[i], d)
 
     def _require(self, stage: str) -> None:
         if self._stage != stage:

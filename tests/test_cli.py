@@ -13,7 +13,7 @@ import pytest
 
 import magicert
 from magicert import cli, engine, entcf
-from magicert.engine import read_transcripts
+from magicert.engine import iter_transcripts, read_transcripts
 
 
 def run_cli(capsys, *argv):
@@ -162,6 +162,21 @@ class TestAnalyze:
         assert code == 2
         assert stderr.strip() != ""
 
+    def test_analyze_reads_the_file_as_a_stream(self, capsys, tmp_path, monkeypatch):
+        path = self.make_transcripts(tmp_path, "honest", 300, 2)
+        read = []
+
+        def counted(path):
+            for t in iter_transcripts(path):
+                read.append(t.index)
+                yield t
+
+        monkeypatch.setattr(engine, "read_transcripts", None)
+        monkeypatch.setattr(engine, "iter_transcripts", counted)
+        code, stdout, _ = run_cli(capsys, "analyze", str(path))
+        assert code == 0 and "ACCEPT" in stdout
+        assert read == list(range(300))
+
     @pytest.mark.parametrize("constant", ["Infinity", "-Infinity", "NaN"])
     def test_json_constant_index_exits_2(self, capsys, tmp_path, constant):
         path = self.make_transcripts(tmp_path, "honest", 3, 1)
@@ -290,6 +305,16 @@ class TestServeConnect:
         code, _, stderr = run_cli(capsys, "serve", "--listen", "not-an-endpoint")
         assert code == 2
         assert stderr.strip() != ""
+
+    def test_connect_escapes_the_peer_abort_text(self, capsys, monkeypatch):
+        hostile = "\x1b[2J\x1b[31mfake\r\n"
+        verdicts = [{"accept": False, "flag": None, "abort": hostile}]
+        monkeypatch.setattr(engine, "connect", lambda addr, prover, seed: verdicts)
+        code, stdout, _ = run_cli(capsys, "connect", "--addr", "127.0.0.1:1",
+                                  "--prover", "honest", "--seed", "1")
+        assert code == 0
+        assert "\x1b" not in stdout and "\r" not in stdout
+        assert "session 0: abort ('\\x1b[2J\\x1b[31mfake\\r\\n')" in stdout
 
     def test_connect_refused_exits_2(self, capsys):
         port = free_port()

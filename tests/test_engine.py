@@ -7,16 +7,19 @@ import json
 import socket
 import sys
 import threading
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from magicert import engine, entcf
+from magicert import engine, entcf, verifier
 from magicert.engine import (
     FlagStats,
     Message,
     SessionTranscript,
+    iter_transcripts,
     parse_endpoint,
     read_transcripts,
     run_batch,
@@ -31,7 +34,18 @@ from magicert.errors import (
     TransportError,
 )
 from magicert.provers import ScriptedProver, parse_prover_spec
-from magicert.util import _rekeyed, parse_bits, rng_from
+from magicert.util import (
+    _rekeyed,
+    derive_seed,
+    lemire,
+    lemire_rejects,
+    mix64,
+    parse_bits,
+    philox_words,
+    rng_from,
+    sample_edges,
+    sample_edges_rows,
+)
 from magicert.verifier import RoundType
 
 SP4 = SecurityParam(4)
@@ -178,6 +192,15 @@ class TestTranscriptPersistence:
             fh.write(json.dumps({**good[which].to_record(), **edits}) + "\n")
         with pytest.raises(TranscriptParseError, match=f"line 2: bad transcript record: {rule}"):
             read_transcripts(path)
+
+    def test_lines_are_parsed_as_they_are_read(self, tmp_path):
+        path = tmp_path / "stream.jsonl"
+        good = self.sample_transcripts()[0]
+        path.write_bytes(json.dumps(good.to_record()).encode() + b"\nnot json\n")
+        lines = iter_transcripts(path)
+        assert next(lines) == good
+        with pytest.raises(TranscriptParseError, match="line 2"):
+            next(lines)
 
     def test_missing_field_is_named(self, tmp_path):
         path = tmp_path / "short.jsonl"
@@ -352,6 +375,179 @@ class TestRunBatch:
             run_batch(SP4, "honest", 1, master_seed=6, parallelism=0)
         with pytest.raises(ParameterError):
             run_batch(SP4, "bogus", 1, master_seed=6)
+
+
+# ---------------------------------------------------------------- array path
+
+COVERED = ["honest", "stabilizer", "noisy:bitflip:0.2"]
+HYPER_PINS = {"theta": (1, 1, 1), "round": "hadamard"}
+
+
+def scalar_outcomes(lam, spec, master_seed, n, pins):
+    """(round, theta class, flag) of each session, as run_session gives them."""
+    factory = parse_prover_spec(spec)
+    out = []
+    for index in range(n):
+        t = run_session(SecurityParam(lam), factory, master_seed, index, **pins)
+        out.append((t.round, verifier.theta_class(t.theta), t.flag))
+    return out
+
+
+def array_outcomes(lam, spec, master_seed, n, pins):
+    """The same per session from the array path, None where it replays the session."""
+    plan = engine._array_plan(spec, pins.get("theta"), pins.get("round"))
+    theta, hadamard, flag, replay = engine._array_chunk(lam, plan, master_seed, 0, n)
+    return [None if again else ("hadamard" if had else "preimage",
+                                verifier.theta_class(verifier.BASIS_CHOICES[t]),
+                                list(verifier.Flag)[f].value)
+            for t, had, f, again in zip(theta, hadamard, flag, replay)]
+
+
+def crafted(words):
+    """A fresh generator whose next raw words are `words` (at most four)."""
+    gen = rng_from(0)
+    state = gen.bit_generator.state
+    state["buffer"] = np.array(list(words) + [0] * (4 - len(words)), dtype=np.uint64)
+    state["buffer_pos"] = 0
+    gen.bit_generator.state = state
+    return gen
+
+
+class TestArrayPath:
+    @pytest.mark.parametrize("pinned", [False, True], ids=["unpinned", "pinned"])
+    @pytest.mark.parametrize("lam", [4, 16])
+    @pytest.mark.parametrize("spec", COVERED)
+    @settings(max_examples=25, deadline=None)
+    @given(master_seed=st.integers(0, (1 << 64) - 1), n=st.integers(0, 30))
+    @example(master_seed=0, n=0)
+    @example(master_seed=(1 << 64) - 1, n=1)
+    def test_per_session_outcomes_equal_run_session(self, spec, lam, pinned, master_seed, n):
+        pins = HYPER_PINS if pinned else {}
+        scalar = scalar_outcomes(lam, spec, master_seed, n, pins)
+        array = array_outcomes(lam, spec, master_seed, n, pins)
+        assert len(array) == n
+        assert [a for a in array if a is not None] == [
+            s for s, a in zip(scalar, array) if a is not None]
+
+    @pytest.mark.parametrize("spec, pins, flag", [
+        ("stabilizer", HYPER_PINS, "fail_hyper"),
+        ("noisy:bitflip:0.2", {}, "fail_test"),
+        ("noisy:bitflip:0.2", {"theta": (0, 1, 0)}, "fail_test"),
+    ])
+    def test_flags_raised_on_the_array_path_match_the_transcripts(self, spec, pins, flag):
+        stats, _ = run_batch(SecurityParam(8), spec, 600, 31, **pins)
+        collected, _ = run_batch(SecurityParam(8), spec, 600, 31, collect=True, **pins)
+        assert stats.as_dict() == collected.as_dict()
+        assert any(n > 0 for (_, _, f), n in stats.cells.items() if f == flag)
+
+    def test_chunks_split_no_session(self, monkeypatch):
+        whole, _ = run_batch(SP4, "noisy:bitflip:0.2", 700, 32)
+        monkeypatch.setattr(engine, "_CHUNK", 64)
+        split, _ = run_batch(SP4, "noisy:bitflip:0.2", 700, 32)
+        assert split.as_dict() == whole.as_dict()
+
+    @pytest.mark.parametrize("spec, pins", [("honest", {}), ("stabilizer", HYPER_PINS),
+                                            ("noisy:bitflip:0.05", {"round": "hadamard"})])
+    def test_forced_replay_gives_identical_stats(self, monkeypatch, spec, pins):
+        n = 150
+        array, _ = run_batch(SP4, spec, n, 33, **pins)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return run_session(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "lemire_rejects", lambda x, k: np.ones(x.shape, dtype=bool))
+        monkeypatch.setattr(engine, "run_session", counted)
+        replayed, _ = run_batch(SP4, spec, n, 33, **pins)
+        assert replayed.as_dict() == array.as_dict()
+        assert calls == list(range(n))
+
+    def test_colliding_key_ids_are_replayed_and_raise(self, monkeypatch):
+        def colliding(w1, w2, w3):
+            return w1 & 0, w3 >> 1 << 1 | w2 >> 63
+
+        monkeypatch.setattr(entcf, "_key_words", colliding)
+        with pytest.raises(entcf.KeyLookupError, match="collision"):
+            run_batch(SP4, "honest", 3, 34)
+
+    def test_uncovered_batches_take_the_session_path(self, monkeypatch, tmp_path):
+        def refuse(*args):
+            raise AssertionError("array path used")
+
+        monkeypatch.setattr(engine, "_array_chunk", refuse)
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({"ys": [0, 0, 0], "preimages": [[0, 0]] * 3}))
+        run_batch(SP4, f"scripted:{script}", 2, 35)
+        run_batch(SP4, "noisy:depol:0.3", 2, 35)
+        run_batch(SP4, "honest", 2, 35, collect=True)
+        run_batch(SP4, "honest", 2, 35, sink=tmp_path / "out.jsonl")
+        with pytest.raises(ParameterError):
+            run_batch(SP4, "honest", 1, 35, theta=(1, 1, 0))
+
+    def test_memory_does_not_grow_with_the_session_count(self):
+        def peak(n):
+            tracemalloc.start()
+            try:
+                run_batch(SP4, "stabilizer", n, 36, **HYPER_PINS)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_batch(SP4, "stabilizer", 10, 36, **HYPER_PINS)  # fill the tables first
+        assert peak(8 * engine._CHUNK) < 1.5 * peak(engine._CHUNK)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 15, 31, (1 << 16) - 1, (1 << 24) - 1])
+    def test_lemire_matches_numpy_on_crafted_words(self, k):
+        inverse = pow(k, -1, 1 << 32) if k % 2 else 0
+        rejected = [j * inverse % (1 << 32) for j in range((1 << 32) % k)]
+        halves = [0, 1, 7, (1 << 31) + 5, (1 << 32) - 1] + rejected + [
+            int(x) for x in rng_from(k).integers(0, 1 << 32, 20)]
+        for low in halves:
+            high = 0x9E3779B9  # rejected by none of these k
+            gen = crafted([high << 32 | low])
+            drawn = int(gen.integers(0, k))
+            rejects = bool(lemire_rejects(low, k))
+            assert rejects == (low in rejected)
+            # a rejected low half makes NumPy read the high half instead
+            assert drawn == lemire(high if rejects else low, k)
+            assert gen.bit_generator.state["has_uint32"] == (0 if rejects else 1)
+            assert bool(lemire_rejects(np.array([low], dtype=np.uint64), k)[0]) == rejects
+
+    def test_philox_words_equal_numpy_streams(self):
+        keys = np.array([0, 1, (1 << 63), (1 << 64) - 1] + [
+            int(x) for x in rng_from(37).integers(0, 1 << 63, 60)], dtype=np.uint64)
+        words = philox_words(keys, 0, 3)
+        later = philox_words(keys, 1, 2)
+        for j, key in enumerate(keys.tolist()):
+            raw = np.random.Philox(key=key).random_raw(12)
+            assert words[:, j].tolist() == raw.tolist()
+            assert later[:, j].tolist() == raw[4:].tolist()
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, (1 << 64) - 1),
+           lanes=st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=8))
+    def test_seed_derivation_runs_on_arrays(self, seed, lanes):
+        array = np.array(lanes, dtype=np.uint64)
+        assert derive_seed(seed, array).tolist() == [derive_seed(seed, x) for x in lanes]
+        assert derive_seed(array, 7, 3).tolist() == [derive_seed(x, 7, 3) for x in lanes]
+        assert mix64(array).tolist() == [mix64(x) for x in lanes]
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.lists(st.floats(0, 1), min_size=8, max_size=8),
+                         min_size=1, max_size=6),
+           seed=st.integers(0, 1 << 32))
+    def test_sample_edges_rows_equal_sample_edges_even_unsorted(self, rows, seed):
+        class Fixed:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self):
+                return self.u
+
+        us = rng_from(seed).random(len(rows))
+        got = sample_edges_rows(np.array(rows), us).tolist()
+        assert got == [sample_edges(row, Fixed(u)) for row, u in zip(rows, us.tolist())]
 
 
 # ---------------------------------------------------------------------- wire
@@ -860,7 +1056,34 @@ class TestHostileInput:
                 io.BytesIO(mutate(server_frames, ops)), io.BytesIO(), HONEST, PEER_SEED)
         except TransportError:
             return
-        assert all(isinstance(v, dict) for v in verdicts)
+        for v in verdicts:
+            assert set(v) == {"accept", "flag", "abort"}
+            assert isinstance(v["accept"], bool)
+            assert v["flag"] in (None, "none", "fail_pre", "fail_test", "fail_hyper")
+            assert v["abort"] is None or isinstance(v["abort"], str)
+            assert (v["flag"] is None) != (v["abort"] is None)
+            assert v["accept"] == (v["flag"] == "none")
+
+    @pytest.mark.parametrize("edit", [
+        {"abort": "\u001b[2J\u001b[31mfake"},
+        {"accept": False},
+        {"accept": 1},
+        {"flag": "maybe"},
+        {"flag": None},
+        {"abort": ["text"]},
+    ])
+    def test_client_refuses_a_verdict_that_breaks_the_rules(self, edit):
+        server_frames, _ = honest_frames()
+        frames = []
+        for frame in server_frames:
+            body = json.loads(frame)
+            if body["kind"] == "VERDICT":
+                body["payload"].update(edit)
+                frame = json.dumps(body, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+            frames.append(frame)
+        with pytest.raises(TransportError, match="malformed VERDICT"):
+            engine._client_sessions(io.BytesIO(b"".join(frames)), io.BytesIO(), HONEST,
+                                    PEER_SEED)
 
     @settings(max_examples=300, deadline=None)
     @given(ops=mutations(RECORD_PATHS))

@@ -26,7 +26,7 @@ from magicert.provers import (
     parse_prover_spec,
     script_record,
 )
-from magicert.util import derive_seed, int_to_tuple, parity, rng_from, sample_index
+from magicert.util import derive_seed, int_to_tuple, parity, rng_from, sample_edges
 from magicert.verifier import Flag, RoundType
 
 SP4 = SecurityParam(4)
@@ -497,7 +497,8 @@ class TestRegisterTables:
         """Every pattern and question, the same uniform on both sides, 200 seeds."""
 
         def measure_pauli(state, q, rng):
-            return int_to_tuple(sample_index(qsim.outcome_distribution(state, q), rng), 3)
+            edges = np.cumsum(qsim.outcome_distribution(state, q)).tolist()
+            return int_to_tuple(sample_edges(edges, rng), 3)
 
         states = {qubits: per_session_register(qubits, gate) for qubits in PATTERNS}
         for seed in range(200):
@@ -505,6 +506,16 @@ class TestRegisterTables:
             for qubits, q in itertools.product(PATTERNS, QUESTIONS):
                 got = opened_prover(cls, qubits, table_rng).answer_questions(q)
                 assert got == list(measure_pauli(states[qubits], q, measure_rng))
+
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 1.0])
+    @pytest.mark.parametrize("gate", [True, False])
+    def test_depolarized_table_equals_a_per_session_build(self, gate, eps):
+        for qubits, q in itertools.product(PATTERNS, QUESTIONS):
+            rho = qsim.DensityState.from_statevector(per_session_register(qubits, gate))
+            for qubit in range(3):
+                rho = qsim.depolarize(rho, qubit, eps)
+            fresh = np.cumsum(qsim.outcome_distribution_density(rho, q)).tolist()
+            assert provers._depolarized_edges(qubits, gate, eps, q) == tuple(fresh)
 
     @pytest.mark.parametrize("q", [(2, 0, 0), (0, 0), (0, 1, 0, 1), (-1, 1, 1)])
     def test_bad_question_raises(self, q):

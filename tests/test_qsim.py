@@ -38,7 +38,7 @@ from magicert.qsim import (
     theorem_observables,
     trace_distance,
 )
-from magicert.util import int_to_tuple, rng_from, sample_index
+from magicert.util import int_to_tuple, rng_from, sample_edges
 
 I2 = np.eye(2, dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -57,7 +57,8 @@ def basis_state(n: int, index: int) -> StateVector:
 
 def measure_pauli(state: StateVector, q, rng) -> tuple[int, ...]:
     """Sample outcomes: qubit i read in the X basis when q_i = 1, else Z."""
-    return int_to_tuple(sample_index(outcome_distribution(state, q), rng), state.n)
+    edges = np.cumsum(outcome_distribution(state, q)).tolist()
+    return int_to_tuple(sample_edges(edges, rng), state.n)
 
 
 def kron3(a, b, c):

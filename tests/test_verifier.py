@@ -6,6 +6,8 @@ must equal a straight-line reference transcription of the check table that
 shares no code with the implementation.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -143,6 +145,21 @@ class TestCheckTableConformance:
                             assert got == want, (theta, q, i, decode_bits, vs)
                             cases += 1
         assert cases == 8 * 8 * (3 * 8 + 3 * 8 + 8)
+
+    @pytest.mark.parametrize("theta", BASIS_CHOICES)
+    def test_array_form_against_reference(self, theta):
+        """hadamard_fails on uint64 arrays, one element per case, matches the reference."""
+        cases = list(itertools.product(all_bits(3), all_bits(3), all_bits(3), (0, 1, 2),
+                                       all_bits(3)))
+        want = []
+        for tops, us, q, i, vs in cases:
+            bhat = [None if theta[l] else tops[l] for l in range(3)]
+            uhat = [None if tops[l] else us[l] if theta[l] else None for l in range(3)]
+            want.append(reference_flag(theta, q, i, bhat, uhat, vs) != "none")
+        cols = [np.array(col, dtype=np.uint64) for col in zip(*cases)]
+        tops, us, q, i, vs = cols[0].T, cols[1].T, cols[2].T, cols[3], cols[4].T
+        got = verifier.hadamard_fails(theta, list(q), i, list(tops), list(us), list(vs))
+        assert got.dtype.kind == "u" and (got != 0).tolist() == want
 
     def test_no_flag_outside_table_rows(self):
         """(theta, q) pairs with no table row never flag, whatever the answers."""
