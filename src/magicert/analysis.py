@@ -234,17 +234,27 @@ _RATE_LABELS = ("preimage", "test hadamard", "hypergraph")
 
 
 def render_report(report: CertificationReport) -> str:
+    """The report as text, with whether its sample supports the decision.
+
+    Each denominator is shown against sample_size(eps', delta') and marked
+    under-sampled below it. One more line says when the deviation bound
+    reaches across the threshold, so that the opposite decision is possible
+    at this sample size; the decision itself is certify's.
+    """
     sp = report.soundness
+    need = sample_size(report.estimation)
     lines = [
         "certification report",
         f"  confidence: {report.confidence:g} "
         f"(three estimates at delta' = {report.estimation.delta_prime:g})",
-        "  conditional flag rates (rate ± radius, flags/denominator):",
+        "  conditional flag rates (rate ± radius, flags/denominator, need"
+        f" sample_size(eps' = {report.estimation.eps_prime:g}, delta')):",
     ]
     for label, est in zip(_RATE_LABELS, report.rates):
         lines.append(
             f"    {label:<14} {est.rate:.6g} ± {est.radius:.6g}"
-            f"  ({est.flags}/{est.denominator})"
+            f"  ({est.flags}/{est.denominator}, need {need})"
+            + ("  under-sampled" if est.denominator < need else "")
         )
     g = report.gamma
     lines += [
@@ -255,5 +265,13 @@ def render_report(report: CertificationReport) -> str:
         f"  threshold: 1/3 = {report.threshold:.6g} (strict)",
         f"  decision: {'ACCEPT' if report.accept else 'REJECT'}",
     ]
+    high = report.t_est + report.deviation_bound
+    low = report.t_est - report.deviation_bound
+    if report.accept and high >= report.threshold:
+        lines.append(f"  unresolved: score + deviation = {high:.6g} reaches 1/3,"
+                     " so this sample cannot rule out REJECT")
+    elif not report.accept and low < report.threshold:
+        lines.append(f"  unresolved: score - deviation = {low:.6g} is below 1/3,"
+                     " so this sample cannot rule out ACCEPT")
     return "\n".join(lines) + "\n"
 

@@ -40,6 +40,7 @@ from .util import (
     _rekeyed,
     bits_str,
     derive_seed,
+    int_to_tuple,
     lemire,
     lemire_rejects,
     parse_bits,
@@ -74,6 +75,8 @@ def _not_an_integer(text: str):
 # the one JSON decoder for frames and transcript lines; every number in them
 # is an integer, and json.loads would read NaN, Infinity or 1e999 as floats
 _JSON = json.JSONDecoder(parse_float=_not_an_integer, parse_constant=_not_an_integer)
+# transcript lines: json.dumps(record, sort_keys=True), without building an encoder per line
+_ENCODER = json.JSONEncoder(sort_keys=True)
 
 _ROUNDS = (None, *(r.value for r in RoundType))
 _FLAGS = (None, *(f.value for f in Flag))
@@ -279,14 +282,21 @@ def _broken_verdict_rule(accept, flag, abort) -> str | None:
             else None)
 
 
-def write_transcripts(sink, transcripts) -> None:
-    """One self-describing record per line; sink is a path or a text file."""
-    if hasattr(sink, "write"):
-        for t in transcripts:
-            sink.write(json.dumps(t.to_record(), sort_keys=True) + "\n")
+@contextlib.contextmanager
+def _text_file(sink):
+    """sink as an open text file: None or a file object as is, a path opened for writing."""
+    if sink is None or hasattr(sink, "write"):
+        yield sink
         return
     with open(sink, "w", encoding="utf-8") as fh:
-        write_transcripts(fh, transcripts)
+        yield fh
+
+
+def write_transcripts(sink, transcripts) -> None:
+    """One self-describing record per line; sink is a path or a text file."""
+    with _text_file(sink) as fh:
+        for t in transcripts:
+            fh.write(_ENCODER.encode(t.to_record()) + "\n")
 
 
 def iter_transcripts(path):
@@ -446,7 +456,8 @@ def run_session(
         reached.update(flag=flag.value, accept=accept)
     except (AnswerError, ProtocolOrderError, TransportError) as exc:
         reached.update(abort=f"{type(exc).__name__}: {exc}")
-    keys = tuple(entcf.export_key_record(h, t) for h, t in zip(sess.handles, sess.trapdoors))
+    keys = tuple(entcf.key_record(h.key_id, h.w, t.family, t.perm_seed, t.shift)
+                 for h, t in zip(sess.handles, sess.trapdoors))
     return SessionTranscript(index=index, seed=seed, lam=sp.lam, theta=sess.theta, keys=keys,
                              **reached)
 
@@ -478,6 +489,9 @@ _CHUNK = 2048
 _LO32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 _CLAW = np.array(verifier.BASIS_CHOICES, dtype=bool).T  # [coordinate, theta index]
 _FLAGS_BY_CODE = tuple(Flag)
+_ROUND_VALUES = (RoundType.PREIMAGE.value, RoundType.HADAMARD.value)  # by hadamard
+_FAMILIES = (entcf.Family.INJECTIVE, entcf.Family.CLAW)  # by theta bit
+_QUESTIONS = tuple(int_to_tuple(c, 3) for c in range(8))  # three bits by their code, MSB first
 
 
 class _Words:
@@ -557,15 +571,33 @@ def _array_plan(prover_spec: str, theta, round):
     return cls, noise, t, r
 
 
-def _array_chunk(lam, plan, master_seed, start, stop):
-    """Sessions start..stop-1 of a covered batch, drawn as run_session draws them.
+class _Columns(NamedTuple):
+    """A chunk's sessions as arrays: one element per session, or rows 0-2 per coordinate.
 
-    Returns per-session arrays: the theta index into BASIS_CHOICES, whether
-    the round is a Hadamard round, the flag's index into Flag, and whether
-    the session must be replayed through run_session instead: a Lemire draw
-    on a range that is not a power of two rejects its first half, or two of
-    its key ids collide.
+    theta indexes BASIS_CHOICES and flag indexes Flag. replay marks the
+    sessions run_session must replay instead: a Lemire draw on a range that
+    is not a power of two rejects its first half, or two key ids collide;
+    their other entries mean nothing. q and test_index (theta 000 only) are
+    a Hadamard round's. groups pairs each (theta, round) group's lanes with
+    the record columns _array_group returned for them; only transcripts
+    read those, so a stats-only batch never gathers them per session.
     """
+
+    seeds: np.ndarray
+    theta: np.ndarray
+    hadamard: np.ndarray
+    flag: np.ndarray
+    replay: np.ndarray
+    key_id: np.ndarray
+    perm_seed: np.ndarray
+    shift: np.ndarray
+    q: np.ndarray
+    test_index: np.ndarray
+    groups: list
+
+
+def _array_chunk(lam, plan, master_seed, start, stop) -> _Columns:
+    """Sessions start..stop-1 of a covered batch, drawn and checked as run_session does."""
     cls, noise, theta, round = plan
     seeds = derive_seed(master_seed, np.arange(start, stop, dtype=np.uint64))
     n, w = len(seeds), lam
@@ -599,7 +631,7 @@ def _array_chunk(lam, plan, master_seed, start, stop):
     test_index = lemire(half, 3)
     replay |= hadamard & (t_index == 0) & lemire_rejects(half, 3)
 
-    flag = np.zeros(n, dtype=np.int8)
+    flag, groups = np.zeros(n, dtype=np.int8), []
     table = _answer_table(cls)
     prover_words = _Words(derive_seed(seeds, _PROVER_LANE))
     for t in np.flatnonzero(np.bincount(t_index.astype(np.intp))).tolist():
@@ -608,12 +640,14 @@ def _array_chunk(lam, plan, master_seed, start, stop):
             lanes = np.flatnonzero((t_index == t) & (hadamard == had))
             if not len(lanes):
                 continue
-            keys = [_Keys(entcf.Family.CLAW if c else entcf.Family.INJECTIVE, w,
-                          shift[i, lanes], m_in[i, lanes], m_out[i, lanes])
+            keys = [_Keys(_FAMILIES[c], w, shift[i, lanes], m_in[i, lanes], m_out[i, lanes])
                     for i, c in enumerate(bases)]
-            flag[lanes] = _array_group(table[bases], noise, bases, had, keys,
-                                       _Stream(prover_words, lanes), q[lanes], test_index[lanes])
-    return t_index, hadamard, flag, replay
+            flag[lanes], group = _array_group(table[bases], noise, bases, had, keys,
+                                              _Stream(prover_words, lanes), q[lanes],
+                                              test_index[lanes])
+            groups.append((lanes, group))
+    return _Columns(seeds, t_index, hadamard, flag, replay, ids, perm_seed.reshape(3, n), shift,
+                    q, test_index, groups)
 
 
 @lru_cache(maxsize=None)
@@ -627,18 +661,21 @@ def _answer_table(cls) -> dict:
     table = {}
     for bases in verifier.BASIS_CHOICES:
         rows = table[bases] = np.empty((64, 8))
-        for c in range(64):
-            qubits = tuple(entcf.CollapsedQubit("X" if claw else "Z", c >> (5 - i) & 1)
-                           for i, claw in enumerate(bases))
-            gate, q = cls._gate(qubits), (c >> 2 & 1, c >> 1 & 1, c & 1)
-            rows[c] = provers._edges(qubits, gate, q)
+        for opened, bits in enumerate(_QUESTIONS):
+            qubits = tuple(entcf.CollapsedQubit("X" if claw else "Z", bit)
+                           for claw, bit in zip(bases, bits))
+            gate = cls._gate(qubits)
+            for q, question in enumerate(_QUESTIONS):
+                rows[opened << 3 | q] = provers._edges(qubits, gate, question)
     return table
 
 
 def _array_group(rows, noise, bases, hadamard, keys, stream, q, test_index):
-    """Flag indices of one (theta, round) group: the prover's draws, then the verifier's rules.
+    """One (theta, round) group: the prover's draws, then the verifier's rules.
 
     rows are the prover's answer edges for this theta, by pattern code.
+    Returns the flag indices and the group's record columns, three arrays
+    each: ys, then the opened preimage pairs (b, x) or the ds and vs.
     """
     w = keys[0].w
     # HonestProver.commit: sample_commitment per coordinate, b then x, or a claw's x0
@@ -649,13 +686,16 @@ def _array_group(rows, noise, bases, hadamard, keys, stream, q, test_index):
     ys = [entcf._image(k, b, x) for k, b, x in zip(keys, bs, xs)]
     if not hadamard:
         # answer_preimage opens a claw on a fair-coin branch; check_preimage grades it
-        ok = True
+        ok, opened_b, opened_x = True, [], []
         for claw, k, b, x, y in zip(bases, keys, bs, xs, ys):
             if claw:
                 b = stream.bits(1)
                 x = x ^ b * k.shift
             ok = ok & entcf._opens(k, b, x, y)
-        return np.where(ok, 0, _FLAGS_BY_CODE.index(Flag.FAIL_PRE))
+            opened_b.append(b)
+            opened_x.append(x)
+        return (np.where(ok, 0, _FLAGS_BY_CODE.index(Flag.FAIL_PRE)),
+                {"ys": ys, "b": opened_b, "x": opened_x})
     # answer_hadamard: a uniform d per coordinate; a claw collapses to <d, x0 ^ x1>
     # in X, and x0 ^ x1 is the shift, so the prover's bit is the verifier's u
     ds = [stream.bits(w) for _ in bases]
@@ -671,25 +711,68 @@ def _array_group(rows, noise, bases, hadamard, keys, stream, q, test_index):
     tops = [entcf._perm_backward(k, y) >> w for k, y in zip(keys, ys)]
     fail = verifier.hadamard_fails(bases, [q >> 2 & 1, q >> 1 & 1, q & 1], test_index,
                                    tops, us, vs)
-    return np.where(fail != 0, _FLAGS_BY_CODE.index(verifier.failure_flag(bases)), 0)
+    return (np.where(fail != 0, _FLAGS_BY_CODE.index(verifier.failure_flag(bases)), 0),
+            {"ys": ys, "ds": ds, "vs": vs})
 
 
-def _array_stats(sp, prover_spec, n, master_seed, theta, round, plan) -> FlagStats:
-    """FlagStats of a covered batch, folded chunk by chunk; replayed sessions run run_session."""
-    stats, factory = FlagStats(), parse_prover_spec(prover_spec)
+def _chunk_transcripts(lam, cols: _Columns, start, replayed):
+    """Yield a chunk's transcripts in index order: replayed ones as given, the rest built
+    from the columns with the fields run_session gives them."""
+    names = ("ys", "b", "x", "ds", "vs")
+    fields = {name: np.zeros((3, len(cols.seeds)), dtype=np.uint64) for name in names}
+    for lanes, group in cols.groups:
+        for name, rows in group.items():
+            for i, row in enumerate(rows):
+                fields[name][i, lanes] = row
+    ys, b, x, ds, vs = (fields[name].T.tolist() for name in names)
+    # every key's record, session-major: session i's three are 3i, 3i+1, 3i+2
+    claw = _CLAW[:, cols.theta].T.ravel().tolist()
+    records = [entcf.key_record(k, lam, _FAMILIES[c], p, s) for c, k, p, s in zip(
+        claw, *(a.T.ravel().tolist() for a in (cols.key_id, cols.perm_seed, cols.shift)))]
+    for i, (seed, t, had, f, q, test) in enumerate(zip(
+            cols.seeds.tolist(), cols.theta.tolist(), cols.hadamard.tolist(),
+            cols.flag.tolist(), cols.q.tolist(), cols.test_index.tolist())):
+        if start + i in replayed:
+            yield replayed[start + i]
+            continue
+        theta, keys = verifier.BASIS_CHOICES[t], tuple(records[3 * i:3 * i + 3])
+        if had:
+            reached = dict(ds=tuple(ds[i]), q=_QUESTIONS[q], test_index=test if t == 0 else None,
+                           vs=tuple(vs[i]))
+        else:
+            reached = dict(preimages=tuple(zip(b[i], x[i])))
+        yield SessionTranscript(start + i, seed, lam, theta, keys, ys=tuple(ys[i]),
+                                round=_ROUND_VALUES[had], flag=_FLAGS_BY_CODE[f].value,
+                                accept=f == 0, **reached)
+
+
+def _array_batch(sp, prover_spec, n, master_seed, theta, round, plan, out, collect):
+    """A covered batch, chunk by chunk: its FlagStats, each chunk's transcripts written to
+    the text file out (None: none) as the chunk is made, and the list of them if collect.
+
+    Replayed sessions run run_session, so memory stays O(_CHUNK) unless collect.
+    """
+    stats, factory, kept = FlagStats(), parse_prover_spec(prover_spec), [] if collect else None
     for start in range(0, n, _CHUNK):
-        t_index, hadamard, flag, replay = _array_chunk(sp.lam, plan, master_seed, start,
-                                                       min(start + _CHUNK, n))
-        kept = ~replay
-        cell = (hadamard[kept] * 5 + t_index[kept].astype(np.intp)) * 4 + flag[kept]
-        counts = np.bincount(cell)
+        cols = _array_chunk(sp.lam, plan, master_seed, start, min(start + _CHUNK, n))
+        fresh = ~cols.replay
+        theta_index = cols.theta[fresh].astype(np.intp)
+        counts = np.bincount((cols.hadamard[fresh] * 5 + theta_index) * 4 + cols.flag[fresh])
         for c in np.flatnonzero(counts).tolist():
             theta_cls = verifier.theta_class(verifier.BASIS_CHOICES[c // 4 % 5])
-            round_value = (RoundType.PREIMAGE, RoundType.HADAMARD)[c // 20].value
-            stats.cells[(round_value, theta_cls, _FLAGS_BY_CODE[c % 4].value)] += int(counts[c])
-        for index in (np.flatnonzero(replay) + start).tolist():
-            stats.add(run_session(sp, factory, master_seed, index, theta=theta, round=round))
-    return stats
+            cell = (_ROUND_VALUES[c // 20], theta_cls, _FLAGS_BY_CODE[c % 4].value)
+            stats.cells[cell] += int(counts[c])
+        replayed = {index: run_session(sp, factory, master_seed, index, theta=theta, round=round)
+                    for index in (np.flatnonzero(cols.replay) + start).tolist()}
+        for t in replayed.values():
+            stats.add(t)
+        transcripts = _chunk_transcripts(sp.lam, cols, start, replayed)  # runs only if read
+        if collect:
+            transcripts = list(transcripts)
+            kept += transcripts
+        if out is not None:
+            write_transcripts(out, transcripts)
+    return stats, kept
 
 
 def run_batch(
@@ -706,26 +789,28 @@ def run_batch(
 ) -> tuple[FlagStats, list[SessionTranscript] | None]:
     """N independent sessions; stats and sink order follow the session index.
 
-    A batch that keeps no transcripts, of an honest, stabilizer or bit-flip
-    prover, runs on the array path in this process: it computes every
-    session's draws and checks as array operations, a chunk of indices at a
-    time, with the same per-session outcomes as run_session, which replays
-    the few sessions the arrays do not cover. Every other batch runs
-    _batch_worker on max(1, min(parallelism, n)) contiguous index spans, in
-    this process for one span and in a process pool otherwise; pool workers
-    rebuild the factory from the prover_spec string. parallelism fans out
-    only that run_session path. Transcripts are kept only when a sink or
-    collect=True asks for them.
+    A batch of an honest, stabilizer or bit-flip prover runs on the array
+    path in this process: it computes every session's draws and checks as
+    array operations, a chunk of indices at a time, with the same outcomes
+    and transcripts as run_session, which replays the few sessions the
+    arrays do not cover. It writes each chunk's transcripts to the sink as
+    the chunk is made. Every other batch runs _batch_worker on
+    max(1, min(parallelism, n)) contiguous index spans, in this process for
+    one span and in a process pool otherwise, and writes the sink at the
+    end; pool workers rebuild the factory from the prover_spec string.
+    parallelism fans out only that run_session path. Transcripts are kept
+    only when a sink or collect=True asks for them.
     """
     if n < 0:
         raise ParameterError(f"session count {n} is negative")
     if parallelism < 1:
         raise ParameterError(f"parallelism {parallelism} must be at least 1")
     parse_prover_spec(prover_spec)  # validate before spawning anything
-    keep = sink is not None or collect
-    plan = None if keep else _array_plan(prover_spec, theta, round)
+    plan = _array_plan(prover_spec, theta, round)
     if plan is not None:
-        return _array_stats(sp, prover_spec, n, master_seed, theta, round, plan), None
+        with _text_file(sink) as out:
+            return _array_batch(sp, prover_spec, n, master_seed, theta, round, plan, out, collect)
+    keep = sink is not None or collect
     workers = max(1, min(parallelism, n))
     bounds = [n * k // workers for k in range(workers + 1)]
     job = partial(_batch_worker, sp.lam, prover_spec, master_seed, theta, round, keep)

@@ -313,16 +313,16 @@ def hadamard_open(c: Commitment, rng: np.random.Generator) -> tuple[int, Collaps
     return d, CollapsedQubit(basis="X", bit=parity(d & (held.x0 ^ held.x1)))
 
 
-def export_key_record(handle: KeyHandle, t: Trapdoor) -> dict[str, str]:
-    """Flat text map of the full key material, for transcript reproducibility."""
-    rec = {
-        "id": str(handle.key_id),
-        "w": str(handle.w),
-        "family": t.family.value,
-        "perm_seed": str(t.perm_seed),
-    }
-    if t.family is Family.CLAW:
-        rec["shift"] = bits_str(t.shift, t.w)
+def key_record(key_id: int, w: int, family: Family, perm_seed: int,
+               shift: int | None) -> dict[str, str]:
+    """Flat text map of one key's full material, for transcript reproducibility.
+
+    It takes the fields as plain values, so that a batch of keys held as
+    arrays needs no Trapdoor per key; shift is read for the claw family only.
+    """
+    rec = {"id": str(key_id), "w": str(w), "family": family.value, "perm_seed": str(perm_seed)}
+    if family is Family.CLAW:
+        rec["shift"] = bits_str(shift, w)
     return rec
 
 

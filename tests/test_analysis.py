@@ -402,3 +402,27 @@ class TestRendering:
     def test_accept_flag_matches_strict_comparison(self):
         report = self.make_report()
         assert report.accept == (report.t_est < report.threshold)
+
+    def test_denominators_are_shown_against_the_sample_size(self):
+        # sample_size(0.1, 0.05) = 185: the 80-round estimates are under-sampled
+        report = certify(synthetic_stats(pre=(185, 0), test=(184, 0), hyper=(80, 0)),
+                         EstimationParams(0.1, 0.05))
+        rows = render_report(report).splitlines()[3:6]  # preimage, test, hypergraph
+        assert [row.endswith("need 185)") for row in rows] == [True, False, False]
+        assert [row.endswith("need 185)  under-sampled") for row in rows] == [False, True, True]
+
+    @pytest.mark.parametrize("pre, test, hyper, accept, unresolved", [
+        ((80, 0), (80, 0), (80, 0), True, "score + deviation"),
+        ((80, 0), (80, 0), (80, 10), False, "score - deviation"),
+        ((10**9, 0), (10**9, 0), (10**9, 0), True, None),
+        ((10**9, 0), (10**9, 0), (10**9, 5 * 10**8), False, None),
+    ])
+    def test_a_decision_the_deviation_reaches_across_is_unresolved(self, pre, test, hyper,
+                                                                   accept, unresolved):
+        report = certify(synthetic_stats(pre=pre, test=test, hyper=hyper),
+                         EstimationParams(0.1, 0.05))
+        text = render_report(report)
+        assert report.accept is accept
+        assert text.count("unresolved:") == (unresolved is not None)
+        if unresolved is not None:
+            assert f"unresolved: {unresolved}" in text

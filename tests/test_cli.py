@@ -145,6 +145,20 @@ class TestAnalyze:
         assert "c = 2.5" in stdout
         assert "r = 2" in stdout
 
+    def test_epsilon_changes_the_report(self, capsys, tmp_path):
+        path = self.make_transcripts(tmp_path, "honest", 300, 2)
+        coarse = run_cli(capsys, "analyze", str(path), "--epsilon", "0.5")[1]
+        fine = run_cli(capsys, "analyze", str(path), "--epsilon", "0.001")[1]
+        assert coarse != fine
+        assert "need 48)" in coarse and "need 11859500)" in fine
+
+    def test_ten_thousand_honest_sessions_are_under_sampled(self, capsys, tmp_path):
+        path = self.make_transcripts(tmp_path, "honest", 10_000, 3)
+        code, stdout, _ = run_cli(capsys, "analyze", str(path), "--epsilon", "0.001")
+        assert code == 0 and "decision: ACCEPT" in stdout
+        assert stdout.count("need 11859500)  under-sampled") == 3
+        assert "unresolved: score + deviation" in stdout
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, stderr = run_cli(capsys, "analyze", str(tmp_path / "nope.jsonl"))
         assert code == 2

@@ -396,11 +396,25 @@ def scalar_outcomes(lam, spec, master_seed, n, pins):
 def array_outcomes(lam, spec, master_seed, n, pins):
     """The same per session from the array path, None where it replays the session."""
     plan = engine._array_plan(spec, pins.get("theta"), pins.get("round"))
-    theta, hadamard, flag, replay = engine._array_chunk(lam, plan, master_seed, 0, n)
+    cols = engine._array_chunk(lam, plan, master_seed, 0, n)
     return [None if again else ("hadamard" if had else "preimage",
                                 verifier.theta_class(verifier.BASIS_CHOICES[t]),
                                 list(verifier.Flag)[f].value)
-            for t, had, f, again in zip(theta, hadamard, flag, replay)]
+            for t, had, f, again in zip(cols.theta, cols.hadamard, cols.flag, cols.replay)]
+
+
+def transcript_bytes(transcripts) -> str:
+    """What write_transcripts puts in a file for these transcripts."""
+    buf = io.StringIO()
+    write_transcripts(buf, transcripts)
+    return buf.getvalue()
+
+
+def session_bytes(lam, spec, master_seed, n, pins) -> str:
+    """The transcript file of n sessions, each run through run_session."""
+    factory = parse_prover_spec(spec)
+    return transcript_bytes(run_session(SecurityParam(lam), factory, master_seed, index, **pins)
+                            for index in range(n))
 
 
 def crafted(words):
@@ -429,6 +443,19 @@ class TestArrayPath:
         assert [a for a in array if a is not None] == [
             s for s, a in zip(scalar, array) if a is not None]
 
+    @pytest.mark.parametrize("pinned", [False, True], ids=["unpinned", "pinned"])
+    @pytest.mark.parametrize("lam", [4, 16])
+    @pytest.mark.parametrize("spec", COVERED)
+    @settings(max_examples=25, deadline=None)
+    @given(master_seed=st.integers(0, (1 << 64) - 1), n=st.integers(0, 30))
+    @example(master_seed=0, n=0)
+    @example(master_seed=(1 << 64) - 1, n=1)
+    def test_collected_transcripts_equal_run_session_bytes(self, spec, lam, pinned,
+                                                           master_seed, n):
+        pins = HYPER_PINS if pinned else {}
+        _, kept = run_batch(SecurityParam(lam), spec, n, master_seed, collect=True, **pins)
+        assert transcript_bytes(kept) == session_bytes(lam, spec, master_seed, n, pins)
+
     @pytest.mark.parametrize("spec, pins, flag", [
         ("stabilizer", HYPER_PINS, "fail_hyper"),
         ("noisy:bitflip:0.2", {}, "fail_test"),
@@ -442,15 +469,20 @@ class TestArrayPath:
 
     def test_chunks_split_no_session(self, monkeypatch):
         whole, _ = run_batch(SP4, "noisy:bitflip:0.2", 700, 32)
+        _, whole_kept = run_batch(SP4, "noisy:bitflip:0.2", 700, 32, collect=True)
         monkeypatch.setattr(engine, "_CHUNK", 64)
         split, _ = run_batch(SP4, "noisy:bitflip:0.2", 700, 32)
-        assert split.as_dict() == whole.as_dict()
+        split_collected, split_kept = run_batch(SP4, "noisy:bitflip:0.2", 700, 32, collect=True)
+        assert split.as_dict() == whole.as_dict() == split_collected.as_dict()
+        assert transcript_bytes(split_kept) == transcript_bytes(whole_kept)
+        assert transcript_bytes(split_kept) == session_bytes(4, "noisy:bitflip:0.2", 32, 700, {})
 
     @pytest.mark.parametrize("spec, pins", [("honest", {}), ("stabilizer", HYPER_PINS),
                                             ("noisy:bitflip:0.05", {"round": "hadamard"})])
     def test_forced_replay_gives_identical_stats(self, monkeypatch, spec, pins):
         n = 150
         array, _ = run_batch(SP4, spec, n, 33, **pins)
+        _, array_kept = run_batch(SP4, spec, n, 33, collect=True, **pins)
         calls = []
 
         def counted(*args, **kwargs):
@@ -459,9 +491,43 @@ class TestArrayPath:
 
         monkeypatch.setattr(engine, "lemire_rejects", lambda x, k: np.ones(x.shape, dtype=bool))
         monkeypatch.setattr(engine, "run_session", counted)
-        replayed, _ = run_batch(SP4, spec, n, 33, **pins)
+        replayed, replayed_kept = run_batch(SP4, spec, n, 33, collect=True, **pins)
         assert replayed.as_dict() == array.as_dict()
+        assert transcript_bytes(replayed_kept) == transcript_bytes(array_kept)
         assert calls == list(range(n))
+
+    def test_replays_inside_a_chunk_keep_the_index_order(self, monkeypatch):
+        n, forced = 40, [0, 5, 6, 7, 21, 39]  # chunks of 16: first, middle and last lanes
+        _, plain = run_batch(SP4, "honest", n, 38, collect=True)
+        chunk, calls = engine._array_chunk, []
+
+        def with_replays(lam, plan, master_seed, start, stop):
+            cols = chunk(lam, plan, master_seed, start, stop)
+            replay = cols.replay.copy()
+            replay[[i - start for i in forced if start <= i < stop]] = True
+            return cols._replace(replay=replay)
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return run_session(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_CHUNK", 16)
+        monkeypatch.setattr(engine, "_array_chunk", with_replays)
+        monkeypatch.setattr(engine, "run_session", counted)
+        stats, mixed = run_batch(SP4, "honest", n, 38, collect=True)
+        assert calls == forced
+        assert [t.index for t in mixed] == list(range(n))
+        assert transcript_bytes(mixed) == transcript_bytes(plain)
+        assert stats.as_dict() == FlagStats.from_transcripts(plain).as_dict()
+
+    @pytest.mark.parametrize("lam", [4, 16])
+    def test_sink_and_collect_write_the_collected_bytes(self, monkeypatch, tmp_path, lam):
+        monkeypatch.setattr(engine, "_CHUNK", 64)  # several chunks, each written as made
+        path, buf = tmp_path / "out.jsonl", io.StringIO()
+        _, to_path = run_batch(SecurityParam(lam), "honest", 300, 39, sink=path, collect=True)
+        _, to_file = run_batch(SecurityParam(lam), "honest", 300, 39, sink=buf, collect=True)
+        assert path.read_text(encoding="utf-8") == transcript_bytes(to_path)
+        assert buf.getvalue() == transcript_bytes(to_file) == transcript_bytes(to_path)
 
     def test_colliding_key_ids_are_replayed_and_raise(self, monkeypatch):
         def colliding(w1, w2, w3):
@@ -480,10 +546,25 @@ class TestArrayPath:
         script.write_text(json.dumps({"ys": [0, 0, 0], "preimages": [[0, 0]] * 3}))
         run_batch(SP4, f"scripted:{script}", 2, 35)
         run_batch(SP4, "noisy:depol:0.3", 2, 35)
-        run_batch(SP4, "honest", 2, 35, collect=True)
-        run_batch(SP4, "honest", 2, 35, sink=tmp_path / "out.jsonl")
         with pytest.raises(ParameterError):
             run_batch(SP4, "honest", 1, 35, theta=(1, 1, 0))
+
+    def test_covered_batches_keeping_transcripts_take_the_array_path(self, monkeypatch,
+                                                                      tmp_path):
+        def refuse(*args):
+            raise AssertionError("session path used")
+
+        chunk, spans = engine._array_chunk, []
+
+        def counted(lam, plan, master_seed, start, stop):
+            spans.append((start, stop))
+            return chunk(lam, plan, master_seed, start, stop)
+
+        monkeypatch.setattr(engine, "_batch_worker", refuse)
+        monkeypatch.setattr(engine, "_array_chunk", counted)
+        run_batch(SP4, "honest", 2, 35, collect=True)
+        run_batch(SP4, "honest", 2, 35, sink=tmp_path / "out.jsonl")
+        assert spans == [(0, 2), (0, 2)]
 
     def test_memory_does_not_grow_with_the_session_count(self):
         def peak(n):
@@ -495,6 +576,23 @@ class TestArrayPath:
                 tracemalloc.stop()
 
         run_batch(SP4, "stabilizer", 10, 36, **HYPER_PINS)  # fill the tables first
+        assert peak(8 * engine._CHUNK) < 1.5 * peak(engine._CHUNK)
+
+    def test_memory_does_not_grow_with_the_session_count_when_writing(self, monkeypatch,
+                                                                       tmp_path):
+        # smaller chunks keep the traced run short; a path that held every
+        # transcript until the end would peak about 6x higher at 8 chunks
+        monkeypatch.setattr(engine, "_CHUNK", 256)
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                run_batch(SP4, "honest", n, 37, sink=tmp_path / "out.jsonl")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_batch(SP4, "honest", 10, 37)  # fill the tables first
         assert peak(8 * engine._CHUNK) < 1.5 * peak(engine._CHUNK)
 
     @pytest.mark.parametrize("k", [2, 3, 5, 8, 15, 31, (1 << 16) - 1, (1 << 24) - 1])

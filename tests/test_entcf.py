@@ -22,8 +22,8 @@ from magicert.entcf import (
     Trapdoor,
     decode_b,
     decode_u,
-    export_key_record,
     hadamard_open,
+    key_record,
 )
 from magicert.errors import FamilyMisuseError, KeyLookupError, ParameterError
 from magicert.util import bits_str, derive_seed, parity, rand_bits, rand_u64, rng_from
@@ -457,9 +457,13 @@ def test_key_material_equals_the_bounded_draws(seed, w, family):
 # -------------------------------------------------------------------- export
 
 
-def test_export_key_record_flat_text_map():
+def record_of(h, t):
+    return key_record(h.key_id, h.w, t.family, t.perm_seed, t.shift)
+
+
+def test_key_record_flat_text_map():
     _, h, t = make(Family.CLAW, SP4, seed=40)
-    rec = export_key_record(h, t)
+    rec = record_of(h, t)
     assert rec == {
         "id": str(h.key_id),
         "w": "4",
@@ -469,7 +473,7 @@ def test_export_key_record_flat_text_map():
     }
     assert all(isinstance(k, str) and isinstance(v, str) for k, v in rec.items())
     _, hg, tg = make(Family.INJECTIVE, SP4, seed=41)
-    recg = export_key_record(hg, tg)
+    recg = record_of(hg, tg)
     assert "shift" not in recg
     assert recg["family"] == "G"
 

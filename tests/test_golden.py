@@ -3,13 +3,17 @@
 Each case runs a 200-session batch at master seed 2111 and hashes the
 transcript file it would write. A change that alters any draw, any record
 field or the record encoding moves a digest; SCHEMA.md is the contract.
+Covered provers' batches take the array path; each case also runs with
+every session replayed through run_session, which must give the same bytes.
 """
 
 import hashlib
 import io
 
+import numpy as np
 import pytest
 
+from magicert import engine
 from magicert.engine import run_batch, write_transcripts
 from magicert.entcf import SecurityParam
 from magicert.verifier import RoundType
@@ -37,10 +41,26 @@ def transcript_digest(lam, spec, master_seed=2111, n=200, **pins) -> str:
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
-@pytest.mark.parametrize(
-    "lam, spec, pins, digest", GOLDEN,
-    ids=["honest-l16", "stabilizer-l4", "depol-l16", "bitflip-l8", "stabilizer-l4-hyper",
-         "depol-l4-hyper"],
-)
+IDS = ["honest-l16", "stabilizer-l4", "depol-l16", "bitflip-l8", "stabilizer-l4-hyper",
+       "depol-l4-hyper"]
+
+
+@pytest.mark.parametrize("lam, spec, pins, digest", GOLDEN, ids=IDS)
 def test_transcript_digest_is_pinned(lam, spec, pins, digest):
     assert transcript_digest(lam, spec, **pins) == digest
+
+
+@pytest.mark.parametrize("lam, spec, pins, digest", GOLDEN, ids=IDS)
+def test_transcript_digest_is_pinned_when_every_session_replays(monkeypatch, lam, spec, pins,
+                                                                 digest):
+    replays = []
+    run_session = engine.run_session
+
+    def counted(*args, **kwargs):
+        replays.append(args[3])
+        return run_session(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "lemire_rejects", lambda x, k: np.ones(np.shape(x), dtype=bool))
+    monkeypatch.setattr(engine, "run_session", counted)
+    assert transcript_digest(lam, spec, **pins) == digest
+    assert replays == list(range(200))
