@@ -201,12 +201,8 @@ class SessionTranscript:
     accept: bool = False
     abort: str | None = None
 
-    @property
-    def w(self) -> int:
-        return entcf.SecurityParam(self.lam).w
-
     def to_record(self) -> dict:
-        w = self.w
+        w = self.lam  # SecurityParam: w equals lam
         return {
             "index": self.index,
             "seed": str(self.seed),
@@ -492,13 +488,18 @@ _FLAGS_BY_CODE = tuple(Flag)
 _ROUND_VALUES = (RoundType.PREIMAGE.value, RoundType.HADAMARD.value)  # by hadamard
 _FAMILIES = (entcf.Family.INJECTIVE, entcf.Family.CLAW)  # by theta bit
 _QUESTIONS = tuple(int_to_tuple(c, 3) for c in range(8))  # three bits by their code, MSB first
+_LANES = np.array([[_VERIFIER_LANE], [_PROVER_LANE]], dtype=np.uint64)  # by row
 
 
 class _Words:
-    """Raw words of rng_from(k) for many uint64 keys k, a block of four at a time as read."""
+    """Raw words of rng_from(k) for many uint64 keys k: row j holds word j of every stream.
 
-    def __init__(self, keys: np.ndarray, blocks: int = 0):
-        self.keys, self.rows = keys, list(philox_words(keys, 0, blocks)) if blocks else []
+    rows are the first rows, if already computed; later ones are computed a
+    block of four at a time as read.
+    """
+
+    def __init__(self, keys: np.ndarray, rows=()):
+        self.keys, self.rows = keys, list(rows)
 
     def row(self, j: int) -> np.ndarray:
         while len(self.rows) <= j:
@@ -549,18 +550,22 @@ class _Keys(NamedTuple):
 
 
 def _array_plan(prover_spec: str, theta, round):
-    """(prover class, noise, theta index, round) for a batch the array path covers, else None.
+    """(answer table key, bit-flip probability, theta index, round) for a batch the array
+    path covers, else None.
 
-    Covered: honest, stabilizer and bit-flip provers, with valid or no pins
-    (None for an unpinned theta or round). The depolarizing prover and
-    invalid pins are left to run_session, which raises for the latter.
+    Covered: honest, stabilizer and noisy provers, with valid or no pins
+    (None for an unpinned theta or round). The table key is the prover
+    class and the depolarizing epsilon: 0 reads the class's own register,
+    as NoisyProver delegates to its inner prover at epsilon 0. Scripted
+    provers and invalid pins are left to run_session, which raises for the
+    latter.
     """
     if prover_spec in PURE_PROVERS:
-        cls, noise = PURE_PROVERS[prover_spec], None
+        cls, depol, flip = PURE_PROVERS[prover_spec], 0.0, 0.0
     elif prover_spec.startswith("noisy:"):
         cls, noise = HonestProver, parse_noise_spec(prover_spec)
-        if noise.model != "bitflip":
-            return None
+        depol, flip = ((noise.epsilon, 0.0) if noise.model == "depolarizing"
+                       else (0.0, noise.epsilon))
     else:
         return None
     try:
@@ -568,7 +573,7 @@ def _array_plan(prover_spec: str, theta, round):
         r = None if round is None else RoundType(round)
     except (TypeError, ValueError):
         return None
-    return cls, noise, t, r
+    return (cls, depol), flip, t, r
 
 
 class _Columns(NamedTuple):
@@ -598,12 +603,17 @@ class _Columns(NamedTuple):
 
 def _array_chunk(lam, plan, master_seed, start, stop) -> _Columns:
     """Sessions start..stop-1 of a covered batch, drawn and checked as run_session does."""
-    cls, noise, theta, round = plan
+    table_key, flip, theta, round = plan
     seeds = derive_seed(master_seed, np.arange(start, stop, dtype=np.uint64))
     n, w = len(seeds), lam
-    # verifier.begin: the basis triple, then a rand_u64 key seed per coordinate;
-    # the verifier reads at most seven words, so both blocks are drawn at once
-    ver = _Stream(_Words(derive_seed(seeds, _VERIFIER_LANE), blocks=2))
+    # the first two blocks of the verifier and prover lanes, in one Philox pass over
+    # 2n keys: the verifier reads at most seven words, a prover six or, with bit
+    # flips, nine
+    lane_keys = derive_seed(seeds, _LANES)
+    words = philox_words(lane_keys.ravel(), 0, 2)
+    ver = _Stream(_Words(lane_keys[0], words[:, :n]))
+    prover_words = _Words(lane_keys[1], words[:, n:])
+    # verifier.begin: the basis triple, then a rand_u64 key seed per coordinate
     if theta is None:
         half = ver.half()
         t_index, replay = lemire(half, 5), lemire_rejects(half, 5)
@@ -632,8 +642,7 @@ def _array_chunk(lam, plan, master_seed, start, stop) -> _Columns:
     replay |= hadamard & (t_index == 0) & lemire_rejects(half, 3)
 
     flag, groups = np.zeros(n, dtype=np.int8), []
-    table = _answer_table(cls)
-    prover_words = _Words(derive_seed(seeds, _PROVER_LANE))
+    table = _answer_table(*table_key)
     for t in np.flatnonzero(np.bincount(t_index.astype(np.intp))).tolist():
         bases = verifier.BASIS_CHOICES[t]
         for had in (False, True):
@@ -642,7 +651,7 @@ def _array_chunk(lam, plan, master_seed, start, stop) -> _Columns:
                 continue
             keys = [_Keys(_FAMILIES[c], w, shift[i, lanes], m_in[i, lanes], m_out[i, lanes])
                     for i, c in enumerate(bases)]
-            flag[lanes], group = _array_group(table[bases], noise, bases, had, keys,
+            flag[lanes], group = _array_group(table[bases], flip, bases, had, keys,
                                               _Stream(prover_words, lanes), q[lanes],
                                               test_index[lanes])
             groups.append((lanes, group))
@@ -651,9 +660,10 @@ def _array_chunk(lam, plan, master_seed, start, stop) -> _Columns:
 
 
 @lru_cache(maxsize=None)
-def _answer_table(cls) -> dict:
+def _answer_table(cls, depol: float) -> dict:
     """The prover's answer edges per theta: 64 rows, one per pattern code, opened bits << 3
-    | question bits, each from provers._edges.
+    | question bits, each from provers._edges, or from provers._depolarized_edges for a
+    register depolarized by depol > 0.
 
     Built whole on a prover's first batch, so that no later chunk pays for a
     row and a batch's time does not depend on which rows came before it.
@@ -666,14 +676,17 @@ def _answer_table(cls) -> dict:
                            for claw, bit in zip(bases, bits))
             gate = cls._gate(qubits)
             for q, question in enumerate(_QUESTIONS):
-                rows[opened << 3 | q] = provers._edges(qubits, gate, question)
+                rows[opened << 3 | q] = (
+                    provers._depolarized_edges(qubits, gate, depol, question) if depol > 0
+                    else provers._edges(qubits, gate, question))
     return table
 
 
-def _array_group(rows, noise, bases, hadamard, keys, stream, q, test_index):
+def _array_group(rows, flip, bases, hadamard, keys, stream, q, test_index):
     """One (theta, round) group: the prover's draws, then the verifier's rules.
 
-    rows are the prover's answer edges for this theta, by pattern code.
+    rows are the prover's answer edges for this theta, by pattern code, and
+    flip the probability that the prover flips each answer bit.
     Returns the flag indices and the group's record columns, three arrays
     each: ys, then the opened preimage pairs (b, x) or the ds and vs.
     """
@@ -705,8 +718,8 @@ def _array_group(rows, noise, bases, hadamard, keys, stream, q, test_index):
     code = opened[0] << 5 | opened[1] << 4 | opened[2] << 3 | q
     outcome = sample_edges_rows(rows[code], stream.uniform()).astype(np.uint64)
     vs = [outcome >> 2 & 1, outcome >> 1 & 1, outcome & 1]
-    if noise is not None and noise.epsilon > 0:
-        vs = [v ^ (stream.uniform() < noise.epsilon) for v in vs]
+    if flip > 0:
+        vs = [v ^ (stream.uniform() < flip) for v in vs]
     # check_hadamard
     tops = [entcf._perm_backward(k, y) >> w for k, y in zip(keys, ys)]
     fail = verifier.hadamard_fails(bases, [q >> 2 & 1, q >> 1 & 1, q & 1], test_index,
@@ -789,12 +802,12 @@ def run_batch(
 ) -> tuple[FlagStats, list[SessionTranscript] | None]:
     """N independent sessions; stats and sink order follow the session index.
 
-    A batch of an honest, stabilizer or bit-flip prover runs on the array
+    A batch of an honest, stabilizer or noisy prover runs on the array
     path in this process: it computes every session's draws and checks as
     array operations, a chunk of indices at a time, with the same outcomes
     and transcripts as run_session, which replays the few sessions the
     arrays do not cover. It writes each chunk's transcripts to the sink as
-    the chunk is made. Every other batch runs _batch_worker on
+    the chunk is made. A scripted batch runs _batch_worker on
     max(1, min(parallelism, n)) contiguous index spans, in this process for
     one span and in a process pool otherwise, and writes the sink at the
     end; pool workers rebuild the factory from the prover_spec string.

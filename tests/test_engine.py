@@ -379,7 +379,7 @@ class TestRunBatch:
 
 # ---------------------------------------------------------------- array path
 
-COVERED = ["honest", "stabilizer", "noisy:bitflip:0.2"]
+COVERED = ["honest", "stabilizer", "noisy:bitflip:0.2", "noisy:depol:0.3"]
 HYPER_PINS = {"theta": (1, 1, 1), "round": "hadamard"}
 
 
@@ -415,6 +415,20 @@ def session_bytes(lam, spec, master_seed, n, pins) -> str:
     factory = parse_prover_spec(spec)
     return transcript_bytes(run_session(SecurityParam(lam), factory, master_seed, index, **pins)
                             for index in range(n))
+
+
+def assert_flat_file_sink_peak(spec, master_seed, path):
+    """A batch writing its transcripts to path peaks below 1.5x as high at 8 chunks as at one."""
+    def peak(n):
+        tracemalloc.start()
+        try:
+            run_batch(SP4, spec, n, master_seed, sink=path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_batch(SP4, spec, 10, master_seed)  # fill the tables first
+    assert peak(8 * engine._CHUNK) < 1.5 * peak(engine._CHUNK)
 
 
 def crafted(words):
@@ -460,6 +474,8 @@ class TestArrayPath:
         ("stabilizer", HYPER_PINS, "fail_hyper"),
         ("noisy:bitflip:0.2", {}, "fail_test"),
         ("noisy:bitflip:0.2", {"theta": (0, 1, 0)}, "fail_test"),
+        ("noisy:depol:0.3", {}, "fail_test"),
+        ("noisy:depol:0.3", HYPER_PINS, "fail_hyper"),
     ])
     def test_flags_raised_on_the_array_path_match_the_transcripts(self, spec, pins, flag):
         stats, _ = run_batch(SecurityParam(8), spec, 600, 31, **pins)
@@ -478,7 +494,8 @@ class TestArrayPath:
         assert transcript_bytes(split_kept) == session_bytes(4, "noisy:bitflip:0.2", 32, 700, {})
 
     @pytest.mark.parametrize("spec, pins", [("honest", {}), ("stabilizer", HYPER_PINS),
-                                            ("noisy:bitflip:0.05", {"round": "hadamard"})])
+                                            ("noisy:bitflip:0.05", {"round": "hadamard"}),
+                                            ("noisy:depol:0.3", {"round": "hadamard"})])
     def test_forced_replay_gives_identical_stats(self, monkeypatch, spec, pins):
         n = 150
         array, _ = run_batch(SP4, spec, n, 33, **pins)
@@ -545,7 +562,6 @@ class TestArrayPath:
         script = tmp_path / "script.json"
         script.write_text(json.dumps({"ys": [0, 0, 0], "preimages": [[0, 0]] * 3}))
         run_batch(SP4, f"scripted:{script}", 2, 35)
-        run_batch(SP4, "noisy:depol:0.3", 2, 35)
         with pytest.raises(ParameterError):
             run_batch(SP4, "honest", 1, 35, theta=(1, 1, 0))
 
@@ -564,7 +580,26 @@ class TestArrayPath:
         monkeypatch.setattr(engine, "_array_chunk", counted)
         run_batch(SP4, "honest", 2, 35, collect=True)
         run_batch(SP4, "honest", 2, 35, sink=tmp_path / "out.jsonl")
-        assert spans == [(0, 2), (0, 2)]
+        run_batch(SP4, "noisy:depol:0.3", 2, 35, collect=True)
+        run_batch(SP4, "noisy:depol:0.3", 2, 35, sink=tmp_path / "out.jsonl")
+        assert spans == [(0, 2)] * 4
+
+    @pytest.mark.parametrize("spec", [
+        "honest", "stabilizer",
+        *(f"noisy:{model}:{p}" for model in ("bitflip", "depol", "depolarizing")
+          for p in ("0", "0.3", "1")),
+    ])
+    def test_every_generated_prover_has_an_array_plan(self, spec):
+        # a new generated prover must not fall back to run_session unnoticed;
+        # only scripted: (and invalid pins) run it
+        parse_prover_spec(spec)
+        assert engine._array_plan(spec, None, None) is not None
+
+    @pytest.mark.parametrize("lam", [4, 16])
+    def test_depolarizing_at_zero_writes_the_honest_bytes(self, lam):
+        _, honest = run_batch(SecurityParam(lam), "honest", 200, 40, collect=True)
+        _, depol = run_batch(SecurityParam(lam), "noisy:depol:0", 200, 40, collect=True)
+        assert transcript_bytes(depol) == transcript_bytes(honest)
 
     def test_memory_does_not_grow_with_the_session_count(self):
         def peak(n):
@@ -583,17 +618,12 @@ class TestArrayPath:
         # smaller chunks keep the traced run short; a path that held every
         # transcript until the end would peak about 6x higher at 8 chunks
         monkeypatch.setattr(engine, "_CHUNK", 256)
+        assert_flat_file_sink_peak("honest", 37, tmp_path / "out.jsonl")
 
-        def peak(n):
-            tracemalloc.start()
-            try:
-                run_batch(SP4, "honest", n, 37, sink=tmp_path / "out.jsonl")
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        run_batch(SP4, "honest", 10, 37)  # fill the tables first
-        assert peak(8 * engine._CHUNK) < 1.5 * peak(engine._CHUNK)
+    def test_memory_does_not_grow_with_the_session_count_when_writing_depolarized(
+            self, monkeypatch, tmp_path):
+        monkeypatch.setattr(engine, "_CHUNK", 256)
+        assert_flat_file_sink_peak("noisy:depol:0.3", 41, tmp_path / "out.jsonl")
 
     @pytest.mark.parametrize("k", [2, 3, 5, 8, 15, 31, (1 << 16) - 1, (1 << 24) - 1])
     def test_lemire_matches_numpy_on_crafted_words(self, k):
