@@ -45,8 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     run.add_argument("--out", default=None, help="transcript output path (jsonl)")
     run.add_argument("--parallelism", type=int, default=1,
-                     help="worker processes for scripted: provers; every other "
-                          "prover runs as array operations in one process (default 1)")
+                     help="must be at least 1; kept for a later fan-out of chunks, it "
+                          "starts no process: every batch runs here, chunk by chunk "
+                          "(default 1)")
 
     an = sub.add_parser("analyze", help="certify a transcript file")
     an.add_argument("transcripts", help="transcript file written by run/serve")

@@ -1,8 +1,9 @@
 """Session orchestration: end-to-end runs, wire transport, transcripts, stats.
 
 A session couples one verifier state machine with one prover strategy. The
-batch runner gives each worker one contiguous span of session indices;
-seeds are derived per index, so results never depend on the split. The
+batch runner runs a batch in the calling process, one chunk of session
+indices at a time, and streams each chunk's transcripts to the sink;
+seeds are derived per index, so results never depend on the chunk size. The
 wire mode splits the two parties across a newline-delimited message stream:
 the server runs the same run_session with a RemoteProver that relays each
 prover call to the peer, so wire transcripts equal in-process transcripts
@@ -19,9 +20,8 @@ import operator
 import socket
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -337,10 +337,6 @@ class FlagStats:
         cls = verifier.theta_class(t.theta)
         self.cells[(t.round, cls, t.flag)] += 1
 
-    def merge(self, other: "FlagStats") -> "FlagStats":
-        return FlagStats(cells=self.cells + other.cells,
-                         n_aborted=self.n_aborted + other.n_aborted)
-
     @classmethod
     def from_transcripts(cls, transcripts) -> "FlagStats":
         stats = cls()
@@ -403,13 +399,9 @@ class FlagStats:
 # ----------------------------------------------------------------- sessions
 
 
-def session_seed(master_seed: int, index: int) -> int:
-    return derive_seed(master_seed, index)
-
-
 def _session_lanes(sp, master_seed, index, theta=None):
     """Seed, verifier (oracle: sess.registry) and prover rng; both wire ends call this."""
-    seed = session_seed(master_seed, index)
+    seed = derive_seed(master_seed, index)
     sess = verifier.begin(sp, _rekeyed(derive_seed(seed, _VERIFIER_LANE), "verifier"),
                           theta=theta)
     return seed, sess, _rekeyed(derive_seed(seed, _PROVER_LANE), "prover")
@@ -469,18 +461,9 @@ def _preimage_pairs(answers, w: int) -> tuple[tuple[int, int], ...]:
     return pairs
 
 
-def _batch_worker(lam, prover_spec, master_seed, theta, round, keep, start, stop):
-    """Sessions start..stop-1: their stats, and their transcripts if keep."""
-    sp, factory = entcf.SecurityParam(lam), parse_prover_spec(prover_spec)
-    sessions = (run_session(sp, factory, master_seed, index, theta=theta, round=round)
-                for index in range(start, stop))
-    kept = list(sessions) if keep else None
-    return FlagStats.from_transcripts(kept if keep else sessions), kept
-
-
 # ------------------------------------------------------------ array batches
 
-# sessions per array chunk; the array path's memory is O(_CHUNK) whatever n is
+# sessions per chunk of a batch; a batch's memory is O(_CHUNK) whatever n is
 _CHUNK = 2048
 _LO32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 _CLAW = np.array(verifier.BASIS_CHOICES, dtype=bool).T  # [coordinate, theta index]
@@ -495,7 +478,8 @@ class _Words:
     """Raw words of rng_from(k) for many uint64 keys k: row j holds word j of every stream.
 
     rows are the first rows, if already computed; later ones are computed a
-    block of four at a time as read.
+    block of four at a time as read, by util.philox_words, which says why
+    NumPy's own Philox does not make them.
     """
 
     def __init__(self, keys: np.ndarray, rows=()):
@@ -759,15 +743,20 @@ def _chunk_transcripts(lam, cols: _Columns, start, replayed):
                                 accept=f == 0, **reached)
 
 
-def _array_batch(sp, prover_spec, n, master_seed, theta, round, plan, out, collect):
-    """A covered batch, chunk by chunk: its FlagStats, each chunk's transcripts written to
-    the text file out (None: none) as the chunk is made, and the list of them if collect.
+def _batch_chunk(sp, factory, plan, master_seed, pins, start, stop, stats):
+    """Sessions start..stop-1 of a batch: fold their outcomes into stats, and return an
+    iterator over their transcripts in index order.
 
-    Replayed sessions run run_session, so memory stays O(_CHUNK) unless collect.
+    With a plan the chunk runs on the array path, and run_session replays
+    only the sessions the arrays do not cover; without one (a scripted
+    prover, or invalid pins, which run_session rejects) it replays every
+    session. The iterator holds the chunk until it is read to the end, and
+    builds array-path transcripts only as they are read.
     """
-    stats, factory, kept = FlagStats(), parse_prover_spec(prover_spec), [] if collect else None
-    for start in range(0, n, _CHUNK):
-        cols = _array_chunk(sp.lam, plan, master_seed, start, min(start + _CHUNK, n))
+    if plan is None:
+        cols, again = None, range(start, stop)
+    else:
+        cols = _array_chunk(sp.lam, plan, master_seed, start, stop)
         fresh = ~cols.replay
         theta_index = cols.theta[fresh].astype(np.intp)
         counts = np.bincount((cols.hadamard[fresh] * 5 + theta_index) * 4 + cols.flag[fresh])
@@ -775,17 +764,13 @@ def _array_batch(sp, prover_spec, n, master_seed, theta, round, plan, out, colle
             theta_cls = verifier.theta_class(verifier.BASIS_CHOICES[c // 4 % 5])
             cell = (_ROUND_VALUES[c // 20], theta_cls, _FLAGS_BY_CODE[c % 4].value)
             stats.cells[cell] += int(counts[c])
-        replayed = {index: run_session(sp, factory, master_seed, index, theta=theta, round=round)
-                    for index in (np.flatnonzero(cols.replay) + start).tolist()}
-        for t in replayed.values():
-            stats.add(t)
-        transcripts = _chunk_transcripts(sp.lam, cols, start, replayed)  # runs only if read
-        if collect:
-            transcripts = list(transcripts)
-            kept += transcripts
-        if out is not None:
-            write_transcripts(out, transcripts)
-    return stats, kept
+        again = (np.flatnonzero(cols.replay) + start).tolist()
+    replayed = {index: run_session(sp, factory, master_seed, index, **pins) for index in again}
+    for t in replayed.values():
+        stats.add(t)
+    if cols is None:
+        return iter(replayed.values())
+    return _chunk_transcripts(sp.lam, cols, start, replayed)
 
 
 def run_batch(
@@ -802,44 +787,37 @@ def run_batch(
 ) -> tuple[FlagStats, list[SessionTranscript] | None]:
     """N independent sessions; stats and sink order follow the session index.
 
-    A batch of an honest, stabilizer or noisy prover runs on the array
-    path in this process: it computes every session's draws and checks as
-    array operations, a chunk of indices at a time, with the same outcomes
-    and transcripts as run_session, which replays the few sessions the
-    arrays do not cover. It writes each chunk's transcripts to the sink as
-    the chunk is made. A scripted batch runs _batch_worker on
-    max(1, min(parallelism, n)) contiguous index spans, in this process for
-    one span and in a process pool otherwise, and writes the sink at the
-    end; pool workers rebuild the factory from the prover_spec string.
-    parallelism fans out only that run_session path. Transcripts are kept
-    only when a sink or collect=True asks for them.
+    Every batch runs in the calling process, one chunk of _CHUNK session
+    indices at a time, and writes each chunk's transcripts to the sink as
+    the chunk ends, so its memory does not grow with n unless collect=True
+    keeps the list. A chunk of an honest, stabilizer or noisy prover runs
+    on the array path: it computes every session's draws and checks as
+    array operations, with the same outcomes and transcripts as
+    run_session, which replays the few sessions the arrays do not cover.
+    A scripted chunk runs run_session for every index.
+
+    parallelism is validated but starts no process. It stays in the
+    signature because callers pass it (acceptance criterion 8, perfbench),
+    and because a later fan-out of chunks to workers would take it, in
+    this same loop.
     """
     if n < 0:
         raise ParameterError(f"session count {n} is negative")
     if parallelism < 1:
         raise ParameterError(f"parallelism {parallelism} must be at least 1")
-    parse_prover_spec(prover_spec)  # validate before spawning anything
+    factory = parse_prover_spec(prover_spec)
     plan = _array_plan(prover_spec, theta, round)
-    if plan is not None:
-        with _text_file(sink) as out:
-            return _array_batch(sp, prover_spec, n, master_seed, theta, round, plan, out, collect)
-    keep = sink is not None or collect
-    workers = max(1, min(parallelism, n))
-    bounds = [n * k // workers for k in range(workers + 1)]
-    job = partial(_batch_worker, sp.lam, prover_spec, master_seed, theta, round, keep)
-    if workers == 1:
-        results = [job(0, n)]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, bounds[:-1], bounds[1:]))
-
-    stats, transcripts = FlagStats(), []
-    for part, kept in results:
-        stats = stats.merge(part)
-        transcripts += kept or []
-    if sink is not None:
-        write_transcripts(sink, transcripts)
-    return stats, (transcripts if collect else None)
+    pins, stats, kept = dict(theta=theta, round=round), FlagStats(), [] if collect else None
+    with _text_file(sink) as out:
+        for start in range(0, n, _CHUNK):
+            transcripts = _batch_chunk(sp, factory, plan, master_seed, pins, start,
+                                       min(start + _CHUNK, n), stats)
+            if collect:
+                transcripts = list(transcripts)
+                kept += transcripts
+            if out is not None:
+                write_transcripts(out, transcripts)
+    return stats, kept
 
 
 # ----------------------------------------------------------------- endpoints
@@ -909,7 +887,7 @@ def _serve_sessions(rfile, wfile, sp, master_seed, n_sessions) -> list[SessionTr
     """
     transcripts = []
     for index in range(n_sessions):
-        chan = _Channel(rfile, wfile, session_seed(master_seed, index))
+        chan = _Channel(rfile, wfile, derive_seed(master_seed, index))
         t = run_session(sp, lambda registry, rng, i: RemoteProver(chan, sp, i), master_seed, index)
         transcripts.append(t)
         if not chan.broken:

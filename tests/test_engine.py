@@ -4,6 +4,7 @@ import contextlib
 import functools
 import io
 import json
+import multiprocessing
 import socket
 import sys
 import threading
@@ -298,17 +299,6 @@ class TestFlagStats:
         assert stats.n_fail_test <= stats.n_test_hadamard
         assert stats.n_fail_hyper <= stats.n_hyper_hadamard
 
-    def test_merge_is_associative_and_commutative(self):
-        parts = [
-            FlagStats.from_transcripts([synthetic(i, (1, 1, 1), "hadamard", f)])
-            for i, f in enumerate(["none", "fail_hyper", "none"])
-        ]
-        a, b, c = parts
-        ab_c = a.merge(b).merge(c)
-        a_bc = a.merge(b.merge(c))
-        ba_c = b.merge(a).merge(c)
-        assert ab_c.as_dict() == a_bc.as_dict() == ba_c.as_dict()
-
     def test_empty_stats(self):
         stats = FlagStats()
         assert stats.n_sessions == 0
@@ -316,6 +306,14 @@ class TestFlagStats:
 
 
 # --------------------------------------------------------------------- batch
+
+
+def scripted_spec(tmp_path) -> str:
+    """A scripted: prover that answers every round of every session."""
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"ys": [0, 0, 0], "preimages": [[0, 0]] * 3,
+                                  "ds": [0, 0, 0], "vs": [0, 0, 0]}))
+    return f"scripted:{script}"
 
 
 class TestRunBatch:
@@ -340,6 +338,22 @@ class TestRunBatch:
         stats4, t4 = runs[4]
         assert stats1.as_dict() == stats4.as_dict()
         assert t1 == t4
+
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_scripted_batch_runs_in_chunks_in_this_process(self, monkeypatch, tmp_path, p):
+        def refuse(process):
+            raise AssertionError("a process was started")
+
+        spec, path = scripted_spec(tmp_path), tmp_path / "out.jsonl"
+        factory = parse_prover_spec(spec)
+        expected = [run_session(SP4, factory, 12, index) for index in range(11)]
+        monkeypatch.setattr(engine, "_CHUNK", 4)  # two full chunks and a short one
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        children = multiprocessing.active_children()
+        stats, _ = run_batch(SP4, spec, 11, 12, p, sink=path)
+        assert multiprocessing.active_children() == children
+        assert path.read_text(encoding="utf-8") == transcript_bytes(expected)
+        assert stats.as_dict() == FlagStats.from_transcripts(expected).as_dict()
 
     def test_sink_matches_collected(self, tmp_path):
         sink = tmp_path / "batch.jsonl"
@@ -418,7 +432,8 @@ def session_bytes(lam, spec, master_seed, n, pins) -> str:
 
 
 def assert_flat_file_sink_peak(spec, master_seed, path):
-    """A batch writing its transcripts to path peaks below 1.5x as high at 8 chunks as at one."""
+    """A batch of the prover spec (a scripted: one names its script's path) writing its
+    transcripts to path peaks below 1.5x as high at 8 chunks as at one."""
     def peak(n):
         tracemalloc.start()
         try:
@@ -558,16 +573,24 @@ class TestArrayPath:
         def refuse(*args):
             raise AssertionError("array path used")
 
+        session, indices = engine.run_session, []
+
+        def counted(sp, factory, master_seed, index, **pins):
+            indices.append(index)
+            return session(sp, factory, master_seed, index, **pins)
+
         monkeypatch.setattr(engine, "_array_chunk", refuse)
+        monkeypatch.setattr(engine, "run_session", counted)
         script = tmp_path / "script.json"
         script.write_text(json.dumps({"ys": [0, 0, 0], "preimages": [[0, 0]] * 3}))
         run_batch(SP4, f"scripted:{script}", 2, 35)
+        assert indices == [0, 1]
         with pytest.raises(ParameterError):
             run_batch(SP4, "honest", 1, 35, theta=(1, 1, 0))
 
     def test_covered_batches_keeping_transcripts_take_the_array_path(self, monkeypatch,
                                                                       tmp_path):
-        def refuse(*args):
+        def refuse(*args, **pins):
             raise AssertionError("session path used")
 
         chunk, spans = engine._array_chunk, []
@@ -576,7 +599,7 @@ class TestArrayPath:
             spans.append((start, stop))
             return chunk(lam, plan, master_seed, start, stop)
 
-        monkeypatch.setattr(engine, "_batch_worker", refuse)
+        monkeypatch.setattr(engine, "run_session", refuse)
         monkeypatch.setattr(engine, "_array_chunk", counted)
         run_batch(SP4, "honest", 2, 35, collect=True)
         run_batch(SP4, "honest", 2, 35, sink=tmp_path / "out.jsonl")
@@ -624,6 +647,12 @@ class TestArrayPath:
             self, monkeypatch, tmp_path):
         monkeypatch.setattr(engine, "_CHUNK", 256)
         assert_flat_file_sink_peak("noisy:depol:0.3", 41, tmp_path / "out.jsonl")
+
+    def test_memory_does_not_grow_with_the_session_count_when_writing_scripted(
+            self, monkeypatch, tmp_path):
+        # every scripted session runs run_session; each chunk is written as it ends
+        monkeypatch.setattr(engine, "_CHUNK", 256)
+        assert_flat_file_sink_peak(scripted_spec(tmp_path), 42, tmp_path / "out.jsonl")
 
     @pytest.mark.parametrize("k", [2, 3, 5, 8, 15, 31, (1 << 16) - 1, (1 << 24) - 1])
     def test_lemire_matches_numpy_on_crafted_words(self, k):
@@ -784,7 +813,7 @@ class TestWire:
     def test_json_constant_in_keys_raises_transport_error(self, field):
         master_seed = 1717
         payload = {"index": 0, "lam": 4, "keys": [], field: "CONSTANT"}
-        keys = Message(sid=engine.session_seed(master_seed, 0), seq=0, kind="KEYS",
+        keys = Message(sid=derive_seed(master_seed, 0), seq=0, kind="KEYS",
                        payload=payload).encode().replace(b'"CONSTANT"', b"Infinity")
         with pytest.raises(TransportError, match="undecodable frame"):
             engine._client_sessions(io.BytesIO(keys), io.BytesIO(), HONEST, master_seed)
@@ -899,7 +928,7 @@ class TestWire:
         # play the server by hand for a session whose round coin says Hadamard
         index, sess = next((i, t) for i in range(20)
                            if (t := run_session(SP4, HONEST, master_seed, i)).round == "hadamard")
-        seed = engine.session_seed(master_seed, index)
+        seed = derive_seed(master_seed, index)
         server_sock, client_sock = socket.socketpair()
         with server_sock, client_sock:
             client_sock.settimeout(10.0)
@@ -976,7 +1005,7 @@ class TestWire:
     @pytest.mark.parametrize("lam", [0, 3, -3, 10**6])
     def test_unsupported_lam_in_keys_raises_transport_error(self, lam):
         master_seed, index = 1717, 0
-        keys = Message(sid=engine.session_seed(master_seed, index), seq=0, kind="KEYS",
+        keys = Message(sid=derive_seed(master_seed, index), seq=0, kind="KEYS",
                        payload={"index": index, "lam": lam, "keys": []})
         server_sock, client_sock = socket.socketpair()
         with server_sock, client_sock:
