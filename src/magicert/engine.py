@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import operator
 import socket
 import sys
 from collections import Counter
@@ -421,25 +420,23 @@ def run_session(
     prover_factory has the (registry, rng, index) signature produced by
     parse_prover_spec; serve passes one that returns a RemoteProver. theta
     and round pin the sampled basis triple and round type for conditioned
-    statistics; both default to the protocol's own uniform draws.
+    statistics; both default to the protocol's own uniform draws. Prover
+    answers go to the verifier as given; the transcript records its values.
     """
     seed, sess, prng = _session_lanes(sp, master_seed, index, theta)
     reached = {}
     try:
         prover = prover_factory(sess.registry, prng, index)
-        ys = [int(y) for y in prover.commit(list(sess.handles))]
-        round_type = sess.receive_commit(ys, round=round)
-        reached.update(ys=tuple(ys), round=round_type.value)
+        round_type = sess.receive_commit(prover.commit(list(sess.handles)), round=round)
+        reached.update(ys=sess.ys, round=round_type.value)
         if round_type is RoundType.PREIMAGE:
-            answers = _preimage_pairs(prover.answer_preimage(), sp.w)
-            sess.check_preimage(answers)
-            reached.update(preimages=answers)
+            sess.check_preimage(prover.answer_preimage())
+            reached.update(preimages=sess.preimages)
         else:
-            ds = [int(d) for d in prover.answer_hadamard()]
+            ds = prover.answer_hadamard()
             q = sess.send_questions()
-            vs = [int(v) for v in prover.answer_questions(q)]
-            sess.check_hadamard(ds, vs)
-            reached.update(ds=tuple(ds), q=q, test_index=sess.test_index, vs=tuple(vs))
+            sess.check_hadamard(ds, prover.answer_questions(q))
+            reached.update(ds=sess.ds, q=q, test_index=sess.test_index, vs=sess.vs)
         accept, flag = sess.verdict()
         reached.update(flag=flag.value, accept=accept)
     except (AnswerError, ProtocolOrderError, TransportError) as exc:
@@ -448,17 +445,6 @@ def run_session(
                  for h, t in zip(sess.handles, sess.trapdoors))
     return SessionTranscript(index=index, seed=seed, lam=sp.lam, theta=sess.theta, keys=keys,
                              **reached)
-
-
-def _preimage_pairs(answers, w: int) -> tuple[tuple[int, int], ...]:
-    """Three (bit, w-bit value) pairs, the rule _parse_preimages applies on the wire."""
-    try:
-        pairs = tuple((operator.index(b), operator.index(x)) for b, x in answers)
-    except (TypeError, ValueError) as exc:
-        raise MalformedAnswerError(f"preimage answers are not (bit, value) pairs: {exc}") from exc
-    if len(pairs) != 3 or any(b not in (0, 1) or not 0 <= x < 1 << w for b, x in pairs):
-        raise MalformedAnswerError(f"preimage answers are not 3 pairs of a bit and a {w}-bit value")
-    return pairs
 
 
 # ------------------------------------------------------------ array batches
@@ -537,12 +523,11 @@ def _array_plan(prover_spec: str, theta, round):
     """(answer table key, bit-flip probability, theta index, round) for a batch the array
     path covers, else None.
 
-    Covered: honest, stabilizer and noisy provers, with valid or no pins
-    (None for an unpinned theta or round). The table key is the prover
-    class and the depolarizing epsilon: 0 reads the class's own register,
-    as NoisyProver delegates to its inner prover at epsilon 0. Scripted
-    provers and invalid pins are left to run_session, which raises for the
-    latter.
+    Covered: honest, stabilizer and noisy provers; theta and round are
+    pins as verifier.check_pins returns them (None where unpinned). The
+    table key is the prover class and the depolarizing epsilon: 0 reads
+    the class's own register, as NoisyProver delegates to its inner prover
+    at epsilon 0. Scripted provers are left to run_session.
     """
     if prover_spec in PURE_PROVERS:
         cls, depol, flip = PURE_PROVERS[prover_spec], 0.0, 0.0
@@ -552,12 +537,8 @@ def _array_plan(prover_spec: str, theta, round):
                        else (0.0, noise.epsilon))
     else:
         return None
-    try:
-        t = None if theta is None else verifier.BASIS_CHOICES.index(tuple(int(b) for b in theta))
-        r = None if round is None else RoundType(round)
-    except (TypeError, ValueError):
-        return None
-    return (cls, depol), flip, t, r
+    t = None if theta is None else verifier.BASIS_CHOICES.index(theta)
+    return (cls, depol), flip, t, round
 
 
 class _Columns(NamedTuple):
@@ -743,15 +724,14 @@ def _chunk_transcripts(lam, cols: _Columns, start, replayed):
                                 accept=f == 0, **reached)
 
 
-def _batch_chunk(sp, factory, plan, master_seed, pins, start, stop, stats):
-    """Sessions start..stop-1 of a batch: fold their outcomes into stats, and return an
-    iterator over their transcripts in index order.
+def _batch_chunk(sp, factory, plan, master_seed, pins, start, stop, stats, out, kept):
+    """Sessions start..stop-1 of a batch: fold their outcomes into stats, write their
+    transcripts to out and append them to kept, in index order, where either is not None.
 
     With a plan the chunk runs on the array path, and run_session replays
     only the sessions the arrays do not cover; without one (a scripted
-    prover, or invalid pins, which run_session rejects) it replays every
-    session. The iterator holds the chunk until it is read to the end, and
-    builds array-path transcripts only as they are read.
+    prover) it replays every session. Array-path transcripts are built only
+    for out or kept, and streamed to out as they are built.
     """
     if plan is None:
         cols, again = None, range(start, stop)
@@ -768,9 +748,15 @@ def _batch_chunk(sp, factory, plan, master_seed, pins, start, stop, stats):
     replayed = {index: run_session(sp, factory, master_seed, index, **pins) for index in again}
     for t in replayed.values():
         stats.add(t)
-    if cols is None:
-        return iter(replayed.values())
-    return _chunk_transcripts(sp.lam, cols, start, replayed)
+    if out is None and kept is None:
+        return
+    transcripts = (replayed.values() if cols is None
+                   else _chunk_transcripts(sp.lam, cols, start, replayed))
+    if kept is not None:
+        transcripts = list(transcripts)
+        kept += transcripts
+    if out is not None:
+        write_transcripts(out, transcripts)
 
 
 def run_batch(
@@ -794,7 +780,8 @@ def run_batch(
     on the array path: it computes every session's draws and checks as
     array operations, with the same outcomes and transcripts as
     run_session, which replays the few sessions the arrays do not cover.
-    A scripted chunk runs run_session for every index.
+    A scripted chunk runs run_session for every index. A bad theta or
+    round pin raises ParameterError before any session, whatever n is.
 
     parallelism is validated but starts no process. It stays in the
     signature because callers pass it (acceptance criterion 8, perfbench),
@@ -805,18 +792,14 @@ def run_batch(
         raise ParameterError(f"session count {n} is negative")
     if parallelism < 1:
         raise ParameterError(f"parallelism {parallelism} must be at least 1")
+    theta, round = verifier.check_pins(theta, round)
     factory = parse_prover_spec(prover_spec)
     plan = _array_plan(prover_spec, theta, round)
     pins, stats, kept = dict(theta=theta, round=round), FlagStats(), [] if collect else None
     with _text_file(sink) as out:
         for start in range(0, n, _CHUNK):
-            transcripts = _batch_chunk(sp, factory, plan, master_seed, pins, start,
-                                       min(start + _CHUNK, n), stats)
-            if collect:
-                transcripts = list(transcripts)
-                kept += transcripts
-            if out is not None:
-                write_transcripts(out, transcripts)
+            _batch_chunk(sp, factory, plan, master_seed, pins, start, min(start + _CHUNK, n),
+                         stats, out, kept)
     return stats, kept
 
 
@@ -844,6 +827,8 @@ def serve(
     on_listen=None,
 ) -> tuple[FlagStats, list[SessionTranscript]]:
     """Host the verifier side of n sessions over one peer connection."""
+    if n_sessions < 0:
+        raise ParameterError(f"session count {n_sessions} is negative")
     kind = parse_endpoint(endpoint)
     if kind[0] == "stdio":
         transcripts = _serve_sessions(

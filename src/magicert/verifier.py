@@ -9,6 +9,11 @@ The basis triple theta picks the key family per coordinate (0 injective,
 1 claw) and selects which check table row applies in a Hadamard round.
 At most one flag is raised per session; accept means no flag.
 
+Each step takes the prover's answers as given: any that is not an integer
+of its width raises MalformedAnswerError before grading, and the session
+keeps the checked values for the transcript. check_pins is the one rule
+for theta and round pins; a bad pin raises ParameterError.
+
 The check table (`hadamard_fails`) and the preimage check (`entcf._opens`,
 behind `OracleRegistry.chk`) are bitwise arithmetic that runs unchanged on
 ints and on arrays: a session calls them with ints, the engine's array path
@@ -17,6 +22,7 @@ with one element per session.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -51,6 +57,18 @@ class Flag(str, Enum):
 def theta_class(theta: tuple[int, int, int]) -> str:
     """Conditioning class: weight <= 1 is the test case, 111 the hypergraph case."""
     return "hyper" if sum(theta) == 3 else "test"
+
+
+def check_pins(theta=None, round=None) -> tuple[tuple[int, int, int] | None, RoundType | None]:
+    """(theta as a basis triple, round as a RoundType), None where unpinned; else ParameterError."""
+    try:
+        theta = None if theta is None else tuple(int(t) for t in theta)
+        round = None if round is None else RoundType(round)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"bad pin: {exc}") from exc
+    if theta is not None and theta not in BASIS_CHOICES:
+        raise ParameterError(f"basis triple {theta} not allowed")
+    return theta, round
 
 
 # the two coordinates other than j, for j = 0, 1, 2
@@ -102,10 +120,13 @@ class VerifierSession:
     theta: tuple[int, int, int]
     handles: list[entcf.KeyHandle]
     trapdoors: list[entcf.Trapdoor]  # never serialized into outbound messages
-    ys: list[int] | None = None
+    ys: tuple[int, ...] | None = None
     round: RoundType | None = None
+    preimages: tuple[tuple[int, int], ...] | None = None
+    ds: tuple[int, ...] | None = None
     q: tuple[int, int, int] | None = None
     test_index: int | None = None  # checked coordinate, sampled with q when theta=000
+    vs: tuple[int, ...] | None = None
     flag: Flag | None = None
     _stage: str = field(default="keys_issued", repr=False)
 
@@ -117,6 +138,7 @@ class VerifierSession:
         Passing round pins the round type (diagnostic conditioning) and
         skips the coin; everything downstream is unchanged.
         """
+        _, round = check_pins(round=round)
         self._require("keys_issued")
         if len(ys) != 3:
             raise MalformedAnswerError(f"expected 3 commitments, got {len(ys)}")
@@ -124,34 +146,33 @@ class VerifierSession:
         for y in ys:
             if not isinstance(y, (int, np.integer)) or not 0 <= int(y) < (1 << (w + 1)):
                 raise MalformedAnswerError(f"commitment {y!r} is not a {w + 1}-bit value")
-        self.ys = [int(y) for y in ys]
+        self.ys = tuple(int(y) for y in ys)
         if round is None:
-            self.round = RoundType.PREIMAGE if int(self.rng.integers(0, 2)) == 0 else RoundType.HADAMARD
-        else:
-            self.round = RoundType(round)
+            round = RoundType.PREIMAGE if int(self.rng.integers(0, 2)) == 0 else RoundType.HADAMARD
+        self.round = round
         self._stage = "round_chosen"
         return self.round
 
     def check_preimage(self, answers: list[tuple[int, int]]) -> Flag:
-        """Grade a preimage round. Malformed answers count as failure, never raise."""
+        """Grade three (bit, w-bit value) pairs through chk; any other shape is malformed."""
         self._require("round_chosen")
         if self.round is not RoundType.PREIMAGE:
             raise ProtocolOrderError("preimage answers outside a preimage round")
-        self.flag = Flag.NONE if self._preimages_ok(answers) else Flag.FAIL_PRE
+        w = self.sp.w
+        try:
+            pairs = tuple((operator.index(b), operator.index(x)) for b, x in answers)
+        except (TypeError, ValueError) as exc:
+            raise MalformedAnswerError(
+                f"preimage answers are not (bit, value) pairs: {exc}") from exc
+        if len(pairs) != 3 or any(b not in (0, 1) or not 0 <= x < 1 << w for b, x in pairs):
+            raise MalformedAnswerError(
+                f"preimage answers are not 3 pairs of a bit and a {w}-bit value")
+        self.preimages = pairs
+        opened = all(self.registry.chk(handle, b, x, y)
+                     for (b, x), handle, y in zip(pairs, self.handles, self.ys))
+        self.flag = Flag.NONE if opened else Flag.FAIL_PRE
         self._stage = "checked"
         return self.flag
-
-    def _preimages_ok(self, answers) -> bool:
-        """chk raises ParameterError, a ValueError, on a bad bit or an x out of range."""
-        try:
-            if len(answers) != 3:
-                return False
-            for (b, x), handle, y in zip(answers, self.handles, self.ys):
-                if not self.registry.chk(handle, b, x, y):
-                    return False
-        except (TypeError, ValueError):
-            return False
-        return True
 
     def send_questions(self) -> tuple[int, int, int]:
         self._require("round_chosen")
@@ -173,20 +194,16 @@ class VerifierSession:
             if not isinstance(d, (int, np.integer)) or not 0 <= int(d) < (1 << w):
                 raise MalformedAnswerError(f"opening {d!r} is not a {w}-bit value")
         for v in vs:
-            if v not in (0, 1):
+            if not isinstance(v, (int, np.integer)) or v not in (0, 1):
                 raise MalformedAnswerError(f"answer {v!r} is not a bit")
-        ds = [int(d) for d in ds]
-        vs = [int(v) for v in vs]
-        self.flag = self._hadamard_flag(ds, vs)
+        self.ds = tuple(int(d) for d in ds)
+        self.vs = tuple(int(v) for v in vs)
+        tops = [entcf._perm_backward(t, y) >> t.w for t, y in zip(self.trapdoors, self.ys)]
+        us = [parity(d & (t.shift or 0)) for t, d in zip(self.trapdoors, self.ds)]
+        fails = hadamard_fails(self.theta, self.q, self.test_index, tops, us, self.vs)
+        self.flag = failure_flag(self.theta) if fails else Flag.NONE
         self._stage = "checked"
         return self.flag
-
-    def _hadamard_flag(self, ds: list[int], vs: list[int]) -> Flag:
-        tops = [entcf._perm_backward(t, y) >> t.w for t, y in zip(self.trapdoors, self.ys)]
-        us = [parity(d & (t.shift or 0)) for t, d in zip(self.trapdoors, ds)]
-        if not hadamard_fails(self.theta, self.q, self.test_index, tops, us, vs):
-            return Flag.NONE
-        return failure_flag(self.theta)
 
     def verdict(self) -> tuple[bool, Flag]:
         self._require("checked")
@@ -212,12 +229,9 @@ def begin(
     """
     if registry is None:
         registry = entcf.OracleRegistry()
+    theta, _ = check_pins(theta)
     if theta is None:
         theta = BASIS_CHOICES[int(rng.integers(0, len(BASIS_CHOICES)))]
-    else:
-        theta = tuple(int(t) for t in theta)
-        if theta not in BASIS_CHOICES:
-            raise ParameterError(f"basis triple {theta} not allowed")
     handles, trapdoors = [], []
     for t_i in theta:
         family = entcf.Family.CLAW if t_i else entcf.Family.INJECTIVE

@@ -252,6 +252,15 @@ class TestSampleSize:
 
 
 class TestServeConnect:
+    def test_negative_session_count_exits_2_without_listening(self, capsys):
+        result = {}
+        thread = threading.Thread(daemon=True, target=lambda: result.setdefault(
+            "rc", cli.main(["serve", "--listen", "127.0.0.1:0", "--sessions", "-1"])))
+        thread.start()
+        thread.join(5.0)
+        assert not thread.is_alive() and result == {"rc": 2}
+        assert "negative" in capsys.readouterr().err
+
     def test_loopback_accepts(self, capsys, tmp_path):
         port = free_port()
         out = tmp_path / "served.jsonl"

@@ -34,7 +34,7 @@ from magicert.errors import (
     TranscriptParseError,
     TransportError,
 )
-from magicert.provers import ScriptedProver, parse_prover_spec
+from magicert.provers import HonestProver, ScriptedProver, parse_prover_spec
 from magicert.util import (
     _rekeyed,
     derive_seed,
@@ -57,6 +57,23 @@ UNTERMINATED = b"0" * (8 << 20)  # no newline: eight times the frame cap
 HUGE_INT = b"1" * 5000
 HUGE_COMMIT = b'{"v":1,"sid":"1","seq":1,"kind":"COMMIT","payload":{"ys":[' + HUGE_INT + b']}}\n'
 UNWRITABLE_PREIMAGES = [[0, 99999], [1, 0], [0, 0]]  # 99999 is wider than w at lam 4
+UNPARSEABLE_BITS = ["", "0x1", None, 7]  # wire fields that are no bit string
+BAD_PINS = [{"round": "bogus"}, {"theta": "abc"}, {"theta": (1, 1, 0)}, {"theta": 5},
+            {"round": ["hadamard"]}]
+
+
+def answering(**answers):
+    """A prover factory: an honest device whose named methods return the given answers."""
+    class Answering(HonestProver):
+        def commit(self, handles):
+            ys = super().commit(handles)
+            return answers["commit"](ys) if "commit" in answers else ys
+
+        def answer_preimage(self):
+            super().answer_preimage()
+            return answers["answer_preimage"]
+
+    return lambda registry, rng, index: Answering(registry, rng)
 
 
 # --------------------------------------------------------------------- codec
@@ -250,11 +267,49 @@ class TestRunSession:
         script = {"ys": [0, 0, 0], "preimages": UNWRITABLE_PREIMAGES}
         factory = lambda reg, rng, idx: ScriptedProver(script)
         t = run_session(SP4, factory, master_seed=333, index=0, round=RoundType.PREIMAGE)
-        assert t.abort.startswith("MalformedAnswerError") and t.flag is None and not t.accept
+        assert t.abort == ("MalformedAnswerError: preimage answers are not 3 pairs of a bit "
+                           "and a 4-bit value")
+        assert t.flag is None and not t.accept
         assert t.ys == (0, 0, 0) and t.preimages is None
         path = tmp_path / "aborted.jsonl"
         write_transcripts(path, [t])
         assert read_transcripts(path) == [t]
+
+    @pytest.mark.parametrize("answers, abort", [
+        ([], "preimage answers are not 3 pairs of a bit and a 4-bit value"),
+        ([(0, 3), (1, 3)], "preimage answers are not 3 pairs of a bit and a 4-bit value"),
+        ([(0, 3), (1, 3), (0, 3), (1, 3)],
+         "preimage answers are not 3 pairs of a bit and a 4-bit value"),
+        ([(0, 3), (1, 3), None],
+         "preimage answers are not (bit, value) pairs: cannot unpack non-iterable NoneType object"),
+        ([(0, 3), (1, 3), (0, "x")],
+         "preimage answers are not (bit, value) pairs: 'str' object cannot be interpreted as an "
+         "integer"),
+        ("not a list of pairs",
+         "preimage answers are not (bit, value) pairs: not enough values to unpack (expected 2, "
+         "got 1)"),
+    ])
+    def test_malformed_preimage_answers_record_their_abort_text(self, answers, abort):
+        # the text is recorded in transcripts, so it must not move
+        t = run_session(SP4, answering(answer_preimage=answers), master_seed=333, index=0,
+                        round=RoundType.PREIMAGE)
+        assert t.abort == f"MalformedAnswerError: {abort}"
+        assert t.flag is None and not t.accept and t.preimages is None
+
+    def test_fractional_commitment_aborts_before_grading(self):
+        # an answer goes to the verifier as given: 12.7 is no 5-bit value, not 12
+        honest = run_session(SP4, HONEST, master_seed=336, index=0)
+        t = run_session(SP4, answering(commit=lambda ys: [ys[0] + 0.7, *ys[1:]]),
+                        master_seed=336, index=0)
+        assert honest.accept
+        assert t.abort == (f"MalformedAnswerError: commitment {honest.ys[0] + 0.7!r} is not "
+                           "a 5-bit value")
+        assert t.ys is None and t.flag is None and not t.accept
+
+    @pytest.mark.parametrize("pins", BAD_PINS)
+    def test_bad_pins_raise_parameter_error(self, pins):
+        with pytest.raises(ParameterError):
+            run_session(SP4, HONEST, master_seed=337, index=0, **pins)
 
     def test_overrides_pin_theta_and_round(self):
         t = run_session(
@@ -317,6 +372,20 @@ def scripted_spec(tmp_path) -> str:
 
 
 class TestRunBatch:
+    @pytest.mark.parametrize("n", [0, 3])
+    @pytest.mark.parametrize("spec", ["honest", "scripted"])
+    @pytest.mark.parametrize("pins", BAD_PINS)
+    def test_bad_pins_raise_parameter_error_before_any_session(self, monkeypatch, tmp_path,
+                                                               pins, spec, n):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a session ran")
+
+        monkeypatch.setattr(engine, "run_session", refuse)
+        monkeypatch.setattr(engine, "_array_chunk", refuse)
+        spec = scripted_spec(tmp_path) if spec == "scripted" else spec
+        with pytest.raises(ParameterError):
+            run_batch(SP4, spec, n, 38, **pins)
+
     def test_zero_sessions(self, tmp_path):
         sink = tmp_path / "none.jsonl"
         stats, transcripts = run_batch(SP4, "honest", 0, master_seed=1, sink=sink)
@@ -409,7 +478,7 @@ def scalar_outcomes(lam, spec, master_seed, n, pins):
 
 def array_outcomes(lam, spec, master_seed, n, pins):
     """The same per session from the array path, None where it replays the session."""
-    plan = engine._array_plan(spec, pins.get("theta"), pins.get("round"))
+    plan = engine._array_plan(spec, *verifier.check_pins(pins.get("theta"), pins.get("round")))
     cols = engine._array_chunk(lam, plan, master_seed, 0, n)
     return [None if again else ("hadamard" if had else "preimage",
                                 verifier.theta_class(verifier.BASIS_CHOICES[t]),
@@ -431,13 +500,14 @@ def session_bytes(lam, spec, master_seed, n, pins) -> str:
                             for index in range(n))
 
 
-def assert_flat_file_sink_peak(spec, master_seed, path):
+def assert_flat_file_sink_peak(spec, master_seed, sink):
     """A batch of the prover spec (a scripted: one names its script's path) writing its
-    transcripts to path peaks below 1.5x as high at 8 chunks as at one."""
+    transcripts to sink, or keeping none where sink is None, peaks below 1.5x as high at
+    8 chunks as at one."""
     def peak(n):
         tracemalloc.start()
         try:
-            run_batch(SP4, spec, n, master_seed, sink=path)
+            run_batch(SP4, spec, n, master_seed, sink=sink)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -585,8 +655,9 @@ class TestArrayPath:
         script.write_text(json.dumps({"ys": [0, 0, 0], "preimages": [[0, 0]] * 3}))
         run_batch(SP4, f"scripted:{script}", 2, 35)
         assert indices == [0, 1]
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError):  # raised by the pin rule, before any session
             run_batch(SP4, "honest", 1, 35, theta=(1, 1, 0))
+        assert indices == [0, 1]
 
     def test_covered_batches_keeping_transcripts_take_the_array_path(self, monkeypatch,
                                                                       tmp_path):
@@ -653,6 +724,13 @@ class TestArrayPath:
         # every scripted session runs run_session; each chunk is written as it ends
         monkeypatch.setattr(engine, "_CHUNK", 256)
         assert_flat_file_sink_peak(scripted_spec(tmp_path), 42, tmp_path / "out.jsonl")
+
+    @pytest.mark.parametrize("spec", ["honest", "scripted"])
+    def test_stats_only_batches_hold_one_chunk_at_a_time(self, monkeypatch, tmp_path, spec):
+        # a batch with no sink builds no transcript it would only drop
+        monkeypatch.setattr(engine, "_CHUNK", 256)
+        spec = scripted_spec(tmp_path) if spec == "scripted" else spec
+        assert_flat_file_sink_peak(spec, 43, None)
 
     @pytest.mark.parametrize("k", [2, 3, 5, 8, 15, 31, (1 << 16) - 1, (1 << 24) - 1])
     def test_lemire_matches_numpy_on_crafted_words(self, k):
@@ -883,7 +961,7 @@ class TestWire:
         assert transcripts[0].abort is not None
         assert transcripts[1].abort is None and transcripts[1].accept
 
-    @pytest.mark.parametrize("bad", ["", "0x1", None, 7])
+    @pytest.mark.parametrize("bad", UNPARSEABLE_BITS)
     def test_unparseable_bit_strings_abort_and_keep_serving(self, bad):
         master_seed, n = 1214, 5  # sessions 1-3 hold both round types
         thread, holder = serve_in_thread(SP4, master_seed, n)
@@ -921,6 +999,34 @@ class TestWire:
         assert len(transcripts) == n
         assert all(t.abort.startswith("MalformedAnswerError") for t in transcripts[:-1])
         assert transcripts[-1].abort is None and transcripts[-1].accept
+
+    @pytest.mark.parametrize("bad", UNPARSEABLE_BITS)
+    def test_bad_preimage_bit_records_its_abort_text(self, bad):
+        master_seed = 1214
+        index = next(i for i in range(20)
+                     if run_session(SP4, HONEST, master_seed, i).round == "preimage")
+        thread, holder = serve_in_thread(SP4, master_seed, index + 1)
+        with socket.create_connection(("127.0.0.1", holder["port"]), timeout=10.0) as conn:
+            rfile = conn.makefile("rb")
+            wfile = conn.makefile("wb")
+            for _ in range(index):
+                engine._client_one(rfile, wfile, HONEST, master_seed, engine._recv(rfile))
+            keys = Message.decode(rfile.readline())
+
+            def send(seq, kind, payload):
+                wfile.write(Message(sid=keys.sid, seq=seq, kind=kind, payload=payload).encode())
+                wfile.flush()
+
+            send(1, "COMMIT", {"ys": ["00000"] * 3})
+            assert Message.decode(rfile.readline()).payload == {"round": "preimage"}
+            send(3, "PREIMAGES", {"answers": [[bad, "0000"]] * 3})
+            verdict = Message.decode(rfile.readline())
+        thread.join(10.0)
+        assert not thread.is_alive()
+        _, transcripts = holder["result"]
+        # the served transcript records the wire parser's text as is
+        abort = f"MalformedAnswerError: bad preimage bit {bad!r}"
+        assert verdict.payload["abort"] == transcripts[index].abort == abort
 
     @pytest.mark.parametrize("q", [7, None, ["0", "1", "0"], "0a1"])
     def test_malformed_questions_raise_transport_error(self, q):
@@ -1045,6 +1151,21 @@ class TestWire:
                 done.set()
             thread.join(5.0)
             assert not thread.is_alive()
+
+    def test_negative_session_count_raises_before_listening(self):
+        errors, listened = [], []
+
+        def target():
+            try:
+                engine.serve(SP4, "127.0.0.1:0", 1, -3, on_listen=listened.append)
+            except ParameterError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        thread.join(5.0)
+        assert not thread.is_alive() and not listened
+        assert len(errors) == 1 and "negative" in str(errors[0])
 
     def test_parse_endpoint_forms(self):
         assert parse_endpoint("stdio") == ("stdio",)

@@ -300,9 +300,12 @@ class TestPreimageRound:
         ],
     )
     def test_malformed_counts_as_failure(self, bad):
-        """Structurally broken preimage answers flag, never raise."""
+        """Structurally broken preimage answers fail the session before grading: they raise
+        MalformedAnswerError, which aborts it, and raise no flag."""
         sess, _ = honest_preimage_session(seed=80)
-        assert sess.check_preimage(bad) is Flag.FAIL_PRE
+        with pytest.raises(MalformedAnswerError, match="^preimage answers are not "):
+            sess.check_preimage(bad)
+        assert sess.flag is None and sess.preimages is None
 
 
 # --------------------------------------------------------------------------
@@ -353,6 +356,8 @@ class TestStateMachine:
             ([0, 0, 0], [0, 0]),
             ([0, 0, 0], [0, 0, 2]),
             ([0, 0, 0], [0, 0, "v"]),
+            ([0, 0, 2.5], [0, 0, 0]),
+            ([0, 0, 0], [0, 0, 1.0]),
         ):
             sess._stage = "questioned"
             with pytest.raises(MalformedAnswerError):
@@ -363,6 +368,22 @@ class TestStateMachine:
         for bad in ((1, 1, 0), (0, 1, 1), (1, 0, 1), (0, 0), (2, 0, 0)):
             with pytest.raises(ParameterError):
                 verifier.begin(SP4, rng, theta=bad)
+
+    def test_pin_rule(self):
+        assert verifier.check_pins() == (None, None)
+        assert verifier.check_pins("111", "hadamard") == ((1, 1, 1), RoundType.HADAMARD)
+        assert verifier.check_pins([0, 1, 0], RoundType.PREIMAGE) == ((0, 1, 0),
+                                                                      RoundType.PREIMAGE)
+        for theta, round in (("abc", None), (5, None), ((1, 1, 0), None), (None, "bogus"),
+                             (None, ["hadamard"]), (None, 1)):
+            with pytest.raises(ParameterError):
+                verifier.check_pins(theta, round)
+        with pytest.raises(ParameterError):
+            verifier.begin(SP4, rng_from(3), theta="abc")
+        sess = make_session((0, 0, 1), seed=9)
+        ys, _ = engineer_commitments(sess, (0, 0, 0), (0, 0, 0))
+        with pytest.raises(ParameterError):
+            sess.receive_commit(ys, round="bogus")
 
     def test_determinism_under_fixed_seed(self):
         def play(seed):
