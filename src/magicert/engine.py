@@ -79,6 +79,11 @@ _ENCODER = json.JSONEncoder(sort_keys=True)
 
 _ROUNDS = (None, *(r.value for r in RoundType))
 _FLAGS = (None, *(f.value for f in Flag))
+# every rendering of a three-bit field (theta, q, vs) or a preimage bit: one lookup checks
+# a field and parses it
+_THREE_BITS = {format(c, "03b"): int_to_tuple(c, 3) for c in range(8)}
+_NULL_OR_THREE_BITS = {None: None, **_THREE_BITS}
+_BIT = {"0": 0, "1": 1}
 
 _VERIFIER_LANE = 0
 _PROVER_LANE = 1
@@ -224,24 +229,22 @@ class SessionTranscript:
     @staticmethod
     def from_record(rec: dict) -> "SessionTranscript":
         try:
-            theta = tuple(int(ch) for ch in rec["theta"])
-            ys = rec["ys"]
-            preimages = rec["preimages"]
-            ds = rec["ds"]
+            ys, preimages, ds = rec["ys"], rec["preimages"], rec["ds"]
             t = SessionTranscript(
-                index=int(rec["index"]),
+                index=rec["index"],
                 seed=int(rec["seed"]),
-                lam=int(rec["lam"]),
-                theta=theta,
+                lam=rec["lam"],
+                theta=_parsed(_THREE_BITS, rec["theta"], "theta is not a 3-bit string"),
                 keys=tuple(rec["keys"]),
                 ys=None if ys is None else tuple(parse_bits(s)[0] for s in ys),
                 round=rec["round"],
                 test_index=rec["test_index"],
                 preimages=None if preimages is None
-                else tuple((int(b), parse_bits(x)[0]) for b, x in preimages),
+                else tuple((_parsed(_BIT, b, "a preimage bit is not 0 or 1"), parse_bits(x)[0])
+                           for b, x in preimages),
                 ds=None if ds is None else tuple(parse_bits(s)[0] for s in ds),
-                q=None if rec["q"] is None else tuple(int(ch) for ch in rec["q"]),
-                vs=None if rec["vs"] is None else tuple(int(ch) for ch in rec["vs"]),
+                q=_parsed(_NULL_OR_THREE_BITS, rec["q"], "q is not null or a 3-bit string"),
+                vs=_parsed(_NULL_OR_THREE_BITS, rec["vs"], "vs is not null or a 3-bit string"),
                 flag=rec["flag"],
                 accept=rec["accept"],
                 abort=rec["abort"],
@@ -249,19 +252,28 @@ class SessionTranscript:
         except (KeyError, TypeError, ValueError) as exc:
             raise TranscriptParseError(f"bad transcript record: {exc}") from exc
         # SCHEMA.md's field rules; no decision reads bit-string widths
-        rule = ("theta is not a basis choice" if t.theta not in verifier.BASIS_CHOICES
+        rule = ("index is not an integer" if type(t.index) is not int
+                else "theta is not a basis choice" if t.theta not in verifier.BASIS_CHOICES
                 else "round is not null, preimage or hadamard" if t.round not in _ROUNDS
                 else _broken_verdict_rule(t.accept, t.flag, t.abort)
                 or ("test_index is not null or 0-2"
                     if t.test_index not in (None, 0, 1, 2) or isinstance(t.test_index, bool)
                     else "lam is not a supported width"
-                    if not entcf.W_MIN <= t.lam <= entcf.W_MAX
+                    if type(t.lam) is not int or not entcf.W_MIN <= t.lam <= entcf.W_MAX
                     else "a record without an abort has no round"
                     if t.abort is None and t.round is None
                     else None))
         if rule is not None:
             raise TranscriptParseError(f"bad transcript record: {rule}")
         return t
+
+
+def _parsed(table: dict, value, rule: str, error=ValueError):
+    """table[value], a record or payload field checked and parsed; else error(rule)."""
+    try:
+        return table[value]
+    except (KeyError, TypeError):  # TypeError: a JSON list or object is unhashable
+        raise error(rule) from None
 
 
 def _broken_verdict_rule(accept, flag, abort) -> str | None:
@@ -456,7 +468,7 @@ _CLAW = np.array(verifier.BASIS_CHOICES, dtype=bool).T  # [coordinate, theta ind
 _FLAGS_BY_CODE = tuple(Flag)
 _ROUND_VALUES = (RoundType.PREIMAGE.value, RoundType.HADAMARD.value)  # by hadamard
 _FAMILIES = (entcf.Family.INJECTIVE, entcf.Family.CLAW)  # by theta bit
-_QUESTIONS = tuple(int_to_tuple(c, 3) for c in range(8))  # three bits by their code, MSB first
+_QUESTIONS = tuple(_THREE_BITS.values())  # three bits by their code, MSB first
 _LANES = np.array([[_VERIFIER_LANE], [_PROVER_LANE]], dtype=np.uint64)  # by row
 
 
@@ -627,23 +639,17 @@ def _array_chunk(lam, plan, master_seed, start, stop) -> _Columns:
 @lru_cache(maxsize=None)
 def _answer_table(cls, depol: float) -> dict:
     """The prover's answer edges per theta: 64 rows, one per pattern code, opened bits << 3
-    | question bits, each from provers._edges, or from provers._depolarized_edges for a
-    register depolarized by depol > 0.
+    | question bits, stacked from provers.answer_edges of each opened register.
 
     Built whole on a prover's first batch, so that no later chunk pays for a
     row and a batch's time does not depend on which rows came before it.
     """
     table = {}
     for bases in verifier.BASIS_CHOICES:
-        rows = table[bases] = np.empty((64, 8))
-        for opened, bits in enumerate(_QUESTIONS):
-            qubits = tuple(entcf.CollapsedQubit("X" if claw else "Z", bit)
-                           for claw, bit in zip(bases, bits))
-            gate = cls._gate(qubits)
-            for q, question in enumerate(_QUESTIONS):
-                rows[opened << 3 | q] = (
-                    provers._depolarized_edges(qubits, gate, depol, question) if depol > 0
-                    else provers._edges(qubits, gate, question))
+        registers = [tuple(entcf.CollapsedQubit("X" if claw else "Z", bit)
+                           for claw, bit in zip(bases, bits)) for bits in _QUESTIONS]
+        table[bases] = np.concatenate([provers.answer_edges(qubits, cls._gate(qubits), depol)
+                                       for qubits in registers])
     return table
 
 
@@ -912,8 +918,9 @@ class RemoteProver:
 
     def answer_questions(self, q) -> list[int]:
         self.chan.send("QUESTIONS", {"q": "".join(map(str, q))})
-        return list(_three_bits(self.chan.expect("ANSWERS").payload.get("vs"), "ANSWERS",
-                                MalformedAnswerError))
+        vs = self.chan.expect("ANSWERS").payload.get("vs")
+        return list(_parsed(_THREE_BITS, vs, f"malformed ANSWERS payload {vs!r}",
+                            MalformedAnswerError))
 
 
 def _client_sessions(rfile, wfile, factory, master_seed) -> list[dict]:
@@ -958,7 +965,8 @@ def _client_one(rfile, wfile, factory, master_seed, keys_msg: Message) -> dict:
     elif round_value == RoundType.HADAMARD.value:
         ds = prover.answer_hadamard()
         chan.send("HADAMARD_D", {"ds": [_answer_bits(d, w) for d in ds]})
-        q = _three_bits(chan.expect("QUESTIONS").payload.get("q"), "QUESTIONS", TransportError)
+        q = chan.expect("QUESTIONS").payload.get("q")
+        q = _parsed(_THREE_BITS, q, f"malformed QUESTIONS payload {q!r}", TransportError)
         vs = prover.answer_questions(q)
         chan.send("ANSWERS", {"vs": "".join(str(int(v)) for v in vs)})
     else:
@@ -1002,20 +1010,12 @@ def _parse_preimages(items, w) -> list[tuple[int, int]]:
         if not isinstance(pair, list) or len(pair) != 2:
             raise MalformedAnswerError(f"bad preimage answer {pair!r}")
         b_raw, x_raw = pair
-        if b_raw not in ("0", "1"):
-            raise MalformedAnswerError(f"bad preimage bit {b_raw!r}")
+        b = _parsed(_BIT, b_raw, f"bad preimage bit {b_raw!r}", MalformedAnswerError)
         try:
             x, width = parse_bits(x_raw)
         except (TypeError, ValueError) as exc:
             raise MalformedAnswerError(f"bad preimage string {x_raw!r}") from exc
         if width != w:
             raise MalformedAnswerError(f"preimage {x_raw!r} is not {w} bits")
-        out.append((int(b_raw), x))
+        out.append((b, x))
     return out
-
-
-def _three_bits(s, kind: str, error) -> tuple[int, int, int]:
-    """A bitstr(3) payload field (QUESTIONS q, ANSWERS vs); anything else raises error."""
-    if not isinstance(s, str) or len(s) != 3 or any(ch not in "01" for ch in s):
-        raise error(f"malformed {kind} payload {s!r}")
-    return tuple(int(ch) for ch in s)

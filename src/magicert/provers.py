@@ -10,10 +10,10 @@ A prover only ever sees key handles and the public oracle operations. It is
 never told which family a key belongs to, the basis triple, or any trapdoor.
 
 The opened register is a product of |0>, |1>, |+> or |-> per qubit, with or
-without the phase gate, so the provers take it, and each question's
-cumulative outcome weights, from tables filled on first use: 64 patterns,
-2 gate choices and 8 questions, and for the depolarizing prover each noise
-level too. Every draw is unchanged.
+without the phase gate. answer_edges tables its cumulative outcome weights
+for all eight questions, once per pattern, gate and depolarizing level; the
+scalar provers read one row per session and the engine's array path reads
+them whole. Every draw is unchanged.
 """
 
 from __future__ import annotations
@@ -43,28 +43,18 @@ def _register(qubits: tuple[entcf.CollapsedQubit, ...], gate: bool) -> qsim.Stat
 
 
 @lru_cache(maxsize=None)
-def _edges(qubits: tuple[entcf.CollapsedQubit, ...], gate: bool,
-           q: tuple[int, ...]) -> tuple[float, ...]:
-    """Cumulative outcome weights of the register read in bases q."""
-    return tuple(np.cumsum(qsim.outcome_distribution(_register(qubits, gate), q)).tolist())
-
-
-@lru_cache(maxsize=None)
-def _depolarized_register(qubits: tuple[entcf.CollapsedQubit, ...], gate: bool,
-                          eps: float) -> qsim.DensityState:
-    """The register with each qubit depolarized by eps, built once for all eight questions."""
-    rho = qsim.DensityState.from_statevector(_register(qubits, gate))
-    for qubit in range(rho.n):
-        rho = qsim.depolarize(rho, qubit, eps)
-    return rho
-
-
-@lru_cache(maxsize=None)
-def _depolarized_edges(qubits: tuple[entcf.CollapsedQubit, ...], gate: bool, eps: float,
-                       q: tuple[int, ...]) -> tuple[float, ...]:
-    """Cumulative outcome weights of the register, each qubit depolarized by eps, read in q."""
-    rho = _depolarized_register(qubits, gate, eps)
-    return tuple(np.cumsum(qsim.outcome_distribution_density(rho, q)).tolist())
+def answer_edges(qubits: tuple[entcf.CollapsedQubit, ...], gate: bool,
+                 depol: float) -> np.ndarray:
+    """Cumulative outcome weights of the opened register, row q for the question coded q
+    (MSB first): of the pure register at depol 0, else with each qubit depolarized by depol."""
+    state, weights = _register(qubits, gate), qsim.outcome_distribution
+    if depol > 0:
+        weights = qsim.outcome_distribution_density
+        state = qsim.DensityState.from_statevector(state)
+        for qubit in range(state.n):
+            state = qsim.depolarize(state, qubit, depol)
+    rows = [weights(state, int_to_tuple(q, state.n)) for q in range(1 << state.n)]
+    return qsim._freeze(np.cumsum(rows, axis=1))
 
 
 class HonestProver:
@@ -76,6 +66,7 @@ class HonestProver:
         self.commitments: list[entcf.Commitment] | None = None
         self.qubits: list[entcf.CollapsedQubit] | None = None
         self.state: qsim.StateVector | None = None
+        self.depol = 0.0  # per-qubit depolarizing probability before measurement
         self._stage = "idle"
 
     # ------------------------------------------------------------ protocol
@@ -118,12 +109,13 @@ class HonestProver:
         return ds
 
     def answer_questions(self, q) -> list[int]:
-        """One uniform against the register's cumulative qsim.outcome_distribution(q)."""
+        """One uniform against the register's cumulative weights for the question q."""
         self._require("opened")
-        # int() as qsim's basis check does, so the table holds valid patterns only
-        edges = _edges(self.qubits, self._gate(self.qubits), tuple(map(int, q)))
+        n = len(self.qubits)
+        code = sum(bit << (n - 1 - i) for i, bit in enumerate(qsim._check_bases(n, q)))
+        edges = answer_edges(self.qubits, self._gate(self.qubits), self.depol)[code]
         self._stage = "finished"
-        return list(int_to_tuple(sample_edges(edges, self.rng), len(self.qubits)))
+        return list(int_to_tuple(sample_edges(edges, self.rng), n))
 
     # -------------------------------------------------------------- hooks
 
@@ -170,14 +162,16 @@ class NoisyProver:
 
     bitflip: each returned answer bit flips independently with probability
     epsilon. depolarizing: each register qubit is replaced by the maximally
-    mixed state with probability epsilon before measurement, so the answer
-    is drawn from the depolarized register's table. epsilon = 0 delegates
-    everything, so transcripts match the inner prover bit for bit.
+    mixed state with probability epsilon before measurement, as the inner
+    prover's depol level. epsilon = 0 delegates everything, so transcripts
+    match the inner prover bit for bit.
     """
 
     def __init__(self, inner: HonestProver, spec: NoiseSpec):
         self.inner = inner
         self.spec = spec
+        if spec.model == "depolarizing":
+            inner.depol = spec.epsilon
 
     def commit(self, handles) -> list[int]:
         return self.inner.commit(handles)
@@ -189,16 +183,9 @@ class NoisyProver:
         return self.inner.answer_hadamard()
 
     def answer_questions(self, q) -> list[int]:
-        inner, eps = self.inner, self.spec.epsilon
-        if self.spec.model == "depolarizing" and eps > 0:
-            inner._require("opened")
-            qubits = inner.qubits
-            edges = _depolarized_edges(qubits, inner._gate(qubits), eps, tuple(map(int, q)))
-            return list(int_to_tuple(sample_edges(edges, inner.rng), len(qubits)))
-        vs = inner.answer_questions(q)
+        vs, eps = self.inner.answer_questions(q), self.spec.epsilon
         if self.spec.model == "bitflip" and eps > 0:
-            draws = inner.rng.random(len(vs))
-            vs = [v ^ int(u < eps) for v, u in zip(vs, draws)]
+            vs = [v ^ int(u < eps) for v, u in zip(vs, self.inner.rng.random(len(vs)))]
         return list(vs)
 
 

@@ -71,6 +71,15 @@ def check_pins(theta=None, round=None) -> tuple[tuple[int, int, int] | None, Rou
     return theta, round
 
 
+def _count(answers) -> int:
+    """len(answers); a prover answer without one is malformed."""
+    try:
+        return len(answers)
+    except TypeError as exc:
+        raise MalformedAnswerError(
+            f"prover answer of type {type(answers).__name__} is not a sequence") from exc
+
+
 # the two coordinates other than j, for j = 0, 1, 2
 _OTHERS = ((1, 2), (0, 2), (0, 1))
 
@@ -140,7 +149,7 @@ class VerifierSession:
         """
         _, round = check_pins(round=round)
         self._require("keys_issued")
-        if len(ys) != 3:
+        if _count(ys) != 3:
             raise MalformedAnswerError(f"expected 3 commitments, got {len(ys)}")
         w = self.sp.w
         for y in ys:
@@ -188,7 +197,7 @@ class VerifierSession:
     def check_hadamard(self, ds: list[int], vs: list[int]) -> Flag:
         self._require("questioned")
         w = self.sp.w
-        if len(ds) != 3 or len(vs) != 3:
+        if _count(ds) != 3 or _count(vs) != 3:
             raise MalformedAnswerError("expected 3 opening strings and 3 answers")
         for d in ds:
             if not isinstance(d, (int, np.integer)) or not 0 <= int(d) < (1 << w):

@@ -73,6 +73,14 @@ def answering(**answers):
             super().answer_preimage()
             return answers["answer_preimage"]
 
+        def answer_hadamard(self):
+            ds = super().answer_hadamard()
+            return answers.get("answer_hadamard", ds)
+
+        def answer_questions(self, q):
+            vs = super().answer_questions(q)
+            return answers.get("answer_questions", vs)
+
     return lambda registry, rng, index: Answering(registry, rng)
 
 
@@ -190,6 +198,19 @@ class TestTranscriptPersistence:
 
     @pytest.mark.parametrize("which, edits, rule", [
         pytest.param(0, {"theta": "2"}, "theta is not", id="theta"),
+        pytest.param(0, {"theta": "\u0661\u0661\u0661"}, "theta is not", id="theta-arabic-digits"),
+        pytest.param(0, {"theta": [1, 1, 1]}, "theta is not", id="theta-list"),
+        pytest.param(1, {"q": "\u0660\u0661\u0661"}, "q is not", id="q-arabic-digits"),
+        pytest.param(1, {"vs": [0, 1, 1]}, "vs is not", id="vs-list"),
+        pytest.param(0, {"preimages": [["01", "0000"]] * 3}, "a preimage bit is not",
+                     id="preimage-bit-two-chars"),
+        pytest.param(0, {"preimages": [[1, "0000"]] * 3}, "a preimage bit is not",
+                     id="preimage-bit-int"),
+        pytest.param(0, {"preimages": [["\u0661", "0000"]] * 3}, "a preimage bit is not",
+                     id="preimage-bit-arabic-digit"),
+        pytest.param(0, {"index": "\u0663"}, "index is not", id="index-arabic-digit"),
+        pytest.param(0, {"index": True}, "index is not", id="index-bool"),
+        pytest.param(0, {"lam": "4"}, "lam is not", id="lam-string"),
         pytest.param(0, {"round": "bogus"}, "round is not", id="round"),
         pytest.param(0, {"flag": "maybe"}, "flag is not", id="flag"),
         pytest.param(0, {"accept": "false"}, "accept is not a boolean", id="accept"),
@@ -305,6 +326,19 @@ class TestRunSession:
         assert t.abort == (f"MalformedAnswerError: commitment {honest.ys[0] + 0.7!r} is not "
                            "a 5-bit value")
         assert t.ys is None and t.flag is None and not t.accept
+
+    @pytest.mark.parametrize("answers, round, kind", [
+        ({"commit": lambda ys: None}, None, "NoneType"),
+        ({"answer_hadamard": 7}, RoundType.HADAMARD, "int"),
+        ({"answer_questions": None}, RoundType.HADAMARD, "NoneType"),
+    ], ids=["commit-none", "hadamard-seven", "questions-none"])
+    def test_answer_that_is_not_a_sequence_aborts(self, tmp_path, answers, round, kind):
+        t = run_session(SP4, answering(**answers), master_seed=338, index=0, round=round)
+        assert t.abort == f"MalformedAnswerError: prover answer of type {kind} is not a sequence"
+        assert t.flag is None and not t.accept and t.ds is None and t.vs is None
+        path = tmp_path / "aborted.jsonl"
+        write_transcripts(path, [t])
+        assert read_transcripts(path) == [t]
 
     @pytest.mark.parametrize("pins", BAD_PINS)
     def test_bad_pins_raise_parameter_error(self, pins):
@@ -552,6 +586,20 @@ class TestArrayPath:
     def test_collected_transcripts_equal_run_session_bytes(self, spec, lam, pinned,
                                                            master_seed, n):
         pins = HYPER_PINS if pinned else {}
+        _, kept = run_batch(SecurityParam(lam), spec, n, master_seed, collect=True, **pins)
+        assert transcript_bytes(kept) == session_bytes(lam, spec, master_seed, n, pins)
+
+    @pytest.mark.parametrize("lam", [4, 16])
+    @pytest.mark.parametrize("model", ["depol", "bitflip"])
+    @settings(max_examples=25, deadline=None)
+    @given(eps=st.floats(0, 1), pinned=st.booleans(),
+           master_seed=st.integers(0, (1 << 64) - 1), n=st.integers(0, 30))
+    @example(eps=0.0, pinned=False, master_seed=0, n=30)
+    @example(eps=1.0, pinned=True, master_seed=0, n=30)
+    def test_noisy_transcripts_equal_run_session_bytes_at_every_epsilon(self, model, lam, eps,
+                                                                        pinned, master_seed, n):
+        """Both paths read one answer table per epsilon; every epsilon gives the same bytes."""
+        spec, pins = f"noisy:{model}:{eps!r}", HYPER_PINS if pinned else {}
         _, kept = run_batch(SecurityParam(lam), spec, n, master_seed, collect=True, **pins)
         assert transcript_bytes(kept) == session_bytes(lam, spec, master_seed, n, pins)
 

@@ -510,12 +510,12 @@ class TestRegisterTables:
     @pytest.mark.parametrize("eps", [0.05, 0.3, 1.0])
     @pytest.mark.parametrize("gate", [True, False])
     def test_depolarized_table_equals_a_per_session_build(self, gate, eps):
-        for qubits, q in itertools.product(PATTERNS, QUESTIONS):
+        for qubits, (code, q) in itertools.product(PATTERNS, enumerate(QUESTIONS)):
             rho = qsim.DensityState.from_statevector(per_session_register(qubits, gate))
             for qubit in range(3):
                 rho = qsim.depolarize(rho, qubit, eps)
             fresh = np.cumsum(qsim.outcome_distribution_density(rho, q)).tolist()
-            assert provers._depolarized_edges(qubits, gate, eps, q) == tuple(fresh)
+            assert provers.answer_edges(qubits, gate, eps)[code].tolist() == fresh
 
     @pytest.mark.parametrize("q", [(2, 0, 0), (0, 0), (0, 1, 0, 1), (-1, 1, 1)])
     def test_bad_question_raises(self, q):
