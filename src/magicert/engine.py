@@ -36,6 +36,9 @@ from .errors import (
 )
 from .provers import PURE_PROVERS, HonestProver, parse_noise_spec, parse_prover_spec
 from .util import (
+    MASK64,
+    _LO32,
+    _32,
     _rekeyed,
     bits_str,
     derive_seed,
@@ -229,10 +232,10 @@ class SessionTranscript:
     @staticmethod
     def from_record(rec: dict) -> "SessionTranscript":
         try:
-            ys, preimages, ds = rec["ys"], rec["preimages"], rec["ds"]
+            ys, preimages, ds, seed = rec["ys"], rec["preimages"], rec["ds"], rec["seed"]
             t = SessionTranscript(
                 index=rec["index"],
-                seed=int(rec["seed"]),
+                seed=int(seed) if type(seed) is str and seed.isascii() and seed.isdigit() else -1,
                 lam=rec["lam"],
                 theta=_parsed(_THREE_BITS, rec["theta"], "theta is not a 3-bit string"),
                 keys=tuple(rec["keys"]),
@@ -253,6 +256,17 @@ class SessionTranscript:
             raise TranscriptParseError(f"bad transcript record: {exc}") from exc
         # SCHEMA.md's field rules; no decision reads bit-string widths
         rule = ("index is not an integer" if type(t.index) is not int
+                else "seed is not a decimal string below 2^64" if not 0 <= t.seed <= MASK64
+                else "keys is not a list of three key records" if not (
+                    type(rec["keys"]) is list and len(t.keys) == 3
+                    and type(t.keys[0]) is type(t.keys[1]) is type(t.keys[2]) is dict)
+                else "ys is not null or a list of three"
+                if ys is not None and not (type(ys) is list and len(ys) == 3)
+                else "preimages is not null or a list of three pairs" if preimages is not None
+                and not (type(preimages) is list and len(preimages) == 3
+                         and type(preimages[0]) is type(preimages[1]) is type(preimages[2]) is list)
+                else "ds is not null or a list of three"
+                if ds is not None and not (type(ds) is list and len(ds) == 3)
                 else "theta is not a basis choice" if t.theta not in verifier.BASIS_CHOICES
                 else "round is not null, preimage or hadamard" if t.round not in _ROUNDS
                 else _broken_verdict_rule(t.accept, t.flag, t.abort)
@@ -463,7 +477,6 @@ def run_session(
 
 # sessions per chunk of a batch; a batch's memory is O(_CHUNK) whatever n is
 _CHUNK = 2048
-_LO32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 _CLAW = np.array(verifier.BASIS_CHOICES, dtype=bool).T  # [coordinate, theta index]
 _FLAGS_BY_CODE = tuple(Flag)
 _ROUND_VALUES = (RoundType.PREIMAGE.value, RoundType.HADAMARD.value)  # by hadamard
@@ -472,37 +485,21 @@ _QUESTIONS = tuple(_THREE_BITS.values())  # three bits by their code, MSB first
 _LANES = np.array([[_VERIFIER_LANE], [_PROVER_LANE]], dtype=np.uint64)  # by row
 
 
-class _Words:
-    """Raw words of rng_from(k) for many uint64 keys k: row j holds word j of every stream.
-
-    rows are the first rows, if already computed; later ones are computed a
-    block of four at a time as read, by util.philox_words, which says why
-    NumPy's own Philox does not make them.
-    """
-
-    def __init__(self, keys: np.ndarray, rows=()):
-        self.keys, self.rows = keys, list(rows)
-
-    def row(self, j: int) -> np.ndarray:
-        while len(self.rows) <= j:
-            self.rows.extend(philox_words(self.keys, len(self.rows) // 4, 1))
-        return self.rows[j]
-
-
 class _Stream:
-    """Draws of rng_from(k) for some of a _Words' keys, as NumPy's Generator makes them.
+    """Draws of rng_from(k) for the lanes' keys k, as NumPy's Generator makes them.
 
-    A 32-bit draw takes the pending high half if there is one, else the low
-    half of the next word; a 64-bit draw takes the next word and leaves the
-    pending half pending.
+    Row j of words is word j of every key's stream, from util.philox_words,
+    which says why NumPy's own Philox does not make them. A 32-bit draw takes
+    the pending high half if there is one, else the low half of the next
+    word; a 64-bit draw takes the next word and leaves the pending half pending.
     """
 
-    def __init__(self, words: _Words, lanes=slice(None)):
+    def __init__(self, words: np.ndarray, lanes=slice(None)):
         self.words, self.lanes, self.next, self.pending = words, lanes, 0, None
 
     def word(self) -> np.ndarray:
         self.next += 1
-        return self.words.row(self.next - 1)[self.lanes]
+        return self.words[self.next - 1, self.lanes]
 
     def half(self) -> np.ndarray:
         if self.pending is None:
@@ -583,13 +580,15 @@ def _array_chunk(lam, plan, master_seed, start, stop) -> _Columns:
     table_key, flip, theta, round = plan
     seeds = derive_seed(master_seed, np.arange(start, stop, dtype=np.uint64))
     n, w = len(seeds), lam
-    # the first two blocks of the verifier and prover lanes, in one Philox pass over
-    # 2n keys: the verifier reads at most seven words, a prover six or, with bit
-    # flips, nine
+    # one philox_words call per stream, for the blocks it reads: the verifier's and
+    # prover's first two in one pass over 2n keys (the verifier reads at most seven
+    # words, a prover six), the prover's third for bit flips (words 6-8), and block 0
+    # of each keygen and mask stream
     lane_keys = derive_seed(seeds, _LANES)
     words = philox_words(lane_keys.ravel(), 0, 2)
-    ver = _Stream(_Words(lane_keys[0], words[:, :n]))
-    prover_words = _Words(lane_keys[1], words[:, n:])
+    ver, prover_words = _Stream(words[:, :n]), words[:, n:]
+    if flip > 0:
+        prover_words = np.concatenate([prover_words, philox_words(lane_keys[1], 2, 1)])
     # verifier.begin: the basis triple, then a rand_u64 key seed per coordinate
     if theta is None:
         half = ver.half()
@@ -601,14 +600,14 @@ def _array_chunk(lam, plan, master_seed, start, stop) -> _Columns:
     claw = _CLAW[:, t_index].ravel()
     lane = np.where(claw, np.uint64(entcf._LANE_BY_FAMILY["F"]),
                     np.uint64(entcf._LANE_BY_FAMILY["G"]))
-    keygen = _Words(derive_seed(key_seeds, lane, w))
-    key_id, perm_seed = entcf._key_words(keygen.row(0), keygen.row(1), keygen.row(2))
-    half, k = keygen.row(3) & _LO32, (1 << w) - 1
+    keygen = philox_words(derive_seed(key_seeds, lane, w), 0, 1)
+    key_id, perm_seed = entcf._key_words(keygen[0], keygen[1], keygen[2])
+    half, k = keygen[3] & _LO32, (1 << w) - 1
     shift = np.where(claw, 1 + lemire(half, k), 0).reshape(3, n)
     replay |= (claw & lemire_rejects(half, k)).reshape(3, n).any(axis=0)
     ids = key_id.reshape(3, n)
     replay |= (ids[0] == ids[1]) | (ids[0] == ids[2]) | (ids[1] == ids[2])
-    m_in, m_out = (m.reshape(3, n) for m in entcf._masks(_Words(perm_seed).row(0), w))
+    m_in, m_out = (m.reshape(3, n) for m in entcf._masks(philox_words(perm_seed, 0, 1)[0], w))
     # receive_commit's round coin, then send_questions' q and test index
     if round is None:
         hadamard = ver.bits(1) == 1

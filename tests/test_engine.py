@@ -208,6 +208,21 @@ class TestTranscriptPersistence:
                      id="preimage-bit-int"),
         pytest.param(0, {"preimages": [["\u0661", "0000"]] * 3}, "a preimage bit is not",
                      id="preimage-bit-arabic-digit"),
+        pytest.param(0, {"seed": "\u0663"}, "seed is not", id="seed-arabic-digit"),
+        pytest.param(0, {"seed": " 7_0 "}, "seed is not", id="seed-spaces-underscore"),
+        pytest.param(0, {"seed": "-1"}, "seed is not", id="seed-negative"),
+        pytest.param(0, {"seed": str(2**64)}, "seed is not", id="seed-2-to-64"),
+        pytest.param(0, {"seed": str(2**70)}, "seed is not", id="seed-2-to-70"),
+        pytest.param(0, {"keys": "abc"}, "keys is not", id="keys-string"),
+        pytest.param(0, {"keys": [1, 2, 3]}, "keys is not", id="keys-ints"),
+        pytest.param(0, {"keys": []}, "keys is not", id="keys-empty"),
+        pytest.param(0, {"keys": {"id": "1"}}, "keys is not", id="keys-object"),
+        pytest.param(0, {"ys": "0101"}, "ys is not", id="ys-string"),
+        pytest.param(0, {"ys": ["00000"]}, "ys is not", id="ys-one"),
+        pytest.param(1, {"ds": ["0000"] * 5}, "ds is not", id="ds-five"),
+        pytest.param(0, {"preimages": [["0", "0000"]]}, "preimages is not", id="preimages-one"),
+        pytest.param(0, {"preimages": {}}, "preimages is not", id="preimages-object"),
+        pytest.param(0, {"preimages": ["01"] * 3}, "preimages is not", id="preimages-strings"),
         pytest.param(0, {"index": "\u0663"}, "index is not", id="index-arabic-digit"),
         pytest.param(0, {"index": True}, "index is not", id="index-bool"),
         pytest.param(0, {"lam": "4"}, "lam is not", id="lam-string"),
@@ -231,6 +246,10 @@ class TestTranscriptPersistence:
             fh.write(json.dumps({**good[which].to_record(), **edits}) + "\n")
         with pytest.raises(TranscriptParseError, match=f"line 2: bad transcript record: {rule}"):
             read_transcripts(path)
+
+    def test_largest_seed_is_read(self):
+        rec = {**self.sample_transcripts()[0].to_record(), "seed": str(2**64 - 1)}
+        assert SessionTranscript.from_record(rec).seed == 2**64 - 1
 
     def test_lines_are_parsed_as_they_are_read(self, tmp_path):
         path = tmp_path / "stream.jsonl"

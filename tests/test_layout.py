@@ -1,15 +1,18 @@
 """Layout rules for src/: no top-level function or class, and no method of a top-level
-class, that src/ itself never uses.
+class, that src/ itself never uses, and no top-level name defined in two modules.
 
 ROADMAP's rule is to delete helpers that nothing in src/ calls; a helper
 only the tests need lives in the tests. This test parses every module and
 fails on a top-level def or class, or a method of a top-level class, whose
 name appears, as a name or an attribute, nowhere in src/ outside its own
-definition. Dunder methods are exempt, since Python calls them.
+definition. Dunder methods are exempt, since Python calls them. ROADMAP
+also keeps one copy of each rule: a name that two modules bind at top
+level, by assignment, def or class, is a copy; a module that needs
+another's name imports it, and imports do not count.
 """
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "magicert"
@@ -31,9 +34,13 @@ def names_in(node) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def parsed_modules() -> dict:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
 def unused_definitions() -> list[str]:
-    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-               for path in sorted(SRC.glob("*.py"))}
+    modules = parsed_modules()
     everywhere = sum((names_in(tree) for tree in modules.values()), Counter())
     unused = []
     for module, tree in modules.items():
@@ -56,9 +63,30 @@ def definitions(tree):
                     yield method, f"{node.name}.{method.name}"
 
 
+def top_level_bindings(tree) -> set[str]:
+    """Names a module's top-level assignments, defs and classes bind; imports are left out."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for target in targets for n in ast.walk(target)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+    return names
+
+
 def test_every_top_level_definition_is_used_in_src():
     assert sorted(set(unused_definitions()) - set(ALLOWED)) == []
 
 
 def test_every_allowed_name_is_still_defined_and_unused():
     assert sorted(set(ALLOWED) - set(unused_definitions())) == []
+
+
+def test_no_top_level_name_is_bound_in_two_modules():
+    modules = defaultdict(list)
+    for module, tree in parsed_modules().items():
+        for name in top_level_bindings(tree):
+            modules[name].append(module)
+    assert {name: found for name, found in modules.items() if len(found) > 1} == {}
