@@ -77,7 +77,8 @@ def _not_an_integer(text: str):
 # the one JSON decoder for frames and transcript lines; every number in them
 # is an integer, and json.loads would read NaN, Infinity or 1e999 as floats
 _JSON = json.JSONDecoder(parse_float=_not_an_integer, parse_constant=_not_an_integer)
-# transcript lines: json.dumps(record, sort_keys=True), without building an encoder per line
+# the text of a record's abort string and of key maps a transcript holds as dicts:
+# json.dumps(value, sort_keys=True), without building an encoder per line
 _ENCODER = json.JSONEncoder(sort_keys=True)
 
 _ROUNDS = (None, *(r.value for r in RoundType))
@@ -313,11 +314,58 @@ def _text_file(sink):
         yield fh
 
 
+def _record_line(index, seed, lam, theta, keys, ys, round, test_index, preimages, ds, q, vs,
+                 flag, accept, abort) -> str:
+    """One transcript record as one JSON line, by SCHEMA.md's encoding rule: the bytes
+    json.dumps(record, sort_keys=True) writes for it, newline included.
+
+    The fields come in SessionTranscript's order, as plain values, None for
+    null: theta, q and vs 3-bit texts, ys and ds ints, preimages (bit, int)
+    pairs, keys the key list's JSON text. round and flag are among their
+    schema values, so need no escaping; abort goes through the encoder, as
+    json escapes it. Both the array path and write_transcripts render with it.
+    """
+    x, y = f"0{lam}b", f"0{lam + 1}b"
+    return (
+        f'{{"abort": {"null" if abort is None else _ENCODER.encode(abort)}, '
+        f'"accept": {"true" if accept else "false"}, '
+        f'"ds": {"null" if ds is None else _bit_list(ds, x)}, "flag": {_quoted(flag)}, '
+        f'"index": {index}, "keys": {keys}, "lam": {lam}, '
+        f'"preimages": {"null" if preimages is None else _pair_list(preimages, x)}, '
+        f'"q": {_quoted(q)}, "round": {_quoted(round)}, "seed": "{seed}", '
+        f'"test_index": {"null" if test_index is None else test_index}, '
+        f'"theta": "{theta}", "vs": {_quoted(vs)}, '
+        f'"ys": {"null" if ys is None else _bit_list(ys, y)}}}\n'
+    )
+
+
+def _quoted(text) -> str:
+    """null, or text in quotes: for texts that json does not escape."""
+    return "null" if text is None else f'"{text}"'
+
+
+def _bit_list(values, spec: str) -> str:
+    return '["' + '", "'.join([format(v, spec) for v in values]) + '"]'
+
+
+def _pair_list(pairs, spec: str) -> str:
+    return "[" + ", ".join([f'["{b}", "{v:{spec}}"]' for b, v in pairs]) + "]"
+
+
+def _bit_text(bits) -> str | None:
+    return None if bits is None else "".join(map(str, bits))
+
+
+def _transcript_line(t: SessionTranscript) -> str:
+    return _record_line(t.index, t.seed, t.lam, _bit_text(t.theta), _ENCODER.encode(list(t.keys)),
+                        t.ys, t.round, t.test_index, t.preimages, t.ds, _bit_text(t.q),
+                        _bit_text(t.vs), t.flag, t.accept, t.abort)
+
+
 def write_transcripts(sink, transcripts) -> None:
     """One self-describing record per line; sink is a path or a text file."""
     with _text_file(sink) as fh:
-        for t in transcripts:
-            fh.write(_ENCODER.encode(t.to_record()) + "\n")
+        fh.writelines(map(_transcript_line, transcripts))
 
 
 def iter_transcripts(path):
@@ -482,6 +530,8 @@ _FLAGS_BY_CODE = tuple(Flag)
 _ROUND_VALUES = (RoundType.PREIMAGE.value, RoundType.HADAMARD.value)  # by hadamard
 _FAMILIES = (entcf.Family.INJECTIVE, entcf.Family.CLAW)  # by theta bit
 _QUESTIONS = tuple(_THREE_BITS.values())  # three bits by their code, MSB first
+_BIT_TEXTS = tuple(_THREE_BITS)  # their texts
+_THETA_TEXTS = tuple(_bit_text(bits) for bits in verifier.BASIS_CHOICES)  # by theta index
 _LANES = np.array([[_VERIFIER_LANE], [_PROVER_LANE]], dtype=np.uint64)  # by row
 
 
@@ -698,16 +748,22 @@ def _array_group(rows, flip, bases, hadamard, keys, stream, q, test_index):
             {"ys": ys, "ds": ds, "vs": vs})
 
 
-def _chunk_transcripts(lam, cols: _Columns, start, replayed):
-    """Yield a chunk's transcripts in index order: replayed ones as given, the rest built
-    from the columns with the fields run_session gives them."""
-    names = ("ys", "b", "x", "ds", "vs")
-    fields = {name: np.zeros((3, len(cols.seeds)), dtype=np.uint64) for name in names}
+def _session_columns(cols: _Columns) -> dict:
+    """The groups' record columns gathered back into the chunk: ys, b, x, ds and vs, each
+    an array with a row per coordinate and a column per session."""
+    fields = {name: np.zeros((3, len(cols.seeds)), dtype=np.uint64)
+              for name in ("ys", "b", "x", "ds", "vs")}
     for lanes, group in cols.groups:
         for name, rows in group.items():
             for i, row in enumerate(rows):
                 fields[name][i, lanes] = row
-    ys, b, x, ds, vs = (fields[name].T.tolist() for name in names)
+    return fields
+
+
+def _chunk_transcripts(lam, cols: _Columns, start, replayed):
+    """Yield a chunk's transcripts in index order: replayed ones as given, the rest built
+    from the columns with the fields run_session gives them."""
+    ys, b, x, ds, vs = (column.T.tolist() for column in _session_columns(cols).values())
     # every key's record, session-major: session i's three are 3i, 3i+1, 3i+2
     claw = _CLAW[:, cols.theta].T.ravel().tolist()
     records = [entcf.key_record(k, lam, _FAMILIES[c], p, s) for c, k, p, s in zip(
@@ -729,14 +785,46 @@ def _chunk_transcripts(lam, cols: _Columns, start, replayed):
                                 accept=f == 0, **reached)
 
 
+def _chunk_lines(lam, cols: _Columns, start, replayed):
+    """Yield a chunk's transcript lines in index order, the bytes write_transcripts gives
+    _chunk_transcripts' transcripts: replayed ones through write_transcripts' rule, the
+    rest rendered straight from the columns."""
+    fields = _session_columns(cols)
+    ys, b, x, ds = (fields[name].T.tolist() for name in ("ys", "b", "x", "ds"))
+    vs = (fields["vs"][0] << 2 | fields["vs"][1] << 1 | fields["vs"][2]).tolist()
+    # every key's entcf.key_record map in sorted-key order, session-major as in
+    # _chunk_transcripts, rendered as the loop takes each session's three
+    spec, claw = f"0{lam}b", _CLAW[:, cols.theta].T.ravel().tolist()
+    maps = (
+        f'{{"family": "F", "id": "{k}", "perm_seed": "{p}", "shift": "{s:{spec}}", "w": "{lam}"}}'
+        if c else f'{{"family": "G", "id": "{k}", "perm_seed": "{p}", "w": "{lam}"}}'
+        for c, k, p, s in zip(claw, *(a.T.ravel().tolist()
+                                      for a in (cols.key_id, cols.perm_seed, cols.shift))))
+    for i, (seed, t, had, f, q, test, k0, k1, k2) in enumerate(zip(
+            cols.seeds.tolist(), cols.theta.tolist(), cols.hadamard.tolist(),
+            cols.flag.tolist(), cols.q.tolist(), cols.test_index.tolist(), maps, maps, maps)):
+        keys = f"[{k0}, {k1}, {k2}]"
+        if start + i in replayed:
+            yield _transcript_line(replayed[start + i])
+        elif had:
+            yield _record_line(start + i, seed, lam, _THETA_TEXTS[t], keys, ys[i],
+                               "hadamard", test if t == 0 else None, None, ds[i], _BIT_TEXTS[q],
+                               _BIT_TEXTS[vs[i]], _FLAGS_BY_CODE[f].value, f == 0, None)
+        else:
+            yield _record_line(start + i, seed, lam, _THETA_TEXTS[t], keys, ys[i],
+                               "preimage", None, zip(b[i], x[i]), None, None, None,
+                               _FLAGS_BY_CODE[f].value, f == 0, None)
+
+
 def _batch_chunk(sp, factory, plan, master_seed, pins, start, stop, stats, out, kept):
     """Sessions start..stop-1 of a batch: fold their outcomes into stats, write their
     transcripts to out and append them to kept, in index order, where either is not None.
 
     With a plan the chunk runs on the array path, and run_session replays
     only the sessions the arrays do not cover; without one (a scripted
-    prover) it replays every session. Array-path transcripts are built only
-    for out or kept, and streamed to out as they are built.
+    prover) it replays every session. Array-path transcripts are built
+    only for kept; their lines are rendered straight from the columns and
+    streamed to out as they are made.
     """
     if plan is None:
         cols, again = None, range(start, stop)
@@ -753,15 +841,12 @@ def _batch_chunk(sp, factory, plan, master_seed, pins, start, stop, stats, out, 
     replayed = {index: run_session(sp, factory, master_seed, index, **pins) for index in again}
     for t in replayed.values():
         stats.add(t)
-    if out is None and kept is None:
-        return
-    transcripts = (replayed.values() if cols is None
-                   else _chunk_transcripts(sp.lam, cols, start, replayed))
     if kept is not None:
-        transcripts = list(transcripts)
-        kept += transcripts
+        kept += (replayed.values() if cols is None
+                 else _chunk_transcripts(sp.lam, cols, start, replayed))
     if out is not None:
-        write_transcripts(out, transcripts)
+        out.writelines(map(_transcript_line, replayed.values()) if cols is None
+                       else _chunk_lines(sp.lam, cols, start, replayed))
 
 
 def run_batch(

@@ -1,6 +1,7 @@
 """Engine tests: codec, transcripts, batch determinism, stats, wire transport."""
 
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -9,6 +10,7 @@ import socket
 import sys
 import threading
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -665,9 +667,13 @@ class TestArrayPath:
         assert transcript_bytes(replayed_kept) == transcript_bytes(array_kept)
         assert calls == list(range(n))
 
-    def test_replays_inside_a_chunk_keep_the_index_order(self, monkeypatch):
-        n, forced = 40, [0, 5, 6, 7, 21, 39]  # chunks of 16: first, middle and last lanes
-        _, plain = run_batch(SP4, "honest", n, 38, collect=True)
+    # chunks of 16: first, middle and last lanes
+    FORCED_REPLAYS = [0, 5, 6, 7, 21, 39]
+
+    @staticmethod
+    def force_replays(monkeypatch, forced) -> list:
+        """Run batches in chunks of 16 whose sessions at the forced indices run_session
+        replays; returns the list the replayed indices are appended to."""
         chunk, calls = engine._array_chunk, []
 
         def with_replays(lam, plan, master_seed, start, stop):
@@ -683,10 +689,27 @@ class TestArrayPath:
         monkeypatch.setattr(engine, "_CHUNK", 16)
         monkeypatch.setattr(engine, "_array_chunk", with_replays)
         monkeypatch.setattr(engine, "run_session", counted)
+        return calls
+
+    def test_replays_inside_a_chunk_keep_the_index_order(self, monkeypatch):
+        n, forced = 40, self.FORCED_REPLAYS
+        _, plain = run_batch(SP4, "honest", n, 38, collect=True)
+        calls = self.force_replays(monkeypatch, forced)
         stats, mixed = run_batch(SP4, "honest", n, 38, collect=True)
         assert calls == forced
         assert [t.index for t in mixed] == list(range(n))
         assert transcript_bytes(mixed) == transcript_bytes(plain)
+        assert stats.as_dict() == FlagStats.from_transcripts(plain).as_dict()
+
+    def test_replays_inside_a_chunk_keep_the_index_order_in_a_sink(self, monkeypatch):
+        # the sink's lines interleave lines rendered from a chunk's columns with replayed
+        # sessions' lines
+        n, forced, buf = 40, self.FORCED_REPLAYS, io.StringIO()
+        _, plain = run_batch(SP4, "honest", n, 38, collect=True)
+        calls = self.force_replays(monkeypatch, forced)
+        stats, _ = run_batch(SP4, "honest", n, 38, sink=buf)
+        assert calls == forced
+        assert buf.getvalue() == transcript_bytes(plain)
         assert stats.as_dict() == FlagStats.from_transcripts(plain).as_dict()
 
     @pytest.mark.parametrize("lam", [4, 16])
@@ -850,6 +873,62 @@ class TestArrayPath:
         us = rng_from(seed).random(len(rows))
         got = sample_edges_rows(np.array(rows), us).tolist()
         assert got == [sample_edges(row, Fixed(u)) for row, u in zip(rows, us.tolist())]
+
+
+class _XorBase:
+    """A stand-in base permutation, x ^ 11: its own inverse, and built in no time at any
+    width, where building the real one at lam 24 takes seconds and a peak of 400 MB."""
+
+    def __getitem__(self, i):
+        return i ^ 11
+
+
+RENDER_FORMS = ["honest", "stabilizer", "noisy:depol:0.3", "noisy:bitflip:0.2", "scripted"]
+RENDER_PINS = [{}, {"theta": (1, 1, 1), "round": RoundType.HADAMARD}, {"theta": (0, 0, 0)},
+               {"round": RoundType.PREIMAGE}]
+
+
+def json_lines(transcripts) -> str:
+    """The reference encoding of transcript records, which SCHEMA.md's rule describes."""
+    return "".join(json.dumps(t.to_record(), sort_keys=True) + "\n" for t in transcripts)
+
+
+class TestRecordRenderer:
+    """Every line a batch's sink or write_transcripts writes is json.dumps of its record."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(form=st.sampled_from(RENDER_FORMS), lam=st.integers(entcf.W_MIN, entcf.W_MAX),
+           pins=st.sampled_from(RENDER_PINS), seed=st.integers(0, 2**64 - 1),
+           answer=st.text(max_size=12), abort=st.text(max_size=20))
+    @example(form="scripted", lam=4, pins={}, seed=0, answer='é"\x00', abort='"\\\n\x7f\u2028é😀')
+    def test_lines_are_json_dumps_of_the_records(self, tmp_path_factory, form, lam, pins, seed,
+                                                 answer, abort):
+        # a scripted session aborts on a commitment that is no integer, else completes
+        folder, spec = tmp_path_factory.mktemp("render"), form
+        if form == "scripted":
+            completes = {"ys": [0, 1, 2], "preimages": [[0, 1], [1, 0], [0, 3]],
+                         "ds": [1, 2, 3], "vs": [0, 1, 1]}
+            script = folder / "script.json"
+            script.write_text(json.dumps([{"ys": [answer, 0, 0]}, completes] * 4))
+            spec = f"scripted:{script}"
+        # rendering depends on the records' values, not on the permutation behind them,
+        # so the widths past 16 use a stand-in
+        stand_ins = {w: (_XorBase(), _XorBase()) for w in range(17, entcf.W_MAX + 1)}
+        sink = io.StringIO()
+        with patch.dict(entcf._base_tables, stand_ins):
+            _, transcripts = run_batch(SecurityParam(lam), spec, 8, seed, sink=sink,
+                                       collect=True, **pins)
+        # the abort text is the one field that json escapes: non-ASCII, control, quotes
+        aborted = [dataclasses.replace(t, flag=None, accept=False, abort=abort)
+                   for t in transcripts]
+        expected = json_lines(transcripts)
+        assert sink.getvalue() == transcript_bytes(transcripts) == expected
+        assert transcript_bytes(aborted) == json_lines(aborted)
+        # a written file reads back into the transcripts that write it again
+        path = folder / "lines.jsonl"
+        for lines in (expected, json_lines(aborted)):
+            path.write_text(lines, encoding="utf-8")
+            assert transcript_bytes(list(iter_transcripts(path))) == lines
 
 
 # ---------------------------------------------------------------------- wire

@@ -5,6 +5,9 @@ transcript file it would write. A change that alters any draw, any record
 field or the record encoding moves a digest; SCHEMA.md is the contract.
 Covered provers' batches take the array path; each case also runs with
 every session replayed through run_session, which must give the same bytes.
+Both ways the digest is taken twice: of write_transcripts of the collected
+transcripts, and of what the batch itself writes to a sink, as `run --out`
+does.
 """
 
 import hashlib
@@ -41,6 +44,12 @@ def transcript_digest(lam, spec, master_seed=2111, n=200, **pins) -> str:
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
+def sink_digest(lam, spec, master_seed=2111, n=200, **pins) -> str:
+    buf = io.StringIO()
+    run_batch(SecurityParam(lam), spec, n, master_seed, sink=buf, **pins)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
 IDS = ["honest-l16", "stabilizer-l4", "depol-l16", "bitflip-l8", "stabilizer-l4-hyper",
        "depol-l4-hyper"]
 
@@ -48,6 +57,11 @@ IDS = ["honest-l16", "stabilizer-l4", "depol-l16", "bitflip-l8", "stabilizer-l4-
 @pytest.mark.parametrize("lam, spec, pins, digest", GOLDEN, ids=IDS)
 def test_transcript_digest_is_pinned(lam, spec, pins, digest):
     assert transcript_digest(lam, spec, **pins) == digest
+
+
+@pytest.mark.parametrize("lam, spec, pins, digest", GOLDEN, ids=IDS)
+def test_sink_digest_is_pinned(lam, spec, pins, digest):
+    assert sink_digest(lam, spec, **pins) == digest
 
 
 @pytest.mark.parametrize("lam, spec, pins, digest", GOLDEN, ids=IDS)
@@ -64,3 +78,5 @@ def test_transcript_digest_is_pinned_when_every_session_replays(monkeypatch, lam
     monkeypatch.setattr(engine, "run_session", counted)
     assert transcript_digest(lam, spec, **pins) == digest
     assert replays == list(range(200))
+    assert sink_digest(lam, spec, **pins) == digest
+    assert replays == list(range(200)) * 2

@@ -20,6 +20,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "magicert"
 # module.name -> why it stays although src/ does not use it
 ALLOWED = {
     "engine.read_transcripts": "the tests and perfbench read whole transcript files with it",
+    "engine.SessionTranscript.to_record": "acceptance criterion 8 compares wire and in-process "
+                                          "records with it; the renderer's tests take json.dumps "
+                                          "of it as the reference line",
     "analysis.fidelity_certificate": "acceptance criterion 6 certifies device states with it",
     # the verifier reads both rules through hadamard_fails' bitwise form
     "entcf.decode_b": "the tests' reference decoder; perfbench traces it as entcf.decode",
