@@ -2,8 +2,10 @@
 
 A session couples one verifier state machine with one prover strategy. The
 batch runner runs a batch in the calling process, one chunk of session
-indices at a time, and streams each chunk's transcripts to the sink;
-seeds are derived per index, so results never depend on the chunk size. The
+indices at a time, and streams each chunk's transcript lines to the sink;
+seeds are derived per index, so results never depend on the chunk size. A
+chunk of a generated prover is drawn and checked in one pass of array
+operations over all of its sessions, and its lines are its one output. The
 wire mode splits the two parties across a newline-delimited message stream:
 the server runs the same run_session with a RemoteProver that relays each
 prover call to the peer, so wire transcripts equal in-process transcripts
@@ -21,6 +23,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -119,18 +122,17 @@ class Message:
         if not isinstance(body, dict):
             raise TransportError("frame is not an object")
         try:
-            v = body["v"]
-            sid = int(body["sid"])
-            seq = body["seq"]
-            kind = body["kind"]
-            payload = body["payload"]
-        except (KeyError, TypeError, ValueError) as exc:
+            v, sid, seq, kind, payload = (body[k] for k in ("v", "sid", "seq", "kind", "payload"))
+        except KeyError as exc:
             raise TransportError(f"frame lacks required fields: {exc}") from exc
         if v != WIRE_VERSION:
             raise TransportError(f"unsupported wire version {v!r}")
         if kind not in MESSAGE_KINDS:
             raise TransportError(f"unknown message kind {kind!r}")
-        if not isinstance(seq, int) or seq < 0 or not isinstance(payload, dict):
+        sid = _u64_decimal(sid)
+        if sid is None:
+            raise TransportError("sid is not a decimal string below 2^64")
+        if type(seq) is not int or seq < 0 or not isinstance(payload, dict):
             raise TransportError("malformed seq or payload")
         return Message(sid=sid, seq=seq, kind=kind, payload=payload)
 
@@ -233,10 +235,10 @@ class SessionTranscript:
     @staticmethod
     def from_record(rec: dict) -> "SessionTranscript":
         try:
-            ys, preimages, ds, seed = rec["ys"], rec["preimages"], rec["ds"], rec["seed"]
+            ys, preimages, ds = rec["ys"], rec["preimages"], rec["ds"]
             t = SessionTranscript(
                 index=rec["index"],
-                seed=int(seed) if type(seed) is str and seed.isascii() and seed.isdigit() else -1,
+                seed=_u64_decimal(rec["seed"]),
                 lam=rec["lam"],
                 theta=_parsed(_THREE_BITS, rec["theta"], "theta is not a 3-bit string"),
                 keys=tuple(rec["keys"]),
@@ -257,7 +259,7 @@ class SessionTranscript:
             raise TranscriptParseError(f"bad transcript record: {exc}") from exc
         # SCHEMA.md's field rules; no decision reads bit-string widths
         rule = ("index is not an integer" if type(t.index) is not int
-                else "seed is not a decimal string below 2^64" if not 0 <= t.seed <= MASK64
+                else "seed is not a decimal string below 2^64" if t.seed is None
                 else "keys is not a list of three key records" if not (
                     type(rec["keys"]) is list and len(t.keys) == 3
                     and type(t.keys[0]) is type(t.keys[1]) is type(t.keys[2]) is dict)
@@ -281,6 +283,12 @@ class SessionTranscript:
         if rule is not None:
             raise TranscriptParseError(f"bad transcript record: {rule}")
         return t
+
+
+def _u64_decimal(text) -> int | None:
+    """A seed, session id or key id: ASCII digits for a value below 2^64, as an int; else None."""
+    ok = type(text) is str and text.isascii() and text.isdigit() and len(text) <= 20
+    return value if ok and (value := int(text)) <= MASK64 else None
 
 
 def _parsed(table: dict, value, rule: str, error=ValueError):
@@ -528,7 +536,6 @@ _CHUNK = 2048
 _CLAW = np.array(verifier.BASIS_CHOICES, dtype=bool).T  # [coordinate, theta index]
 _FLAGS_BY_CODE = tuple(Flag)
 _ROUND_VALUES = (RoundType.PREIMAGE.value, RoundType.HADAMARD.value)  # by hadamard
-_FAMILIES = (entcf.Family.INJECTIVE, entcf.Family.CLAW)  # by theta bit
 _QUESTIONS = tuple(_THREE_BITS.values())  # three bits by their code, MSB first
 _BIT_TEXTS = tuple(_THREE_BITS)  # their texts
 _THETA_TEXTS = tuple(_bit_text(bits) for bits in verifier.BASIS_CHOICES)  # by theta index
@@ -536,46 +543,63 @@ _LANES = np.array([[_VERIFIER_LANE], [_PROVER_LANE]], dtype=np.uint64)  # by row
 
 
 class _Stream:
-    """Draws of rng_from(k) for the lanes' keys k, as NumPy's Generator makes them.
+    """Draws of rng_from(k) for each session's key k, as NumPy's Generator makes them.
 
-    Row j of words is word j of every key's stream, from util.philox_words,
-    which says why NumPy's own Philox does not make them. A 32-bit draw takes
-    the pending high half if there is one, else the low half of the next
-    word; a 64-bit draw takes the next word and leaves the pending half pending.
+    Column i of words is session i's stream, from util.philox_words, which
+    says why NumPy's own Philox does not make them. Each session keeps its
+    own place: its next word, and whether it holds a pending high half. A
+    32-bit draw takes the pending half if there is one, else the low half of
+    the next word; a 64-bit draw takes the next word and leaves a pending
+    half pending. A draw given a session mask is made by the masked sessions
+    only: the others keep their places, and its values there mean nothing.
+    While every session is at the same place, that place is an int and a
+    bool, and a draw reads one row of words.
     """
 
-    def __init__(self, words: np.ndarray, lanes=slice(None)):
-        self.words, self.lanes, self.next, self.pending = words, lanes, 0, None
+    def __init__(self, words: np.ndarray):
+        self.words, self.lanes = words, np.arange(words.shape[1])
+        self.next, self.held, self.pending = 0, False, 0
 
-    def word(self) -> np.ndarray:
-        self.next += 1
-        return self.words[self.next - 1, self.lanes]
+    @staticmethod
+    def _parted(mask):
+        """True if every session draws, False if none does, else the mask."""
+        if type(mask) is bool:
+            return mask
+        return False if not mask.any() else True if mask.all() else mask
 
-    def half(self) -> np.ndarray:
-        if self.pending is None:
-            word = self.word()
-            self.pending = word >> _32
-            return word & _LO32
-        half, self.pending = self.pending, None
+    def _take(self, moved) -> np.ndarray:
+        """Each session's next word; the sessions in moved go past it."""
+        word = (self.words[self.next] if type(self.next) is int
+                else self.words[self.next, self.lanes])
+        self.next = self.next + moved
+        return word
+
+    def word(self, mask=True) -> np.ndarray:
+        return self._take(self._parted(mask))
+
+    def half(self, mask=True) -> np.ndarray:
+        mask = self._parted(mask)
+        if mask is False:
+            return self.words[0]
+        fresh = mask & (self.held ^ True)
+        word = self._take(fresh)
+        if fresh is True:
+            half, self.pending = word & _LO32, word >> _32
+        elif self.held is True:
+            half = self.pending
+        else:
+            half = np.where(self.held, self.pending, word & _LO32)
+            self.pending = np.where(fresh, word >> _32, self.pending)
+        self.held = self.held ^ mask
         return half
 
-    def bits(self, width: int) -> np.ndarray:
+    def bits(self, width: int, mask=True) -> np.ndarray:
         """rand_bits(rng, width): Lemire's draw on a power-of-two range never rejects."""
-        return lemire(self.half(), 1 << width)
+        return lemire(self.half(mask), 1 << width)
 
-    def uniform(self) -> np.ndarray:
+    def uniform(self, mask=True) -> np.ndarray:
         """rng.random(): the next word's top 53 bits over 2^53."""
-        return (self.word() >> 11) * 2.0 ** -53
-
-
-class _Keys(NamedTuple):
-    """One coordinate's keys across a group's sessions, in the Trapdoor fields entcf reads."""
-
-    family: entcf.Family
-    w: int
-    shift: np.ndarray
-    mask_in: np.ndarray
-    mask_out: np.ndarray
+        return (self.word(mask) >> 11) * 2.0 ** -53
 
 
 def _array_plan(prover_spec: str, theta, round):
@@ -601,15 +625,16 @@ def _array_plan(prover_spec: str, theta, round):
 
 
 class _Columns(NamedTuple):
-    """A chunk's sessions as arrays: one element per session, or rows 0-2 per coordinate.
+    """A chunk's sessions as arrays: one element per session, or (3, n) with a row per
+    coordinate.
 
     theta indexes BASIS_CHOICES and flag indexes Flag. replay marks the
     sessions run_session must replay instead: a Lemire draw on a range that
     is not a power of two rejects its first half, or two key ids collide;
-    their other entries mean nothing. q and test_index (theta 000 only) are
-    a Hadamard round's. groups pairs each (theta, round) group's lanes with
-    the record columns _array_group returned for them; only transcripts
-    read those, so a stats-only batch never gathers them per session.
+    their other entries mean nothing. Every session has ys; b and x, the
+    opened preimage pairs, are a preimage round's record, and ds, q, vs and
+    test_index (theta 000 only) a Hadamard round's. Each column holds a
+    value for every session, and the other round's values mean nothing.
     """
 
     seeds: np.ndarray
@@ -620,13 +645,27 @@ class _Columns(NamedTuple):
     key_id: np.ndarray
     perm_seed: np.ndarray
     shift: np.ndarray
+    ys: np.ndarray
+    b: np.ndarray
+    x: np.ndarray
+    ds: np.ndarray
     q: np.ndarray
     test_index: np.ndarray
-    groups: list
+    vs: np.ndarray
 
 
 def _array_chunk(lam, plan, master_seed, start, stop) -> _Columns:
-    """Sessions start..stop-1 of a covered batch, drawn and checked as run_session does."""
+    """Sessions start..stop-1 of a covered batch, drawn and checked as run_session does.
+
+    Each draw and each check is taken once over the whole chunk, in the
+    order run_session makes them. A draw that only some sessions make (an
+    injective key's branch bit, a preimage round's claw coin, a Hadamard
+    round's words) is masked by them, so every other session's stream stays
+    where it is. The keys go to entcf's permutation as (3, n) arrays, and
+    the Hadamard check runs once per basis triple present, each session
+    taking its own triple's result; a chunk with no preimage round skips
+    that round's coins and check.
+    """
     table_key, flip, theta, round = plan
     seeds = derive_seed(master_seed, np.arange(start, stop, dtype=np.uint64))
     n, w = len(seeds), lam
@@ -639,6 +678,7 @@ def _array_chunk(lam, plan, master_seed, start, stop) -> _Columns:
     ver, prover_words = _Stream(words[:, :n]), words[:, n:]
     if flip > 0:
         prover_words = np.concatenate([prover_words, philox_words(lane_keys[1], 2, 1)])
+    prover = _Stream(prover_words)
     # verifier.begin: the basis triple, then a rand_u64 key seed per coordinate
     if theta is None:
         half = ver.half()
@@ -647,17 +687,19 @@ def _array_chunk(lam, plan, master_seed, start, stop) -> _Columns:
         t_index, replay = np.full(n, theta, dtype=np.uint64), np.zeros(n, dtype=bool)
     key_seeds = np.concatenate([ver.word() >> 1 << 1 | ver.bits(1) for _ in range(3)])
     # OracleRegistry.gen for the three coordinates at once, coordinate-major
-    claw = _CLAW[:, t_index].ravel()
-    lane = np.where(claw, np.uint64(entcf._LANE_BY_FAMILY["F"]),
+    claw = _CLAW.take(t_index, axis=1)
+    lane = np.where(claw.ravel(), np.uint64(entcf._LANE_BY_FAMILY["F"]),
                     np.uint64(entcf._LANE_BY_FAMILY["G"]))
     keygen = philox_words(derive_seed(key_seeds, lane, w), 0, 1)
-    key_id, perm_seed = entcf._key_words(keygen[0], keygen[1], keygen[2])
-    half, k = keygen[3] & _LO32, (1 << w) - 1
-    shift = np.where(claw, 1 + lemire(half, k), 0).reshape(3, n)
-    replay |= (claw & lemire_rejects(half, k)).reshape(3, n).any(axis=0)
-    ids = key_id.reshape(3, n)
-    replay |= (ids[0] == ids[1]) | (ids[0] == ids[2]) | (ids[1] == ids[2])
-    m_in, m_out = (m.reshape(3, n) for m in entcf._masks(philox_words(perm_seed, 0, 1)[0], w))
+    key_id, perm_seed = (a.reshape(3, n) for a in entcf._key_words(*keygen[:3]))
+    half, k = keygen[3].reshape(3, n) & _LO32, (1 << w) - 1
+    shift = np.where(claw, 1 + lemire(half, k), 0)
+    replay |= (claw & lemire_rejects(half, k)).any(axis=0)
+    replay |= (key_id[0] == key_id[1]) | (key_id[0] == key_id[2]) | (key_id[1] == key_id[2])
+    # the keys in the Trapdoor fields entcf's permutation reads
+    m_in, m_out = entcf._masks(philox_words(perm_seed.ravel(), 0, 1)[0].reshape(3, n), w)
+    keys = SimpleNamespace(w=w, offset=np.where(claw, shift, np.uint64(1 << w)),
+                           mask_in=m_in, mask_out=m_out)
     # receive_commit's round coin, then send_questions' q and test index
     if round is None:
         hadamard = ver.bits(1) == 1
@@ -667,134 +709,71 @@ def _array_chunk(lam, plan, master_seed, start, stop) -> _Columns:
     test_index = lemire(half, 3)
     replay |= hadamard & (t_index == 0) & lemire_rejects(half, 3)
 
-    flag, groups = np.zeros(n, dtype=np.int8), []
-    table = _answer_table(*table_key)
-    for t in np.flatnonzero(np.bincount(t_index.astype(np.intp))).tolist():
+    # HonestProver.commit: sample_commitment per coordinate, an injective key's b then
+    # x, or a claw key's x0 with b = 0
+    b, x, injective = np.empty((3, n), dtype=np.uint64), np.empty((3, n), dtype=np.uint64), ~claw
+    for i in range(3):
+        b[i] = prover.bits(1, injective[i]) & injective[i]
+        x[i] = prover.bits(w)
+    ys = entcf._image(keys, b, x)
+    # answer_preimage opens a claw on a fair-coin branch, and check_preimage grades the
+    # pairs; a chunk of Hadamard rounds only has nothing to draw or grade here
+    flag = np.zeros(n, dtype=np.int8)
+    if not hadamard.all():
+        opening = claw & ~hadamard
+        coins = np.stack([prover.bits(1, opening[i]) for i in range(3)])
+        b, x = np.where(claw, coins, b), x ^ coins * shift
+        opens = entcf._opens(keys, b, x, ys).all(axis=0)
+        flag = np.where(opens | hadamard, flag, _FLAGS_BY_CODE.index(Flag.FAIL_PRE))
+    # answer_hadamard: a uniform d per coordinate; a claw collapses to <d, x0 ^ x1>
+    # in X, and x0 ^ x1 is the shift, so the prover's bit is the verifier's u
+    ds = np.stack([prover.bits(w, hadamard) for _ in range(3)])
+    us = np.bitwise_count(ds & shift).astype(np.uint64) & 1
+    opened = np.where(claw, us, b)
+    # answer_questions: one uniform against the row of the register's answer edges
+    code = t_index << 6 | opened[0] << 5 | opened[1] << 4 | opened[2] << 3 | q
+    rows = _answer_table(*table_key).take(code, axis=0)
+    outcome = sample_edges_rows(rows, prover.uniform(hadamard)).astype(np.uint64)
+    vs = np.stack([outcome >> 2 & 1, outcome >> 1 & 1, outcome & 1])
+    if flip > 0:
+        vs ^= np.stack([prover.uniform(hadamard) < flip for _ in range(3)])
+    # check_hadamard, by the rule of each basis triple the chunk's Hadamard rounds hold
+    tops = entcf._perm_backward(keys, ys) >> w
+    questions = [q >> 2 & 1, q >> 1 & 1, q & 1]
+    for t in np.flatnonzero(np.bincount(t_index.astype(np.intp), hadamard)).tolist():
         bases = verifier.BASIS_CHOICES[t]
-        for had in (False, True):
-            lanes = np.flatnonzero((t_index == t) & (hadamard == had))
-            if not len(lanes):
-                continue
-            keys = [_Keys(_FAMILIES[c], w, shift[i, lanes], m_in[i, lanes], m_out[i, lanes])
-                    for i, c in enumerate(bases)]
-            flag[lanes], group = _array_group(table[bases], flip, bases, had, keys,
-                                              _Stream(prover_words, lanes), q[lanes],
-                                              test_index[lanes])
-            groups.append((lanes, group))
-    return _Columns(seeds, t_index, hadamard, flag, replay, ids, perm_seed.reshape(3, n), shift,
-                    q, test_index, groups)
+        fails = verifier.hadamard_fails(bases, questions, test_index, tops, us, vs) != 0
+        flag = np.where(hadamard & (t_index == t) & fails,
+                        _FLAGS_BY_CODE.index(verifier.failure_flag(bases)), flag)
+    return _Columns(seeds, t_index, hadamard, flag, replay, key_id, perm_seed,
+                    shift, ys, b, x, ds, q, test_index, vs)
 
 
 @lru_cache(maxsize=None)
-def _answer_table(cls, depol: float) -> dict:
-    """The prover's answer edges per theta: 64 rows, one per pattern code, opened bits << 3
-    | question bits, stacked from provers.answer_edges of each opened register.
+def _answer_table(cls, depol: float) -> np.ndarray:
+    """The prover's answer edges, one row per theta index and pattern code: row
+    64 theta + (opened bits << 3 | question bits), stacked from provers.answer_edges of
+    each opened register.
 
     Built whole on a prover's first batch, so that no later chunk pays for a
     row and a batch's time does not depend on which rows came before it.
     """
-    table = {}
-    for bases in verifier.BASIS_CHOICES:
-        registers = [tuple(entcf.CollapsedQubit("X" if claw else "Z", bit)
-                           for claw, bit in zip(bases, bits)) for bits in _QUESTIONS]
-        table[bases] = np.concatenate([provers.answer_edges(qubits, cls._gate(qubits), depol)
-                                       for qubits in registers])
-    return table
-
-
-def _array_group(rows, flip, bases, hadamard, keys, stream, q, test_index):
-    """One (theta, round) group: the prover's draws, then the verifier's rules.
-
-    rows are the prover's answer edges for this theta, by pattern code, and
-    flip the probability that the prover flips each answer bit.
-    Returns the flag indices and the group's record columns, three arrays
-    each: ys, then the opened preimage pairs (b, x) or the ds and vs.
-    """
-    w = keys[0].w
-    # HonestProver.commit: sample_commitment per coordinate, b then x, or a claw's x0
-    bs, xs = [], []
-    for claw in bases:
-        bs.append(0 if claw else stream.bits(1))
-        xs.append(stream.bits(w))
-    ys = [entcf._image(k, b, x) for k, b, x in zip(keys, bs, xs)]
-    if not hadamard:
-        # answer_preimage opens a claw on a fair-coin branch; check_preimage grades it
-        ok, opened_b, opened_x = True, [], []
-        for claw, k, b, x, y in zip(bases, keys, bs, xs, ys):
-            if claw:
-                b = stream.bits(1)
-                x = x ^ b * k.shift
-            ok = ok & entcf._opens(k, b, x, y)
-            opened_b.append(b)
-            opened_x.append(x)
-        return (np.where(ok, 0, _FLAGS_BY_CODE.index(Flag.FAIL_PRE)),
-                {"ys": ys, "b": opened_b, "x": opened_x})
-    # answer_hadamard: a uniform d per coordinate; a claw collapses to <d, x0 ^ x1>
-    # in X, and x0 ^ x1 is the shift, so the prover's bit is the verifier's u
-    ds = [stream.bits(w) for _ in bases]
-    us = [np.bitwise_count(d & k.shift).astype(np.uint64) & 1 for k, d in zip(keys, ds)]
-    opened = [u if claw else b for claw, u, b in zip(bases, us, bs)]
-    # answer_questions: one uniform against the register's table row
-    code = opened[0] << 5 | opened[1] << 4 | opened[2] << 3 | q
-    outcome = sample_edges_rows(rows[code], stream.uniform()).astype(np.uint64)
-    vs = [outcome >> 2 & 1, outcome >> 1 & 1, outcome & 1]
-    if flip > 0:
-        vs = [v ^ (stream.uniform() < flip) for v in vs]
-    # check_hadamard
-    tops = [entcf._perm_backward(k, y) >> w for k, y in zip(keys, ys)]
-    fail = verifier.hadamard_fails(bases, [q >> 2 & 1, q >> 1 & 1, q & 1], test_index,
-                                   tops, us, vs)
-    return (np.where(fail != 0, _FLAGS_BY_CODE.index(verifier.failure_flag(bases)), 0),
-            {"ys": ys, "ds": ds, "vs": vs})
-
-
-def _session_columns(cols: _Columns) -> dict:
-    """The groups' record columns gathered back into the chunk: ys, b, x, ds and vs, each
-    an array with a row per coordinate and a column per session."""
-    fields = {name: np.zeros((3, len(cols.seeds)), dtype=np.uint64)
-              for name in ("ys", "b", "x", "ds", "vs")}
-    for lanes, group in cols.groups:
-        for name, rows in group.items():
-            for i, row in enumerate(rows):
-                fields[name][i, lanes] = row
-    return fields
-
-
-def _chunk_transcripts(lam, cols: _Columns, start, replayed):
-    """Yield a chunk's transcripts in index order: replayed ones as given, the rest built
-    from the columns with the fields run_session gives them."""
-    ys, b, x, ds, vs = (column.T.tolist() for column in _session_columns(cols).values())
-    # every key's record, session-major: session i's three are 3i, 3i+1, 3i+2
-    claw = _CLAW[:, cols.theta].T.ravel().tolist()
-    records = [entcf.key_record(k, lam, _FAMILIES[c], p, s) for c, k, p, s in zip(
-        claw, *(a.T.ravel().tolist() for a in (cols.key_id, cols.perm_seed, cols.shift)))]
-    for i, (seed, t, had, f, q, test) in enumerate(zip(
-            cols.seeds.tolist(), cols.theta.tolist(), cols.hadamard.tolist(),
-            cols.flag.tolist(), cols.q.tolist(), cols.test_index.tolist())):
-        if start + i in replayed:
-            yield replayed[start + i]
-            continue
-        theta, keys = verifier.BASIS_CHOICES[t], tuple(records[3 * i:3 * i + 3])
-        if had:
-            reached = dict(ds=tuple(ds[i]), q=_QUESTIONS[q], test_index=test if t == 0 else None,
-                           vs=tuple(vs[i]))
-        else:
-            reached = dict(preimages=tuple(zip(b[i], x[i])))
-        yield SessionTranscript(start + i, seed, lam, theta, keys, ys=tuple(ys[i]),
-                                round=_ROUND_VALUES[had], flag=_FLAGS_BY_CODE[f].value,
-                                accept=f == 0, **reached)
+    registers = [tuple(entcf.CollapsedQubit("X" if claw else "Z", bit)
+                       for claw, bit in zip(bases, bits))
+                 for bases in verifier.BASIS_CHOICES for bits in _QUESTIONS]
+    return np.concatenate([provers.answer_edges(qubits, cls._gate(qubits), depol)
+                           for qubits in registers])
 
 
 def _chunk_lines(lam, cols: _Columns, start, replayed):
-    """Yield a chunk's transcript lines in index order, the bytes write_transcripts gives
-    _chunk_transcripts' transcripts: replayed ones through write_transcripts' rule, the
-    rest rendered straight from the columns."""
-    fields = _session_columns(cols)
-    ys, b, x, ds = (fields[name].T.tolist() for name in ("ys", "b", "x", "ds"))
-    vs = (fields["vs"][0] << 2 | fields["vs"][1] << 1 | fields["vs"][2]).tolist()
-    # every key's entcf.key_record map in sorted-key order, session-major as in
-    # _chunk_transcripts, rendered as the loop takes each session's three
-    spec, claw = f"0{lam}b", _CLAW[:, cols.theta].T.ravel().tolist()
+    """Yield a chunk's transcript lines in index order: replayed sessions' through
+    write_transcripts' rule, the rest rendered straight from the columns with the fields
+    run_session gives them."""
+    ys, b, x, ds = (column.T.tolist() for column in (cols.ys, cols.b, cols.x, cols.ds))
+    vs = (cols.vs[0] << 2 | cols.vs[1] << 1 | cols.vs[2]).tolist()
+    # every key's entcf.key_record map in sorted-key order, session-major (session i's
+    # three are 3i, 3i+1, 3i+2), rendered as the loop takes each session's three
+    spec, claw = f"0{lam}b", _CLAW.take(cols.theta, axis=1).T.ravel().tolist()
     maps = (
         f'{{"family": "F", "id": "{k}", "perm_seed": "{p}", "shift": "{s:{spec}}", "w": "{lam}"}}'
         if c else f'{{"family": "G", "id": "{k}", "perm_seed": "{p}", "w": "{lam}"}}'
@@ -818,13 +797,15 @@ def _chunk_lines(lam, cols: _Columns, start, replayed):
 
 def _batch_chunk(sp, factory, plan, master_seed, pins, start, stop, stats, out, kept):
     """Sessions start..stop-1 of a batch: fold their outcomes into stats, write their
-    transcripts to out and append them to kept, in index order, where either is not None.
+    transcript lines to out and append their transcripts to kept, in index order, where
+    either is not None.
 
     With a plan the chunk runs on the array path, and run_session replays
     only the sessions the arrays do not cover; without one (a scripted
-    prover) it replays every session. Array-path transcripts are built
-    only for kept; their lines are rendered straight from the columns and
-    streamed to out as they are made.
+    prover) it replays every session. The chunk's one output is its lines:
+    they stream to out as they are made, and kept gets the transcripts
+    SessionTranscript.from_record reads back from them. A stats-only chunk
+    renders none.
     """
     if plan is None:
         cols, again = None, range(start, stop)
@@ -841,12 +822,13 @@ def _batch_chunk(sp, factory, plan, master_seed, pins, start, stop, stats, out, 
     replayed = {index: run_session(sp, factory, master_seed, index, **pins) for index in again}
     for t in replayed.values():
         stats.add(t)
+    lines = (map(_transcript_line, replayed.values()) if cols is None
+             else _chunk_lines(sp.lam, cols, start, replayed))
     if kept is not None:
-        kept += (replayed.values() if cols is None
-                 else _chunk_transcripts(sp.lam, cols, start, replayed))
+        lines = list(lines)
+        kept += [SessionTranscript.from_record(_JSON.decode(line)) for line in lines]
     if out is not None:
-        out.writelines(map(_transcript_line, replayed.values()) if cols is None
-                       else _chunk_lines(sp.lam, cols, start, replayed))
+        out.writelines(lines)
 
 
 def run_batch(
@@ -864,12 +846,13 @@ def run_batch(
     """N independent sessions; stats and sink order follow the session index.
 
     Every batch runs in the calling process, one chunk of _CHUNK session
-    indices at a time, and writes each chunk's transcripts to the sink as
-    the chunk ends, so its memory does not grow with n unless collect=True
-    keeps the list. A chunk of an honest, stabilizer or noisy prover runs
-    on the array path: it computes every session's draws and checks as
-    array operations, with the same outcomes and transcripts as
-    run_session, which replays the few sessions the arrays do not cover.
+    indices at a time, and writes each chunk's transcript lines to the sink
+    as the chunk ends, so its memory does not grow with n unless
+    collect=True keeps the list; collect=True reads its transcripts back
+    from those lines. A chunk of an honest, stabilizer or noisy prover runs
+    on the array path: one pass of array operations over all of the chunk's
+    sessions takes every draw and check, with the same outcomes and lines
+    as run_session, which replays the few sessions the arrays do not cover.
     A scripted chunk runs run_session for every index. A bad theta or
     round pin raises ParameterError before any session, whatever n is.
 
@@ -1021,9 +1004,11 @@ def _client_sessions(rfile, wfile, factory, master_seed) -> list[dict]:
 def _client_one(rfile, wfile, factory, master_seed, keys_msg: Message) -> dict:
     payload = keys_msg.payload
     try:
-        index = int(payload["index"])
-        lam = int(payload["lam"])
-        advertised = [(int(k["id"]), int(k["w"])) for k in payload["keys"]]
+        index, lam = payload["index"], payload["lam"]
+        advertised = [(_u64_decimal(k["id"]), k["w"]) for k in payload["keys"]]
+        if not type(index) is type(lam) is int or any(
+                key_id is None or type(w) is not int for key_id, w in advertised):
+            raise ValueError("index, lam and each w are not JSON integers, or an id is not decimal")
         sp = entcf.SecurityParam(lam)
     except (KeyError, TypeError, ValueError, ParameterError) as exc:
         raise TransportError(f"malformed KEYS payload: {exc}") from exc

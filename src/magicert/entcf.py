@@ -32,7 +32,7 @@ NumPy's bounded draws would do (SCHEMA.md, "Seeds and randomness").
 The key-material words, the permutation and its inverse, and chk's rule
 are written in bitwise arithmetic on anything with a trapdoor's fields, so
 they run unchanged on one Trapdoor with int arguments and on a batch of
-keys held as uint64 arrays.
+keys of both families held as uint64 arrays.
 """
 
 from __future__ import annotations
@@ -118,6 +118,11 @@ class Trapdoor:
         object.__setattr__(self, "mask_in", m_in)
         object.__setattr__(self, "mask_out", m_out)
 
+    @property
+    def offset(self) -> int:
+        """x ^ b*offset is branch b's input to P_k: the shift, or 2^w for the injective family."""
+        return self.shift if self.family is Family.CLAW else 1 << self.w
+
 
 def _key_words(w1, w2, w3):
     """(key_id, perm_seed) from a key stream's first three raw words.
@@ -199,10 +204,10 @@ def _gather(table: np.ndarray, i):
 
 
 def _image(t: Trapdoor, b, x):
-    """f_{k,b}(x) for an in-range bit b and w-bit x: P_k(b || x), or P_k(0 || x ^ b*s)."""
+    """f_{k,b}(x) for an in-range bit b and w-bit x: P_k(x ^ b*offset), which is P_k(b || x)
+    for the injective family and P_k(0 || x ^ b*s) for the claw family."""
     perm, _ = _base(t.w)
-    z = b << t.w | x if t.family is Family.INJECTIVE else x ^ b * t.shift
-    return _gather(perm, z ^ t.mask_in) ^ t.mask_out
+    return _gather(perm, x ^ b * t.offset ^ t.mask_in) ^ t.mask_out
 
 
 def _perm_backward(t: Trapdoor, y):

@@ -121,6 +121,19 @@ class TestMessageCodec:
             Message.decode(line)
 
 
+    @pytest.mark.parametrize("sid, seq", [
+        (b"12", b"0"), (b'" 1_2 "', b"0"), (b'"\\u0661\\u0662"', b"0"),
+        ('"١٢"'.encode(), b"0"), (b'"-12"', b"0"), (b'"18446744073709551616"', b"0"),
+        (b"true", b"0"), (b'"12"', b"true"),
+    ], ids=["int-sid", "spaced-underscored-sid", "escaped-arabic-sid", "arabic-sid",
+            "negative-sid", "sid-2^64", "bool-sid", "bool-seq"])
+    def test_frame_numbers_are_read_by_their_schema_types(self, sid, seq):
+        line = b'{"v":1,"sid":' + sid + b',"seq":' + seq + b',"kind":"KEYS","payload":{}}\n'
+        with pytest.raises(TransportError):
+            Message.decode(line)
+        assert Message.decode(line.replace(sid, b'"12"').replace(b'"seq":' + seq, b'"seq":1')
+                              ) == Message(sid=12, seq=1, kind="KEYS", payload={})
+
     def test_frame_cap_counts_the_newline(self):
         at_cap = b"x" * (engine.MAX_FRAME - 1) + b"\n"
         with pytest.raises(TransportError, match="undecodable frame"):
@@ -624,6 +637,16 @@ class TestArrayPath:
         _, kept = run_batch(SecurityParam(lam), spec, n, master_seed, collect=True, **pins)
         assert transcript_bytes(kept) == session_bytes(lam, spec, master_seed, n, pins)
 
+    @pytest.mark.parametrize("pins", [{"round": "preimage"}, {"round": "hadamard"},
+                                      {"theta": (0, 0, 0)}, {"theta": (0, 1, 0)}])
+    @pytest.mark.parametrize("spec", COVERED)
+    def test_batches_pinned_by_round_or_theta_alone_equal_run_session_bytes(self, spec, pins):
+        # one chunk mixes basis triples, or rounds, while every draw of one round is masked
+        # off for all of its sessions
+        expected, sink = session_bytes(4, spec, 44, 200, pins), io.StringIO()
+        _, kept = run_batch(SP4, spec, 200, 44, sink=sink, collect=True, **pins)
+        assert transcript_bytes(kept) == sink.getvalue() == expected
+
     @pytest.mark.parametrize("spec, pins, flag", [
         ("stabilizer", HYPER_PINS, "fail_hyper"),
         ("noisy:bitflip:0.2", {}, "fail_test"),
@@ -857,6 +880,28 @@ class TestArrayPath:
         assert derive_seed(seed, array).tolist() == [derive_seed(seed, x) for x in lanes]
         assert derive_seed(array, 7, 3).tolist() == [derive_seed(x, 7, 3) for x in lanes]
         assert mix64(array).tolist() == [mix64(x) for x in lanes]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6),
+           draws=st.lists(st.one_of(st.integers(1, 24), st.just("uniform")), max_size=14))
+    def test_masked_stream_draws_equal_each_sessions_generator(self, data, n, draws):
+        # lane 0 never draws; each draw's mask is all-true, all-false or drawn per lane
+        lane_mask = st.lists(st.booleans(), min_size=n, max_size=n).map(
+            lambda bits: np.array([False, *bits[1:]]))
+        masks = [data.draw(st.one_of(st.just(True), st.just(False), lane_mask))
+                 for _ in draws]
+        keys = np.array(data.draw(st.lists(st.integers(0, (1 << 64) - 1),
+                                           min_size=n, max_size=n)), dtype=np.uint64)
+        stream = engine._Stream(philox_words(keys, 0, len(draws) // 4 + 1))
+        got = [stream.uniform(mask) if draw == "uniform" else stream.bits(draw, mask)
+               for draw, mask in zip(draws, masks)]
+        for lane, key in enumerate(keys.tolist()):
+            gen = rng_from(key)
+            for draw, mask, values in zip(draws, masks, got):
+                if mask is True or mask is not False and mask[lane]:
+                    expected = (gen.random() if draw == "uniform"
+                                else int(gen.integers(0, 1 << draw)))
+                    assert values[lane] == expected
 
     @settings(max_examples=100, deadline=None)
     @given(rows=st.lists(st.lists(st.floats(0, 1), min_size=8, max_size=8),
@@ -1253,6 +1298,32 @@ class TestWire:
                 engine.connect(f"127.0.0.1:{port}", "honest", 1919)
             thread.join(10.0)
             assert not thread.is_alive()
+
+    @pytest.mark.parametrize("edit", [
+        {"index": "0"}, {"index": False}, {"lam": "4"}, {"lam": True}, {"id": "int"},
+        {"w": "string"}, {"w": True},
+    ], ids=["string-index", "bool-index", "string-lam", "bool-lam", "int-id", "string-w",
+            "bool-w"])
+    def test_keys_numbers_are_read_by_their_schema_types(self, edit):
+        master_seed = 1717
+        seed, sess, _ = engine._session_lanes(SP4, master_seed, 0)
+        payload = {"index": 0, "lam": 4,
+                   "keys": [{"id": str(h.key_id), "w": h.w} for h in sess.handles]}
+        honest, out = Message(sid=seed, seq=0, kind="KEYS", payload=payload).encode(), io.BytesIO()
+        with pytest.raises(TransportError, match="waiting for ROUND"):  # it commits
+            engine._client_sessions(io.BytesIO(honest), out, HONEST, master_seed)
+        assert Message.decode(out.getvalue()).kind == "COMMIT"
+        key = payload["keys"][1]
+        if "id" in edit:
+            key["id"] = int(key["id"])
+        elif "w" in edit:
+            key["w"] = str(key["w"]) if edit["w"] == "string" else edit["w"]
+        else:
+            payload.update(edit)
+        keys, out = Message(sid=seed, seq=0, kind="KEYS", payload=payload).encode(), io.BytesIO()
+        with pytest.raises(TransportError, match="malformed KEYS payload"):
+            engine._client_sessions(io.BytesIO(keys), out, HONEST, master_seed)
+        assert out.getvalue() == b""
 
     @pytest.mark.parametrize("lam", [0, 3, -3, 10**6])
     def test_unsupported_lam_in_keys_raises_transport_error(self, lam):

@@ -1,11 +1,14 @@
 """Layout rules for src/: no top-level function or class, and no method of a top-level
-class, that src/ itself never uses, and no top-level name defined in two modules.
+class, that src/ itself never uses, no top-level constant that src/ never reads, and no
+top-level name defined in two modules.
 
 ROADMAP's rule is to delete helpers that nothing in src/ calls; a helper
 only the tests need lives in the tests. This test parses every module and
 fails on a top-level def or class, or a method of a top-level class, whose
 name appears, as a name or an attribute, nowhere in src/ outside its own
-definition. Dunder methods are exempt, since Python calls them. ROADMAP
+definition. Dunder methods are exempt, since Python calls them. A top-level
+assignment is checked the same way: each name it binds must appear in src/
+outside that assignment (dunders such as __version__ are exempt). ROADMAP
 also keeps one copy of each rule: a name that two modules bind at top
 level, by assignment, def or class, is a copy; a module that needs
 another's name imports it, and imports do not count.
@@ -79,12 +82,32 @@ def top_level_bindings(tree) -> set[str]:
     return names
 
 
+def unread_constants() -> list[str]:
+    """module.name of each non-dunder name a top-level assignment binds that src/ never
+    names outside that assignment."""
+    modules = parsed_modules()
+    everywhere = sum((names_in(tree) for tree in modules.values()), Counter())
+    unread = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                continue
+            for name in sorted(top_level_bindings(ast.Module(body=[node], type_ignores=[]))):
+                if not name.startswith("__") and everywhere[name] == names_in(node)[name]:
+                    unread.append(f"{module}.{name}")
+    return unread
+
+
 def test_every_top_level_definition_is_used_in_src():
     assert sorted(set(unused_definitions()) - set(ALLOWED)) == []
 
 
 def test_every_allowed_name_is_still_defined_and_unused():
     assert sorted(set(ALLOWED) - set(unused_definitions())) == []
+
+
+def test_every_top_level_constant_is_read_in_src():
+    assert unread_constants() == []
 
 
 def test_no_top_level_name_is_bound_in_two_modules():
