@@ -80,6 +80,7 @@ def _not_an_integer(text: str):
 # the one JSON decoder for frames and transcript lines; every number in them
 # is an integer, and json.loads would read NaN, Infinity or 1e999 as floats
 _JSON = json.JSONDecoder(parse_float=_not_an_integer, parse_constant=_not_an_integer)
+_SCAN = _JSON.scan_once  # the scanner _JSON.decode calls: (value, end) of the value at an index
 # the text of a record's abort string and of key maps a transcript holds as dicts:
 # json.dumps(value, sort_keys=True), without building an encoder per line
 _ENCODER = json.JSONEncoder(sort_keys=True)
@@ -91,6 +92,8 @@ _FLAGS = (None, *(f.value for f in Flag))
 _THREE_BITS = {format(c, "03b"): int_to_tuple(c, 3) for c in range(8)}
 _NULL_OR_THREE_BITS = {None: None, **_THREE_BITS}
 _BIT = {"0": 0, "1": 1}
+# each three-bit theta's conditioning class, for FlagStats.add
+_THETA_CLASSES = {bits: verifier.theta_class(bits) for bits in _THREE_BITS.values()}
 
 _VERIFIER_LANE = 0
 _PROVER_LANE = 1
@@ -116,7 +119,7 @@ class Message:
     @staticmethod
     def decode(line: bytes) -> "Message":
         try:
-            body = _JSON.decode(line.decode("utf-8"))
+            body = _decoded(line.decode("utf-8"))
         except (ValueError, RecursionError) as exc:  # ValueError: also an over-long integer
             raise TransportError(f"undecodable frame: {exc}") from exc
         if not isinstance(body, dict):
@@ -135,6 +138,22 @@ class Message:
         if type(seq) is not int or seq < 0 or not isinstance(payload, dict):
             raise TransportError("malformed seq or payload")
         return Message(sid=sid, seq=seq, kind=kind, payload=payload)
+
+
+def _decoded(text: str):
+    """_JSON.decode(text), with its value and its errors.
+
+    A frame or record line, one JSON value and its newline, goes through
+    the decoder's scanner alone. A line that opens with whitespace, or
+    holds more than whitespace after its value, goes through decode.
+    """
+    try:
+        value, end = _SCAN(text, 0)
+    except StopIteration:  # no JSON value at 0: whitespace, or nothing decode reads
+        return _JSON.decode(text)
+    if text[end:].strip(" \t\n\r"):  # more than JSON whitespace follows: decode refuses it
+        return _JSON.decode(text)
+    return value
 
 
 def _recv(rfile) -> Message | None:
@@ -234,35 +253,36 @@ class SessionTranscript:
 
     @staticmethod
     def from_record(rec: dict) -> "SessionTranscript":
+        """The transcript a decoded record holds; TranscriptParseError names the first
+        of SCHEMA.md's rules it breaks.
+
+        The one owner of the record rules. Each field is read once, in the
+        order the rules take them, and the transcript is built without the
+        frozen __init__'s setattr per field.
+        """
         try:
             ys, preimages, ds = rec["ys"], rec["preimages"], rec["ds"]
-            t = SessionTranscript(
-                index=rec["index"],
-                seed=_u64_decimal(rec["seed"]),
-                lam=rec["lam"],
-                theta=_parsed(_THREE_BITS, rec["theta"], "theta is not a 3-bit string"),
-                keys=tuple(rec["keys"]),
-                ys=None if ys is None else tuple(parse_bits(s)[0] for s in ys),
-                round=rec["round"],
-                test_index=rec["test_index"],
-                preimages=None if preimages is None
-                else tuple((_parsed(_BIT, b, "a preimage bit is not 0 or 1"), parse_bits(x)[0])
-                           for b, x in preimages),
-                ds=None if ds is None else tuple(parse_bits(s)[0] for s in ds),
-                q=_parsed(_NULL_OR_THREE_BITS, rec["q"], "q is not null or a 3-bit string"),
-                vs=_parsed(_NULL_OR_THREE_BITS, rec["vs"], "vs is not null or a 3-bit string"),
-                flag=rec["flag"],
-                accept=rec["accept"],
-                abort=rec["abort"],
-            )
+            index, seed, lam = rec["index"], _u64_decimal(rec["seed"]), rec["lam"]
+            theta = _parsed(_THREE_BITS, rec["theta"], "theta is not a 3-bit string")
+            key_list = rec["keys"]
+            keys = tuple(key_list)
+            y_values = None if ys is None else tuple(map(_bit_value, ys))
+            round, test_index = rec["round"], rec["test_index"]
+            pairs = None if preimages is None else tuple(
+                (_parsed(_BIT, b, "a preimage bit is not 0 or 1"), _bit_value(x))
+                for b, x in preimages)
+            d_values = None if ds is None else tuple(map(_bit_value, ds))
+            q = _parsed(_NULL_OR_THREE_BITS, rec["q"], "q is not null or a 3-bit string")
+            vs = _parsed(_NULL_OR_THREE_BITS, rec["vs"], "vs is not null or a 3-bit string")
+            flag, accept, abort = rec["flag"], rec["accept"], rec["abort"]
         except (KeyError, TypeError, ValueError) as exc:
             raise TranscriptParseError(f"bad transcript record: {exc}") from exc
         # SCHEMA.md's field rules; no decision reads bit-string widths
-        rule = ("index is not an integer" if type(t.index) is not int
-                else "seed is not a decimal string below 2^64" if t.seed is None
+        rule = ("index is not an integer" if type(index) is not int
+                else "seed is not a decimal string below 2^64" if seed is None
                 else "keys is not a list of three key records" if not (
-                    type(rec["keys"]) is list and len(t.keys) == 3
-                    and type(t.keys[0]) is type(t.keys[1]) is type(t.keys[2]) is dict)
+                    type(key_list) is list and len(keys) == 3
+                    and type(keys[0]) is type(keys[1]) is type(keys[2]) is dict)
                 else "ys is not null or a list of three"
                 if ys is not None and not (type(ys) is list and len(ys) == 3)
                 else "preimages is not null or a list of three pairs" if preimages is not None
@@ -270,18 +290,22 @@ class SessionTranscript:
                          and type(preimages[0]) is type(preimages[1]) is type(preimages[2]) is list)
                 else "ds is not null or a list of three"
                 if ds is not None and not (type(ds) is list and len(ds) == 3)
-                else "theta is not a basis choice" if t.theta not in verifier.BASIS_CHOICES
-                else "round is not null, preimage or hadamard" if t.round not in _ROUNDS
-                else _broken_verdict_rule(t.accept, t.flag, t.abort)
+                else "theta is not a basis choice" if theta not in verifier.BASIS_CHOICES
+                else "round is not null, preimage or hadamard" if round not in _ROUNDS
+                else _broken_verdict_rule(accept, flag, abort)
                 or ("test_index is not null or 0-2"
-                    if t.test_index not in (None, 0, 1, 2) or isinstance(t.test_index, bool)
+                    if test_index not in (None, 0, 1, 2) or isinstance(test_index, bool)
                     else "lam is not a supported width"
-                    if type(t.lam) is not int or not entcf.W_MIN <= t.lam <= entcf.W_MAX
+                    if type(lam) is not int or not entcf.W_MIN <= lam <= entcf.W_MAX
                     else "a record without an abort has no round"
-                    if t.abort is None and t.round is None
+                    if abort is None and round is None
                     else None))
         if rule is not None:
             raise TranscriptParseError(f"bad transcript record: {rule}")
+        t = object.__new__(SessionTranscript)
+        vars(t).update(index=index, seed=seed, lam=lam, theta=theta, keys=keys, ys=y_values,
+                       round=round, test_index=test_index, preimages=pairs, ds=d_values, q=q,
+                       vs=vs, flag=flag, accept=accept, abort=abort)
         return t
 
 
@@ -289,6 +313,17 @@ def _u64_decimal(text) -> int | None:
     """A seed, session id or key id: ASCII digits for a value below 2^64, as an int; else None."""
     ok = type(text) is str and text.isascii() and text.isdigit() and len(text) <= 20
     return value if ok and (value := int(text)) <= MASK64 else None
+
+
+def _bit_value(text) -> int:
+    """parse_bits(text)[0], with parse_bits' rule and errors: the ASCII digits that
+    int(text, 2) reads are exactly the nonempty 0/1 strings."""
+    if type(text) is str and text.isascii() and text.isdigit():
+        try:
+            return int(text, 2)
+        except ValueError:  # a digit 2-9
+            pass
+    return parse_bits(text)[0]
 
 
 def _parsed(table: dict, value, rule: str, error=ValueError):
@@ -384,7 +419,7 @@ def iter_transcripts(path):
                 text = line.decode("utf-8")
                 if text.isspace():
                     continue
-                t = SessionTranscript.from_record(_JSON.decode(text))
+                t = SessionTranscript.from_record(_decoded(text))
             except (ValueError, RecursionError) as exc:  # TranscriptParseError is a ValueError
                 raise TranscriptParseError(f"line {lineno}: {exc}") from exc
             yield t
@@ -415,8 +450,7 @@ class FlagStats:
         if t.abort is not None:
             self.n_aborted += 1
             return
-        cls = verifier.theta_class(t.theta)
-        self.cells[(t.round, cls, t.flag)] += 1
+        self.cells[(t.round, _THETA_CLASSES[t.theta], t.flag)] += 1
 
     @classmethod
     def from_transcripts(cls, transcripts) -> "FlagStats":
@@ -826,7 +860,7 @@ def _batch_chunk(sp, factory, plan, master_seed, pins, start, stop, stats, out, 
              else _chunk_lines(sp.lam, cols, start, replayed))
     if kept is not None:
         lines = list(lines)
-        kept += [SessionTranscript.from_record(_JSON.decode(line)) for line in lines]
+        kept += [SessionTranscript.from_record(_decoded(line)) for line in lines]
     if out is not None:
         out.writelines(lines)
 

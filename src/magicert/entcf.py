@@ -183,6 +183,7 @@ class CollapsedQubit:
 # one Fisher-Yates base permutation (and inverse) per width, process-wide
 _base_lock = threading.Lock()
 _base_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_INVERSE_SLICE = 1 << 20
 
 
 def _base(w: int) -> tuple[np.ndarray, np.ndarray]:
@@ -190,9 +191,14 @@ def _base(w: int) -> tuple[np.ndarray, np.ndarray]:
         cached = _base_tables.get(w)
         if cached is None:
             rng = rng_from(derive_seed(_BASE_LANE, w))
-            perm = rng.permutation(1 << (w + 1)).astype(np.uint32)
+            # shuffling a uint32 arange in place draws what permutation(1 << (w + 1))
+            # does, without its int64 copy
+            perm = np.arange(1 << (w + 1), dtype=np.uint32)
+            rng.shuffle(perm)
             inv = np.empty_like(perm)
-            inv[perm] = np.arange(perm.size, dtype=np.uint32)
+            for start in range(0, perm.size, _INVERSE_SLICE):  # no full-size index array
+                part = perm[start:start + _INVERSE_SLICE]
+                inv[part] = np.arange(start, start + part.size, dtype=np.uint32)
             cached = (perm, inv)
             _base_tables[w] = cached
         return cached
@@ -200,7 +206,7 @@ def _base(w: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _gather(table: np.ndarray, i):
     """table[i]: an int for an int index (NumPy scalar arithmetic is slow), else an array."""
-    return table[i] if isinstance(i, np.ndarray) else int(table[i])
+    return table.take(i) if isinstance(i, np.ndarray) else int(table[i])
 
 
 def _image(t: Trapdoor, b, x):

@@ -125,18 +125,21 @@ def philox_words(keys: np.ndarray, first_block: int, blocks: int) -> np.ndarray:
     block, and hands a block's four words out in order, so block b is
     Philox4x64-10 of the counter (b + 1, 0, 0, 0).
     """
-    n = len(keys)
-    key = np.tile(keys, blocks)
-    c0 = np.repeat(np.arange(first_block + 1, first_block + blocks + 1, dtype=_U64), n)
-    zero = np.zeros_like(c0)
-    c = (c0, zero, zero, zero)
-    for r in range(10):
-        if r:
-            key = key + _PHILOX_W0
+    # Round 0 of the counter (b + 1, 0, 0, 0) gives (key, 0, hi, lo) of (b + 1)·M0, and
+    # round 1's M1 product of that hi is per block too: start from round 1, with the
+    # block constants as a (blocks, 1) column and each key's as an (n,) row
+    block = np.arange(first_block + 1, first_block + blocks + 1, dtype=_U64)[:, None]
+    hi, lo = _mulhilo(block, _PHILOX_M[0])
+    hi1, lo1 = _mulhilo(hi, _PHILOX_M[1])
+    hi0, lo0 = _mulhilo(keys, _PHILOX_M[0])
+    key = keys + _PHILOX_W0
+    c = (hi1 ^ key, lo1, hi0 ^ lo ^ _PHILOX_W1[1], lo0)
+    for r in range(2, 10):
+        key = key + _PHILOX_W0
         hi0, lo0 = _mulhilo(c[0], _PHILOX_M[0])
         hi1, lo1 = _mulhilo(c[2], _PHILOX_M[1])
         c = (hi1 ^ c[1] ^ key, lo1, hi0 ^ c[3] ^ _PHILOX_W1[r], lo0)
-    return np.stack(c).reshape(4, blocks, n).transpose(1, 0, 2).reshape(4 * blocks, n)
+    return np.stack(c).transpose(1, 0, 2).reshape(4 * blocks, len(keys))
 
 
 def lemire(x, k: int):

@@ -927,6 +927,9 @@ class _XorBase:
     def __getitem__(self, i):
         return i ^ 11
 
+    def take(self, i):
+        return i ^ 11
+
 
 RENDER_FORMS = ["honest", "stabilizer", "noisy:depol:0.3", "noisy:bitflip:0.2", "scripted"]
 RENDER_PINS = [{}, {"theta": (1, 1, 1), "round": RoundType.HADAMARD}, {"theta": (0, 0, 0)},
@@ -1422,14 +1425,14 @@ RAW_VALUES = st.one_of(
 HOLE = "\0hole\0"
 
 
-def mutations(paths):
+def mutations(paths, values=RAW_VALUES):
     """Edits of a list of lines: drop, duplicate, swap, replace a field, truncate, insert bytes."""
     index = st.integers(0, 99)
     return st.lists(st.one_of(
         st.tuples(st.just("drop"), index),
         st.tuples(st.just("duplicate"), index),
         st.tuples(st.just("swap"), index, index),
-        st.tuples(st.just("replace"), index, st.sampled_from(paths), RAW_VALUES),
+        st.tuples(st.just("replace"), index, st.sampled_from(paths), values),
         st.tuples(st.just("truncate"), index, st.integers(0, 300)),
         st.tuples(st.just("insert"), index, st.integers(0, 300),
                   st.binary(min_size=1, max_size=4) | st.just(b"\xff\xfe")),
@@ -1590,6 +1593,175 @@ class TestHostileInput:
         except TranscriptParseError:
             return
         assert len(transcripts) <= len(scratch_file.read_bytes().splitlines())
+
+
+# ------------------------------------------------------------ reader oracle
+
+
+def reference_from_record(rec: dict) -> SessionTranscript:
+    """The reader's reference: SessionTranscript.from_record written plainly. It builds
+    the transcript through the frozen __init__, parses each bit string with parse_bits,
+    then checks SCHEMA.md's rules on the built transcript, in the reader's order."""
+    try:
+        ys, preimages, ds = rec["ys"], rec["preimages"], rec["ds"]
+        t = SessionTranscript(
+            index=rec["index"],
+            seed=engine._u64_decimal(rec["seed"]),
+            lam=rec["lam"],
+            theta=engine._parsed(engine._THREE_BITS, rec["theta"], "theta is not a 3-bit string"),
+            keys=tuple(rec["keys"]),
+            ys=None if ys is None else tuple(parse_bits(s)[0] for s in ys),
+            round=rec["round"],
+            test_index=rec["test_index"],
+            preimages=None if preimages is None
+            else tuple((engine._parsed(engine._BIT, b, "a preimage bit is not 0 or 1"),
+                        parse_bits(x)[0]) for b, x in preimages),
+            ds=None if ds is None else tuple(parse_bits(s)[0] for s in ds),
+            q=engine._parsed(engine._NULL_OR_THREE_BITS, rec["q"], "q is not null or a 3-bit string"),
+            vs=engine._parsed(engine._NULL_OR_THREE_BITS, rec["vs"],
+                              "vs is not null or a 3-bit string"),
+            flag=rec["flag"],
+            accept=rec["accept"],
+            abort=rec["abort"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TranscriptParseError(f"bad transcript record: {exc}") from exc
+    rule = ("index is not an integer" if type(t.index) is not int
+            else "seed is not a decimal string below 2^64" if t.seed is None
+            else "keys is not a list of three key records" if not (
+                type(rec["keys"]) is list and len(t.keys) == 3
+                and type(t.keys[0]) is type(t.keys[1]) is type(t.keys[2]) is dict)
+            else "ys is not null or a list of three"
+            if ys is not None and not (type(ys) is list and len(ys) == 3)
+            else "preimages is not null or a list of three pairs" if preimages is not None
+            and not (type(preimages) is list and len(preimages) == 3
+                     and type(preimages[0]) is type(preimages[1]) is type(preimages[2]) is list)
+            else "ds is not null or a list of three"
+            if ds is not None and not (type(ds) is list and len(ds) == 3)
+            else "theta is not a basis choice" if t.theta not in verifier.BASIS_CHOICES
+            else "round is not null, preimage or hadamard" if t.round not in engine._ROUNDS
+            else engine._broken_verdict_rule(t.accept, t.flag, t.abort)
+            or ("test_index is not null or 0-2"
+                if t.test_index not in (None, 0, 1, 2) or isinstance(t.test_index, bool)
+                else "lam is not a supported width"
+                if type(t.lam) is not int or not entcf.W_MIN <= t.lam <= entcf.W_MAX
+                else "a record without an abort has no round"
+                if t.abort is None and t.round is None
+                else None))
+    if rule is not None:
+        raise TranscriptParseError(f"bad transcript record: {rule}")
+    return t
+
+
+def reference_read(data: bytes):
+    """(transcripts, error): what the reference reader makes of a file's bytes, read line
+    by line as iter_transcripts does; error is the first bad line's message, or None."""
+    out = []
+    for lineno, line in enumerate(io.BytesIO(data), start=1):
+        try:
+            text = line.decode("utf-8")
+            if text.isspace():
+                continue
+            out.append(reference_from_record(engine._JSON.decode(text)))
+        except (ValueError, RecursionError) as exc:
+            return out, f"line {lineno}: {exc}"
+    return out, None
+
+
+def engine_read(path):
+    """(transcripts, error) as iter_transcripts reads the file at path."""
+    out = []
+    try:
+        out.extend(iter_transcripts(path))
+    except TranscriptParseError as exc:
+        return out, str(exc)
+    return out, None
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_lines():
+    """Record lines of honest, stabilizer and noisy sessions, flagged ones among them,
+    and of a session a scripted prover aborts."""
+    transcripts = []
+    for spec, lam in [("honest", 4), ("stabilizer", 4), ("noisy:bitflip:0.3", 8),
+                      ("noisy:depol:0.2", 16)]:
+        transcripts += run_batch(SecurityParam(lam), spec, 6, 77, collect=True)[1]
+    transcripts += run_batch(SecurityParam(4), "stabilizer", 3, 5, collect=True,
+                             theta=(1, 1, 1), round=RoundType.HADAMARD)[1]
+    aborted = lambda reg, rng, idx: ScriptedProver({"ys": [0, 1]})
+    transcripts.append(run_session(SP4, aborted, master_seed=900, index=3))
+    assert {t.flag for t in transcripts} >= {"none", "fail_hyper", None}
+    assert {t.round for t in transcripts} == {"preimage", "hadamard", None}
+    return tuple(json.dumps(t.to_record(), sort_keys=True).encode() + b"\n" for t in transcripts)
+
+
+# values a bit-string, bit or three-bit field must refuse, or must read as the reference does
+BIT_FIELD_VALUES = [b'""', b'"0"', b'"1"', b'"2"', b'"012"', b'"0_1"', b'" 01"', b'"01 "',
+                    b'"+1"', b'"-1"', b'"0b1"', b'"\\u0661\\u0660"', b'"110"', b'"111"',
+                    b'"011"', b'["1", "0", "1"]', b'["1", "0"]', b'["", "0", "1"]',
+                    b'["0_1", "0", "1"]', b'["2", "0", "1"]', b'["1", "0", 1]', b'[0, 1, 1]',
+                    b'[["1", "0101"], ["0", "0000"], ["1", "1111"]]',
+                    b'[["2", "0"], ["0", "x"], ["1", "1"]]', b'[["1", "0"], ["0", ""], ["1"]]',
+                    b'[["1", "01", "1"], ["0", "0"], ["1", "1"]]', b'[[1, "0"], ["0", "0"], 7]',
+                    b'["10", "01", "11"]', b'[{}, {}, {}]', b'{"a": 1}', b'7', b'true', b'null']
+ORACLE_VALUES = st.one_of(RAW_VALUES, st.sampled_from(BIT_FIELD_VALUES))
+
+
+class TestReaderOracle:
+    """iter_transcripts and from_record against the reference reader: the same transcripts,
+    or TranscriptParseError for the same line with the same message."""
+
+    def check(self, path, data: bytes):
+        path.write_bytes(data)
+        expected, error = reference_read(data)
+        got, got_error = engine_read(path)
+        assert got_error == error
+        assert got == expected
+        assert list(map(repr, got)) == list(map(repr, expected))
+
+    def test_every_field_edited_to_each_value(self):
+        # one line of each (lam, round, flag) kind, each field set to each value in turn
+        kinds = {}
+        for line in oracle_lines():
+            rec = json.loads(line)
+            kinds.setdefault((rec["lam"], rec["round"], rec["flag"]), line)
+        paths = RECORD_PATHS + [("preimages", 0, 1), ("preimages", 2), ("ds", 0), ("keys", 2)]
+        values = sorted(set(BIT_FIELD_VALUES) | {
+            b"-3", b"3", b"2.5", b"[]", b"{}", b'"\\u0663"', b'"18446744073709551615"',
+            b'"18446744073709551616"', b'"hadamard"', b'"fail_test"', b"false"})
+        checked = 0
+        for line in kinds.values():
+            for path in paths:
+                for raw in values:
+                    edited = replaced(line, path, raw)
+                    if edited == line:
+                        continue
+                    rec = json.loads(edited)
+                    assert self.outcome(SessionTranscript.from_record, rec) == \
+                        self.outcome(reference_from_record, rec), (path, raw)
+                    checked += 1
+        assert len(kinds) >= 6 and checked > 3000
+
+    @staticmethod
+    def outcome(reader, rec):
+        try:
+            t = reader(rec)
+        except TranscriptParseError as exc:
+            return str(exc)
+        return t, repr(t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ops=mutations(RECORD_PATHS, ORACLE_VALUES))
+    @example(ops=[("replace", 0, ("ys", 0), b'"0_1"')])
+    @example(ops=[("insert", 3, 0, b" "), ("replace", 3, ("preimages", 1, 0), b'"2"')])
+    def test_mutated_files_read_as_the_reference_reads_them(self, scratch_file, ops):
+        self.check(scratch_file, mutate(oracle_lines(), ops))
+
+    def test_whitespace_around_a_line_reads_as_the_reference_reads_it(self, scratch_file):
+        line = oracle_lines()[1]
+        for data in [b" " + line, line[:-1] + b" \r\n", b"\t\n" + line, line[:-1] + b"x\n",
+                     line[:-1], b"\x0b\n" + line, line[:-1] + b"\x0b\n", b"\n\n"]:
+            self.check(scratch_file, oracle_lines()[0] + data)
 
 
 # ---------------------------------------------------------------- threads

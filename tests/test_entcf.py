@@ -394,6 +394,18 @@ def test_permutation_table_is_bijection_and_matches_eval():
             assert reg.eval(h, b, x) == int(table[(b << 4) | x])
 
 
+@pytest.mark.parametrize("w", [4, 5, 8, 12])
+def test_base_permutation_is_the_generators_permutation(w, monkeypatch):
+    # a fresh table, its inverse built 7 indices at a time, the last slice short
+    monkeypatch.setattr(entcf, "_base_tables", {})
+    monkeypatch.setattr(entcf, "_INVERSE_SLICE", 7)
+    perm, inv = entcf._base(w)
+    expected = rng_from(derive_seed(entcf._BASE_LANE, w)).permutation(1 << (w + 1))
+    assert perm.dtype == inv.dtype == np.uint32
+    assert perm.tolist() == expected.tolist()
+    assert inv[perm].tolist() == list(range(1 << (w + 1)))
+
+
 # -------------------------------------------------------------- random seeds
 
 

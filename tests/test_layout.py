@@ -12,9 +12,14 @@ outside that assignment (dunders such as __version__ are exempt). ROADMAP
 also keeps one copy of each rule: a name that two modules bind at top
 level, by assignment, def or class, is a copy; a module that needs
 another's name imports it, and imports do not count.
+
+The benchmark under perfbench/ calls into src/ by name and wraps functions
+by name, so the last two tests fail on a src/ name it reads that is gone.
 """
 
 import ast
+import importlib
+import importlib.util
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -116,3 +121,60 @@ def test_no_top_level_name_is_bound_in_two_modules():
         for name in top_level_bindings(tree):
             modules[name].append(module)
     assert {name: found for name, found in modules.items() if len(found) > 1} == {}
+
+
+# ------------------------------------------------------ the benchmark's hooks
+
+PERFBENCH = SRC.parent.parent / "perfbench"
+
+
+def perfbench_reads() -> set[str]:
+    """Dotted names perfbench's modules read from magicert: each attribute chain on a
+    module they import from magicert, and each name they import from one."""
+    reads = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("magicert"):
+                for alias in node.names:
+                    if node.module == "magicert":
+                        modules[alias.asname or alias.name] = alias.name
+                    else:
+                        reads.add(f"{node.module.removeprefix('magicert.')}.{alias.name}")
+        for node in ast.walk(tree):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.append(node.attr)
+                node = node.value
+            if chain and isinstance(node, ast.Name) and node.id in modules:
+                reads.add(".".join([modules[node.id], *reversed(chain)]))
+    return reads
+
+
+def test_every_name_the_benchmark_reads_is_defined():
+    # a rename in src/ fails here before it breaks a benchmark run
+    reads = perfbench_reads()
+    assert {"engine.read_transcripts", "engine.write_transcripts", "engine.run_batch",
+            "engine.connect", "engine.FlagStats.from_transcripts"} <= reads
+    missing = []
+    for dotted in sorted(reads):
+        module, *attrs = dotted.split(".")
+        owner = importlib.import_module(f"magicert.{module}")
+        try:
+            for attr in attrs:
+                owner = getattr(owner, attr)
+        except AttributeError:
+            missing.append(dotted)
+    assert missing == []
+
+
+def test_every_site_the_benchmark_traces_is_defined():
+    # the tracer wraps each site as vars(owner)[attr], so an inherited or moved name fails it
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    sites = [(owner, attr) for owned in tracing.LAYERS.values() for owner, attr in owned]
+    assert len(sites) > 20
+    assert [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr in sites
+            if attr not in vars(owner)] == []
