@@ -40,8 +40,7 @@ from .errors import (
 from .provers import PURE_PROVERS, HonestProver, parse_noise_spec, parse_prover_spec
 from .util import (
     MASK64,
-    _LO32,
-    _32,
+    _Stream,
     _rekeyed,
     bits_str,
     derive_seed,
@@ -417,7 +416,7 @@ def iter_transcripts(path):
         for lineno, line in enumerate(fh, start=1):
             try:
                 text = line.decode("utf-8")
-                if text.isspace():
+                if not text.strip(" \t\n\r"):  # JSON whitespace alone
                     continue
                 t = SessionTranscript.from_record(_decoded(text))
             except (ValueError, RecursionError) as exc:  # TranscriptParseError is a ValueError
@@ -576,66 +575,6 @@ _THETA_TEXTS = tuple(_bit_text(bits) for bits in verifier.BASIS_CHOICES)  # by t
 _LANES = np.array([[_VERIFIER_LANE], [_PROVER_LANE]], dtype=np.uint64)  # by row
 
 
-class _Stream:
-    """Draws of rng_from(k) for each session's key k, as NumPy's Generator makes them.
-
-    Column i of words is session i's stream, from util.philox_words, which
-    says why NumPy's own Philox does not make them. Each session keeps its
-    own place: its next word, and whether it holds a pending high half. A
-    32-bit draw takes the pending half if there is one, else the low half of
-    the next word; a 64-bit draw takes the next word and leaves a pending
-    half pending. A draw given a session mask is made by the masked sessions
-    only: the others keep their places, and its values there mean nothing.
-    While every session is at the same place, that place is an int and a
-    bool, and a draw reads one row of words.
-    """
-
-    def __init__(self, words: np.ndarray):
-        self.words, self.lanes = words, np.arange(words.shape[1])
-        self.next, self.held, self.pending = 0, False, 0
-
-    @staticmethod
-    def _parted(mask):
-        """True if every session draws, False if none does, else the mask."""
-        if type(mask) is bool:
-            return mask
-        return False if not mask.any() else True if mask.all() else mask
-
-    def _take(self, moved) -> np.ndarray:
-        """Each session's next word; the sessions in moved go past it."""
-        word = (self.words[self.next] if type(self.next) is int
-                else self.words[self.next, self.lanes])
-        self.next = self.next + moved
-        return word
-
-    def word(self, mask=True) -> np.ndarray:
-        return self._take(self._parted(mask))
-
-    def half(self, mask=True) -> np.ndarray:
-        mask = self._parted(mask)
-        if mask is False:
-            return self.words[0]
-        fresh = mask & (self.held ^ True)
-        word = self._take(fresh)
-        if fresh is True:
-            half, self.pending = word & _LO32, word >> _32
-        elif self.held is True:
-            half = self.pending
-        else:
-            half = np.where(self.held, self.pending, word & _LO32)
-            self.pending = np.where(fresh, word >> _32, self.pending)
-        self.held = self.held ^ mask
-        return half
-
-    def bits(self, width: int, mask=True) -> np.ndarray:
-        """rand_bits(rng, width): Lemire's draw on a power-of-two range never rejects."""
-        return lemire(self.half(mask), 1 << width)
-
-    def uniform(self, mask=True) -> np.ndarray:
-        """rng.random(): the next word's top 53 bits over 2^53."""
-        return (self.word(mask) >> 11) * 2.0 ** -53
-
-
 def _array_plan(prover_spec: str, theta, round):
     """(answer table key, bit-flip probability, theta index, round) for a batch the array
     path covers, else None.
@@ -713,25 +652,26 @@ def _array_chunk(lam, plan, master_seed, start, stop) -> _Columns:
     if flip > 0:
         prover_words = np.concatenate([prover_words, philox_words(lane_keys[1], 2, 1)])
     prover = _Stream(prover_words)
-    # verifier.begin: the basis triple, then a rand_u64 key seed per coordinate
+    # verifier.begin: the basis triple, then a 64-bit key seed per coordinate
     if theta is None:
         half = ver.half()
         t_index, replay = lemire(half, 5), lemire_rejects(half, 5)
     else:
         t_index, replay = np.full(n, theta, dtype=np.uint64), np.zeros(n, dtype=bool)
-    key_seeds = np.concatenate([ver.word() >> 1 << 1 | ver.bits(1) for _ in range(3)])
+    key_seeds = np.concatenate([ver.u64() for _ in range(3)])
     # OracleRegistry.gen for the three coordinates at once, coordinate-major
     claw = _CLAW.take(t_index, axis=1)
     lane = np.where(claw.ravel(), np.uint64(entcf._LANE_BY_FAMILY["F"]),
                     np.uint64(entcf._LANE_BY_FAMILY["G"]))
-    keygen = philox_words(derive_seed(key_seeds, lane, w), 0, 1)
-    key_id, perm_seed = (a.reshape(3, n) for a in entcf._key_words(*keygen[:3]))
-    half, k = keygen[3].reshape(3, n) & _LO32, (1 << w) - 1
+    keygen = _Stream(philox_words(derive_seed(key_seeds, lane, w), 0, 1))
+    key_id, perm_seed = keygen.u64().reshape(3, n), keygen.u64().reshape(3, n)
+    half, k = keygen.half().reshape(3, n), (1 << w) - 1
     shift = np.where(claw, 1 + lemire(half, k), 0)
     replay |= (claw & lemire_rejects(half, k)).any(axis=0)
     replay |= (key_id[0] == key_id[1]) | (key_id[0] == key_id[2]) | (key_id[1] == key_id[2])
     # the keys in the Trapdoor fields entcf's permutation reads
-    m_in, m_out = entcf._masks(philox_words(perm_seed.ravel(), 0, 1)[0].reshape(3, n), w)
+    masks = _Stream(philox_words(perm_seed.ravel(), 0, 1))
+    m_in, m_out = masks.bits(w + 1).reshape(3, n), masks.bits(w + 1).reshape(3, n)
     keys = SimpleNamespace(w=w, offset=np.where(claw, shift, np.uint64(1 << w)),
                            mask_in=m_in, mask_out=m_out)
     # receive_commit's round coin, then send_questions' q and test index
@@ -914,13 +854,15 @@ def run_batch(
 
 
 def parse_endpoint(spec: str):
-    """Endpoint forms: 'stdio', 'host:port', or 'tcp:host:port'."""
+    """Endpoint forms: 'stdio', 'host:port', or 'tcp:host:port', the port ASCII digits
+    for a value of at most 65535."""
     if spec == "stdio":
         return ("stdio",)
     body = spec[4:] if spec.startswith("tcp:") else spec
     host, sep, port = body.rpartition(":")
-    if not sep or not host or not port.isdigit():
-        raise ParameterError(f"endpoint {spec!r} wants 'stdio' or 'host:port'")
+    ok = sep and host and port.isascii() and port.isdigit() and len(port) <= 5
+    if not ok or int(port) > 0xFFFF:
+        raise ParameterError(f"endpoint {spec!r} wants 'stdio' or 'host:port', port 0-65535")
     return ("tcp", host, int(port))
 
 

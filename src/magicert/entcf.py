@@ -25,14 +25,14 @@ This keeps per-key generation O(1) instead of O(2^w) (a fresh shuffle
 per key costs milliseconds at w=16, far too slow for batch runs on one
 core) while preserving bijectivity, exact inversion and uniform images.
 
-Key material.  Key ids, permutation seeds and masks are computed from the
-first raw words of freshly rekeyed Philox streams, with the arithmetic
-NumPy's bounded draws would do (SCHEMA.md, "Seeds and randomness").
+Key material.  Key ids, permutation seeds and masks are drawn by
+util._Stream from the first raw words of freshly rekeyed Philox streams
+(SCHEMA.md, "Seeds and randomness"), for one key or for a batch of keys.
 
-The key-material words, the permutation and its inverse, and chk's rule
-are written in bitwise arithmetic on anything with a trapdoor's fields, so
-they run unchanged on one Trapdoor with int arguments and on a batch of
-keys of both families held as uint64 arrays.
+The permutation and its inverse, and chk's rule, are written in bitwise
+arithmetic on anything with a trapdoor's fields, so they run unchanged on
+one Trapdoor with int arguments and on a batch of keys of both families
+held as uint64 arrays.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import FamilyMisuseError, KeyLookupError, ParameterError
-from .util import _rekeyed, bits_str, derive_seed, parity, rand_bits, rng_from
+from .util import _rekeyed, _Stream, bits_str, derive_seed, parity, rng_from
 
 W_MIN = 4
 W_MAX = 24
@@ -95,9 +95,7 @@ class Trapdoor:
 
     mask_in and mask_out are the permutation masks, derived from perm_seed
     once at creation so that inversion never touches a generator. They are
-    the two (w+1)-bit draws of rand_bits on rng_from(perm_seed), which take
-    the top w+1 bits of the low and then the high 32-bit half of its first
-    raw word (Lemire's method on a power-of-two range never rejects).
+    the first two (w+1)-bit draws of rng_from(perm_seed).
     """
 
     family: Family
@@ -113,30 +111,14 @@ class Trapdoor:
                 raise ParameterError("claw family requires a nonzero w-bit shift")
         elif self.shift is not None:
             raise ParameterError("injective family carries no shift")
-        m_in, m_out = _masks(int(_rekeyed(self.perm_seed, "masks").bit_generator.random_raw()),
-                             self.w)
-        object.__setattr__(self, "mask_in", m_in)
-        object.__setattr__(self, "mask_out", m_out)
+        masks = _Stream(_rekeyed(self.perm_seed, "masks").bit_generator)
+        object.__setattr__(self, "mask_in", masks.bits(self.w + 1))
+        object.__setattr__(self, "mask_out", masks.bits(self.w + 1))
 
     @property
     def offset(self) -> int:
         """x ^ b*offset is branch b's input to P_k: the shift, or 2^w for the injective family."""
         return self.shift if self.family is Family.CLAW else 1 << self.w
-
-
-def _key_words(w1, w2, w3):
-    """(key_id, perm_seed) from a key stream's first three raw words.
-
-    Two rand_u64 draws: each is a 63-bit Lemire draw (the word >> 1, never
-    rejected) and a coin, the coins being the top bits of the low and then
-    the high 32-bit half of the second word.
-    """
-    return w1 >> 1 << 1 | (w2 >> 31) & 1, w3 >> 1 << 1 | w2 >> 63
-
-
-def _masks(x, w: int):
-    """(mask_in, mask_out) from a mask stream's first raw word x."""
-    return (x & 0xFFFFFFFF) >> (31 - w), x >> (63 - w)
 
 
 @dataclass(frozen=True)
@@ -243,13 +225,12 @@ class OracleRegistry:
         """Create one key pair; everything derives from (family, sp, seed)."""
         family = Family(family)
         w = sp.w
-        rng = _rekeyed(derive_seed(seed, _LANE_BY_FAMILY[family.value], w), "keygen")
-        # the shift draw starts where the two rand_u64 draws would have
-        # left the stream
-        key_id, perm_seed = _key_words(*rng.bit_generator.random_raw(3).tolist())
+        stream = _Stream(_rekeyed(derive_seed(seed, _LANE_BY_FAMILY[family.value], w),
+                                  "keygen").bit_generator)
+        key_id, perm_seed = stream.u64(), stream.u64()
         shift = None
         if family is Family.CLAW:
-            shift = int(rng.integers(1, 1 << w))  # uniform over nonzero w-bit values
+            shift = 1 + stream.below((1 << w) - 1)  # uniform over nonzero w-bit values
         trapdoor = Trapdoor(family=family, perm_seed=perm_seed, w=w, shift=shift)
         if self._records.setdefault(key_id, trapdoor) != trapdoor:
             raise KeyLookupError(f"key id collision: {key_id}")
@@ -274,7 +255,7 @@ class OracleRegistry:
         _check_range(y, t.w + 1, "y")
         return bool(_opens(t, int(b), int(x), int(y)))
 
-    def sample_commitment(self, k: KeyHandle, rng: np.random.Generator) -> tuple[int, Commitment]:
+    def sample_commitment(self, k: KeyHandle, rng: _Stream) -> tuple[int, Commitment]:
         """Classical stand-in for committing a uniform superposition to y.
 
         Injective key: the post-measurement state retains a definite (b, x).
@@ -283,11 +264,11 @@ class OracleRegistry:
         t = self._trapdoor(k)
         w = t.w
         if t.family is Family.INJECTIVE:
-            b = rand_bits(rng, 1)
-            x = rand_bits(rng, w)
+            b = rng.bits(1)
+            x = rng.bits(w)
             y = _image(t, b, x)
             return y, Commitment(w=w, held=DefinitePreimage(b=b, x=x))
-        x0 = rand_bits(rng, w)
+        x0 = rng.bits(w)
         y = _image(t, 0, x0)
         return y, Commitment(w=w, held=ClawPair(x0=x0, x1=x0 ^ t.shift, y=y))
 
@@ -311,13 +292,13 @@ def decode_u(t: Trapdoor, y: int, d: int) -> int | None:
     return parity(d & t.shift)
 
 
-def hadamard_open(c: Commitment, rng: np.random.Generator) -> tuple[int, CollapsedQubit]:
+def hadamard_open(c: Commitment, rng: _Stream) -> tuple[int, CollapsedQubit]:
     """Open a commitment in the conjugate basis: a uniform d plus the qubit.
 
     A definite preimage leaves the committed bit in the Z basis (d carries
     no information); a claw collapses to |(-)^{d.(x0^x1)}> in the X basis.
     """
-    d = rand_bits(rng, c.w)
+    d = rng.bits(c.w)
     held = c.held
     if isinstance(held, DefinitePreimage):
         return d, CollapsedQubit(basis="Z", bit=held.b)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import entcf, qsim
 from .errors import ParameterError, ProtocolOrderError, ScriptError
-from .util import int_to_tuple, sample_edges
+from .util import _Stream, int_to_tuple, sample_edges
 
 NOISE_MODELS = ("bitflip", "depolarizing")
 
@@ -62,7 +62,7 @@ class HonestProver:
 
     def __init__(self, registry: entcf.OracleRegistry, rng: np.random.Generator):
         self.registry = registry
-        self.rng = rng
+        self.rng = _Stream(rng.bit_generator)
         self.commitments: list[entcf.Commitment] | None = None
         self.qubits: list[entcf.CollapsedQubit] | None = None
         self.state: qsim.StateVector | None = None
@@ -90,7 +90,7 @@ class HonestProver:
             if isinstance(held, entcf.DefinitePreimage):
                 answers.append((held.b, held.x))
             else:
-                b = int(self.rng.integers(0, 2))
+                b = self.rng.bits(1)
                 answers.append((b, held.x1 if b else held.x0))
         self._stage = "finished"
         return answers
@@ -115,7 +115,7 @@ class HonestProver:
         code = sum(bit << (n - 1 - i) for i, bit in enumerate(qsim._check_bases(n, q)))
         edges = answer_edges(self.qubits, self._gate(self.qubits), self.depol)[code]
         self._stage = "finished"
-        return list(int_to_tuple(sample_edges(edges, self.rng), n))
+        return list(int_to_tuple(sample_edges(edges, self.rng.uniform()), n))
 
     # -------------------------------------------------------------- hooks
 
@@ -185,7 +185,7 @@ class NoisyProver:
     def answer_questions(self, q) -> list[int]:
         vs, eps = self.inner.answer_questions(q), self.spec.epsilon
         if self.spec.model == "bitflip" and eps > 0:
-            vs = [v ^ int(u < eps) for v, u in zip(vs, self.inner.rng.random(len(vs)))]
+            vs = [v ^ (self.inner.rng.uniform() < eps) for v in vs]
         return list(vs)
 
 

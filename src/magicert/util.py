@@ -1,4 +1,4 @@
-"""Deterministic seeding, bit-string codecs and small sampling helpers.
+"""Deterministic seeding, random draws, bit-string codecs and sampling helpers.
 
 Every random choice in the package flows through a counter-based
 generator (Philox) keyed by 64-bit seeds derived with `derive_seed`,
@@ -9,13 +9,13 @@ platform.
 for one call only use `_rekeyed` instead: it resets a reused per-thread
 Philox to the same key at counter 0, so the documented streams are
 unchanged while construction (a SeedSequence with an OS entropy read) is
-paid once per thread and slot. A site that only needs the first draws of
-such a stream may read raw 64-bit words from the bit generator and do the
-draws' arithmetic itself; SCHEMA.md gives the word-to-draw mapping.
+paid once per thread and slot.
 
-The seed derivation and Lemire's bounded draw run unchanged on Python ints
-and on uint64 arrays, and `philox_words` computes the raw words of many
-streams at once, so a batch of sessions can be drawn as array operations.
+`_Stream` makes every draw from a stream's raw 64-bit words by SCHEMA.md's
+rules, on one stream or on many at once (their words from `philox_words`);
+only entcf's base permutation is left to a Generator, its shuffle. The seed
+derivation and Lemire's bounded draw run unchanged on Python ints and on
+uint64 arrays, so a batch of sessions is drawn as array operations.
 """
 
 from __future__ import annotations
@@ -155,15 +155,84 @@ def lemire_rejects(x, k: int):
     return (x * k & 0xFFFFFFFF) < (1 << 32) % k
 
 
-def rand_bits(rng: np.random.Generator, width: int) -> int:
-    """One uniform draw from {0,1}^width, packed MSB-first into an int."""
-    if width <= 0:
-        raise ValueError("width must be positive")
-    return int(rng.integers(0, 1 << width))
+class _Stream:
+    """The draws of rng_from(k) by SCHEMA.md's rules, on one stream or on many at once.
 
+    Given a bit generator with no pending 32-bit half (rng_from's and
+    _rekeyed's have none), it reads that one stream's words through
+    random_raw(), and a draw is an int. Given an array, column i is session
+    i's stream (from philox_words, which says why NumPy's own Philox does
+    not make them), and a draw is an array. Each stream keeps its own place:
+    its next word, and whether it holds a pending high half. A 32-bit draw
+    takes the pending half if there is one, else the low half of the next
+    word; a 64-bit draw takes the next word and leaves a pending half
+    pending. A draw given a session mask is made by the masked sessions
+    only: the others keep their places, and its values there mean nothing.
+    While every session is at the same place, that place is an int and a
+    bool, and a draw reads one row of words.
+    """
 
-def rand_u64(rng: np.random.Generator) -> int:
-    return int(rng.integers(0, 1 << 63)) << 1 | int(rng.integers(0, 2))
+    def __init__(self, words):
+        if isinstance(words, np.ndarray):
+            self.words, self.lanes = words, np.arange(words.shape[1])
+            self.low, self.high = _LO32, _32
+        else:  # one stream, which draws unmasked: _take is called only to move past a word
+            self._take, self.low, self.high = lambda moved: words.random_raw(), 0xFFFFFFFF, 32
+        self.next, self.held, self.pending = 0, False, 0
+
+    @staticmethod
+    def _parted(mask):
+        """True if every session draws, False if none does, else the mask."""
+        if type(mask) is bool:
+            return mask
+        return False if not mask.any() else True if mask.all() else mask
+
+    def _take(self, moved) -> np.ndarray:
+        """Each session's next word; the sessions in moved go past it."""
+        word = (self.words[self.next] if type(self.next) is int
+                else self.words[self.next, self.lanes])
+        self.next = self.next + moved
+        return word
+
+    def word(self, mask=True):
+        return self._take(self._parted(mask))
+
+    def half(self, mask=True):
+        mask = self._parted(mask)
+        if mask is False:
+            return self.words[0]
+        if self.held is True:
+            half = self.pending
+        else:
+            fresh = mask & (self.held ^ True)
+            word = self._take(fresh)
+            if fresh is True:
+                half, self.pending = word & self.low, word >> self.high
+            else:
+                half = np.where(self.held, self.pending, word & self.low)
+                self.pending = np.where(fresh, word >> self.high, self.pending)
+        self.held = self.held ^ mask
+        return half
+
+    def bits(self, width: int, mask=True):
+        """integers(0, 2^width): Lemire's draw on a power-of-two range never rejects."""
+        return lemire(self.half(mask), 1 << width)
+
+    def uniform(self, mask=True):
+        """random(): the next word's top 53 bits over 2^53."""
+        return (self.word(mask) >> 11) * 2.0 ** -53
+
+    def u64(self, mask=True):
+        """A 64-bit seed: integers(0, 2^63) shifted left once, or'd with a coin."""
+        return self.word(mask) >> 1 << 1 | self.bits(1, mask)
+
+    def below(self, k: int) -> int:
+        """integers(0, k), 1 < k < 2^32, on one stream: Lemire's draw, reading halves
+        until it accepts one."""
+        half = self.half()
+        while lemire_rejects(half, k):
+            half = self.half()
+        return lemire(half, k)
 
 
 def parity(x: int) -> int:
@@ -190,13 +259,13 @@ def int_to_tuple(x: int, width: int) -> tuple[int, ...]:
     return tuple((x >> (width - 1 - i)) & 1 for i in range(width))
 
 
-def sample_edges(edges: Sequence[float], rng: np.random.Generator) -> int:
-    """Draw an index from cumulative weights with a single uniform.
+def sample_edges(edges: Sequence[float], u: float) -> int:
+    """Draw an index from cumulative weights with a single uniform u.
 
     The index is the first edge above u * edges[-1], capped at the last
     index for a product that rounds up to edges[-1].
     """
-    r = rng.random() * edges[-1]
+    r = u * edges[-1]
     return min(bisect_right(edges, r), len(edges) - 1)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import entcf
 from .errors import MalformedAnswerError, ParameterError, ProtocolOrderError
-from .util import parity, rand_u64
+from .util import _Stream, parity
 
 # allowed basis triples: all-injective, the three single-claw patterns, all-claw
 BASIS_CHOICES: tuple[tuple[int, int, int], ...] = (
@@ -124,7 +124,7 @@ class VerifierSession:
     """Single-owner, sequential verifier side of one protocol run."""
 
     sp: entcf.SecurityParam
-    rng: np.random.Generator
+    rng: _Stream  # the verifier's stream
     registry: entcf.OracleRegistry
     theta: tuple[int, int, int]
     handles: list[entcf.KeyHandle]
@@ -157,7 +157,7 @@ class VerifierSession:
                 raise MalformedAnswerError(f"commitment {y!r} is not a {w + 1}-bit value")
         self.ys = tuple(int(y) for y in ys)
         if round is None:
-            round = RoundType.PREIMAGE if int(self.rng.integers(0, 2)) == 0 else RoundType.HADAMARD
+            round = RoundType.HADAMARD if self.rng.bits(1) else RoundType.PREIMAGE
         self.round = round
         self._stage = "round_chosen"
         return self.round
@@ -187,10 +187,10 @@ class VerifierSession:
         self._require("round_chosen")
         if self.round is not RoundType.HADAMARD:
             raise ProtocolOrderError("measurement questions outside a Hadamard round")
-        bits = int(self.rng.integers(0, 8))
+        bits = self.rng.bits(3)
         self.q = ((bits >> 2) & 1, (bits >> 1) & 1, bits & 1)
         if self.theta == (0, 0, 0):
-            self.test_index = int(self.rng.integers(0, 3))
+            self.test_index = self.rng.below(3)
         self._stage = "questioned"
         return self.q
 
@@ -239,15 +239,16 @@ def begin(
     if registry is None:
         registry = entcf.OracleRegistry()
     theta, _ = check_pins(theta)
+    stream = _Stream(rng.bit_generator)
     if theta is None:
-        theta = BASIS_CHOICES[int(rng.integers(0, len(BASIS_CHOICES)))]
+        theta = BASIS_CHOICES[stream.below(len(BASIS_CHOICES))]
     handles, trapdoors = [], []
     for t_i in theta:
         family = entcf.Family.CLAW if t_i else entcf.Family.INJECTIVE
-        handle, trapdoor = registry.gen(family, sp, rand_u64(rng))
+        handle, trapdoor = registry.gen(family, sp, stream.u64())
         handles.append(handle)
         trapdoors.append(trapdoor)
     return VerifierSession(
-        sp=sp, rng=rng, registry=registry, theta=theta,
+        sp=sp, rng=stream, registry=registry, theta=theta,
         handles=handles, trapdoors=trapdoors,
     )

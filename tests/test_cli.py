@@ -329,6 +329,17 @@ class TestServeConnect:
         assert code == 2
         assert stderr.strip() != ""
 
+    @pytest.mark.parametrize("port", ["\u00b2", "70000", "\uff10"], ids=["superscript-2", "70000",
+                                                                   "fullwidth-0"])
+    def test_a_port_not_ascii_digits_up_to_65535_exits_2(self, capsys, port):
+        # before the rule: a ValueError or OverflowError traceback, or a listen on port 0
+        code, _, stderr = run_cli(capsys, "serve", "--listen", f"127.0.0.1:{port}",
+                                  "--sessions", "1")
+        assert code == 2 and "port 0-65535" in stderr
+        code, _, stderr = run_cli(capsys, "connect", "--addr", f"127.0.0.1:{port}",
+                                  "--prover", "honest", "--seed", "1")
+        assert code == 2 and "port 0-65535" in stderr
+
     def test_connect_escapes_the_peer_abort_text(self, capsys, monkeypatch):
         hostile = "\x1b[2J\x1b[31mfake\r\n"
         verdicts = [{"accept": False, "flag": None, "abort": hostile}]

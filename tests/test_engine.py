@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from magicert import engine, entcf, verifier
+from magicert import engine, entcf, util, verifier
 from magicert.engine import (
     FlagStats,
     Message,
@@ -584,6 +584,29 @@ def assert_flat_file_sink_peak(spec, master_seed, sink):
     assert peak(8 * engine._CHUNK) < 1.5 * peak(engine._CHUNK)
 
 
+# the bounded draws that can reject: the basis triple, the test index, and claw shifts
+BELOW = [3, 5] + [(1 << w) - 1 for w in range(entcf.W_MIN, entcf.W_MAX + 1)]
+
+
+def reader_draw(stream, draw, mask=True):
+    """One draw of a _Stream: bits of a width, a uniform, a u64, or ("below", k)."""
+    if type(draw) is tuple:
+        return stream.below(draw[1])
+    return (stream.uniform(mask) if draw == "uniform" else stream.u64(mask) if draw == "u64"
+            else stream.bits(draw, mask))
+
+
+def generator_draw(gen, draw):
+    """The same draw by NumPy's Generator, the reference."""
+    if type(draw) is tuple:
+        return int(gen.integers(0, draw[1]))
+    if draw == "uniform":
+        return gen.random()
+    if draw == "u64":
+        return int(gen.integers(0, 1 << 63)) << 1 | int(gen.integers(0, 2))
+    return int(gen.integers(0, 1 << draw))
+
+
 def crafted(words):
     """A fresh generator whose next raw words are `words` (at most four)."""
     gen = rng_from(0)
@@ -745,12 +768,13 @@ class TestArrayPath:
         assert buf.getvalue() == transcript_bytes(to_file) == transcript_bytes(to_path)
 
     def test_colliding_key_ids_are_replayed_and_raise(self, monkeypatch):
-        def colliding(w1, w2, w3):
-            return w1 & 0, w3 >> 1 << 1 | w2 >> 63
+        def colliding(self, mask=True):  # every key seed, key id and permutation seed is 0
+            return self.word(mask) & 0
 
-        monkeypatch.setattr(entcf, "_key_words", colliding)
+        monkeypatch.setattr(util._Stream, "u64", colliding)
+        # so an injective and a claw key share id 0 with different trapdoors
         with pytest.raises(entcf.KeyLookupError, match="collision"):
-            run_batch(SP4, "honest", 3, 34)
+            run_batch(SP4, "honest", 3, 34, theta=(0, 0, 1))
 
     def test_uncovered_batches_take_the_session_path(self, monkeypatch, tmp_path):
         def refuse(*args):
@@ -861,6 +885,15 @@ class TestArrayPath:
             assert drawn == lemire(high if rejects else low, k)
             assert gen.bit_generator.state["has_uint32"] == (0 if rejects else 1)
             assert bool(lemire_rejects(np.array([low], dtype=np.uint64), k)[0]) == rejects
+            # the one-lane reader reads the same halves, and holds what NumPy holds
+            reader = util._Stream(crafted([high << 32 | low]).bit_generator)
+            assert (reader.below(k), reader.held) == (drawn, not rejects)
+        if len(rejected) >= 2:
+            # both halves of a word rejected: each reads the next word's low half
+            words = [rejected[1] << 32 | rejected[0], 0x9E3779B9 << 32 | 12345]
+            gen, reader = crafted(words), util._Stream(crafted(words).bit_generator)
+            assert reader.below(k) == int(gen.integers(0, k)) == lemire(12345, k)
+            assert reader.below(k) == int(gen.integers(0, k)) == lemire(0x9E3779B9, k)
 
     def test_philox_words_equal_numpy_streams(self):
         keys = np.array([0, 1, (1 << 63), (1 << 64) - 1] + [
@@ -883,41 +916,40 @@ class TestArrayPath:
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), n=st.integers(1, 6),
-           draws=st.lists(st.one_of(st.integers(1, 24), st.just("uniform")), max_size=14))
+           draws=st.lists(st.one_of(st.integers(1, 24), st.sampled_from(["uniform", "u64"]),
+                                    st.tuples(st.just("below"), st.sampled_from(BELOW))),
+                          max_size=14))
     def test_masked_stream_draws_equal_each_sessions_generator(self, data, n, draws):
-        # lane 0 never draws; each draw's mask is all-true, all-false or drawn per lane
+        # lane 0 never draws; each draw's mask is all-true, all-false or drawn per lane;
+        # below is a one-lane draw, which the array stream leaves out
         lane_mask = st.lists(st.booleans(), min_size=n, max_size=n).map(
             lambda bits: np.array([False, *bits[1:]]))
-        masks = [data.draw(st.one_of(st.just(True), st.just(False), lane_mask))
-                 for _ in draws]
+        masks = [False if type(draw) is tuple
+                 else data.draw(st.one_of(st.just(True), st.just(False), lane_mask))
+                 for draw in draws]
         keys = np.array(data.draw(st.lists(st.integers(0, (1 << 64) - 1),
                                            min_size=n, max_size=n)), dtype=np.uint64)
-        stream = engine._Stream(philox_words(keys, 0, len(draws) // 4 + 1))
-        got = [stream.uniform(mask) if draw == "uniform" else stream.bits(draw, mask)
+        stream = util._Stream(philox_words(keys, 0, len(draws) // 2 + 1))
+        got = [None if type(draw) is tuple else reader_draw(stream, draw, mask)
                for draw, mask in zip(draws, masks)]
         for lane, key in enumerate(keys.tolist()):
             gen = rng_from(key)
             for draw, mask, values in zip(draws, masks, got):
                 if mask is True or mask is not False and mask[lane]:
-                    expected = (gen.random() if draw == "uniform"
-                                else int(gen.integers(0, 1 << draw)))
-                    assert values[lane] == expected
+                    assert values[lane] == generator_draw(gen, draw)
+            # the one-lane reader makes every draw, in the same interleaving
+            gen, one_lane = rng_from(key), util._Stream(rng_from(key).bit_generator)
+            assert [reader_draw(one_lane, draw) for draw in draws] == \
+                [generator_draw(gen, draw) for draw in draws]
 
     @settings(max_examples=100, deadline=None)
     @given(rows=st.lists(st.lists(st.floats(0, 1), min_size=8, max_size=8),
                          min_size=1, max_size=6),
            seed=st.integers(0, 1 << 32))
     def test_sample_edges_rows_equal_sample_edges_even_unsorted(self, rows, seed):
-        class Fixed:
-            def __init__(self, u):
-                self.u = u
-
-            def random(self):
-                return self.u
-
         us = rng_from(seed).random(len(rows))
         got = sample_edges_rows(np.array(rows), us).tolist()
-        assert got == [sample_edges(row, Fixed(u)) for row, u in zip(rows, us.tolist())]
+        assert got == [sample_edges(row, u) for row, u in zip(rows, us.tolist())]
 
 
 class _XorBase:
@@ -1391,7 +1423,9 @@ class TestWire:
         assert parse_endpoint("stdio") == ("stdio",)
         assert parse_endpoint("127.0.0.1:88") == ("tcp", "127.0.0.1", 88)
         assert parse_endpoint("tcp:localhost:9001") == ("tcp", "localhost", 9001)
-        for bad in ("", "nohost", "host:", ":99", "host:notaport"):
+        assert parse_endpoint("host:65535") == ("tcp", "host", 65535)
+        for bad in ("", "nohost", "host:", ":99", "host:notaport", "host:65536", "host:000080",
+                    "host:\u00b2", "host:\uff10"):
             with pytest.raises(ParameterError):
                 parse_endpoint(bad)
 
@@ -1660,7 +1694,7 @@ def reference_read(data: bytes):
     for lineno, line in enumerate(io.BytesIO(data), start=1):
         try:
             text = line.decode("utf-8")
-            if text.isspace():
+            if not text.strip(" \t\n\r"):  # JSON whitespace alone
                 continue
             out.append(reference_from_record(engine._JSON.decode(text)))
         except (ValueError, RecursionError) as exc:
@@ -1762,6 +1796,13 @@ class TestReaderOracle:
         for data in [b" " + line, line[:-1] + b" \r\n", b"\t\n" + line, line[:-1] + b"x\n",
                      line[:-1], b"\x0b\n" + line, line[:-1] + b"\x0b\n", b"\n\n"]:
             self.check(scratch_file, oracle_lines()[0] + data)
+
+    @pytest.mark.parametrize("blank", [b"\x0b\n", b"\x1c\n", b"\x1f\r\n", b" \x0b \n",
+                                       "\u2028\n".encode(), "\u3000\n".encode()])
+    def test_a_line_of_other_whitespace_is_refused_by_its_number(self, scratch_file, blank):
+        scratch_file.write_bytes(oracle_lines()[0] + b" \t\r\n" + blank + oracle_lines()[1])
+        with pytest.raises(TranscriptParseError, match="^line 3: "):
+            read_transcripts(scratch_file)
 
 
 # ---------------------------------------------------------------- threads

@@ -26,10 +26,27 @@ from magicert.entcf import (
     key_record,
 )
 from magicert.errors import FamilyMisuseError, KeyLookupError, ParameterError
-from magicert.util import bits_str, derive_seed, parity, rand_bits, rand_u64, rng_from
+from magicert.util import _Stream, bits_str, derive_seed, parity, rng_from
+from test_golden import Refusing, RefusingSlots
 
 SP4 = SecurityParam(4)
 SP6 = SecurityParam(6)
+
+
+def reader(seed: int) -> _Stream:
+    """The one-lane reader of rng_from(seed)."""
+    return _Stream(rng_from(seed).bit_generator)
+
+
+def rand_bits(rng: np.random.Generator, width: int) -> int:
+    """Reference: one uniform draw from {0,1}^width by NumPy's Generator."""
+    return int(rng.integers(0, 1 << width))
+
+
+def rand_u64(rng: np.random.Generator) -> int:
+    """Reference: a 64-bit seed by NumPy's Generator, a draw below 2^63 shifted left once
+    and or'd with a coin."""
+    return int(rng.integers(0, 1 << 63)) << 1 | int(rng.integers(0, 2))
 
 
 def permutation_table(t: Trapdoor) -> np.ndarray:
@@ -273,7 +290,7 @@ def test_decode_u_misuse_and_outside_image():
 
 def test_sample_commitment_injective_marginal():
     reg, h, t = make(Family.INJECTIVE)
-    rng = rng_from(2024)
+    rng = reader(2024)
     n = 10_000
     ones = 0
     for _ in range(n):
@@ -286,7 +303,7 @@ def test_sample_commitment_injective_marginal():
 
 def test_sample_commitment_claw_satisfies_both_branches():
     reg, h, _ = make(Family.CLAW)
-    rng = rng_from(5)
+    rng = reader(5)
     y, c = reg.sample_commitment(h, rng)
     assert isinstance(c.held, ClawPair)
     assert c.held.y == y
@@ -296,8 +313,8 @@ def test_sample_commitment_claw_satisfies_both_branches():
 
 def test_sample_commitment_deterministic():
     reg, h, _ = make(Family.CLAW)
-    a = [reg.sample_commitment(h, rng_from(99)) for _ in range(1)]
-    b = [reg.sample_commitment(h, rng_from(99)) for _ in range(1)]
+    a = [reg.sample_commitment(h, reader(99)) for _ in range(1)]
+    b = [reg.sample_commitment(h, reader(99)) for _ in range(1)]
     assert a == b
 
 
@@ -306,7 +323,7 @@ def test_sample_commitment_deterministic():
 
 def test_hadamard_open_claw_zero_parity_gives_plus():
     c = Commitment(w=4, held=ClawPair(x0=0b0101, x1=0b0110, y=0))
-    rng = rng_from(1)
+    rng = reader(1)
     seen_zero_parity = False
     for _ in range(64):
         d, qubit = hadamard_open(c, rng)
@@ -320,7 +337,7 @@ def test_hadamard_open_claw_zero_parity_gives_plus():
 
 def test_hadamard_open_definite_ignores_d():
     c = Commitment(w=4, held=DefinitePreimage(b=1, x=7))
-    rng = rng_from(3)
+    rng = reader(3)
     for _ in range(8):
         _, qubit = hadamard_open(c, rng)
         assert (qubit.basis, qubit.bit) == ("Z", 1)
@@ -329,7 +346,7 @@ def test_hadamard_open_definite_ignores_d():
 
 def test_hadamard_open_claw_parity_marginal():
     reg, h, _ = make(Family.CLAW)
-    rng = rng_from(77)
+    rng = reader(77)
     _, c = reg.sample_commitment(h, rng)
     n = 10_000
     ones = sum(hadamard_open(c, rng)[1].bit for _ in range(n))
@@ -428,21 +445,21 @@ def test_random_seed_round_trip(seed, family):
 def test_random_seed_claw_shift_consistency(seed):
     reg = OracleRegistry()
     h, t = reg.gen(Family.CLAW, SP6, seed)
-    rng = rng_from(seed ^ 0xABCD)
+    rng = reader(seed ^ 0xABCD)
     y, c = reg.sample_commitment(h, rng)
     assert c.held.x0 ^ c.held.x1 == t.shift
     assert decode_u(t, y, t.shift) == parity(t.shift & t.shift)
 
 
 def live_state(gen):
-    """A Philox state, without the cached 32-bit half when it is spent.
+    """A Philox state's counter, key and buffer: the words it hands out next.
 
-    With has_uint32 at 0 the next 32-bit draw refills uinteger before
-    reading it, so two states differing only there give the same stream.
+    A reader keeps a stream's pending 32-bit half itself, not in the bit
+    generator, so the generator's own half is not compared.
     """
     s = gen.bit_generator.state
     return (s["state"]["counter"].tolist(), s["state"]["key"].tolist(), s["buffer"].tolist(),
-            s["buffer_pos"], s["has_uint32"], s["uinteger"] if s["has_uint32"] else None)
+            s["buffer_pos"])
 
 
 @given(seed=st.integers(min_value=0, max_value=2**64 - 1),
@@ -453,6 +470,16 @@ def test_key_material_equals_the_bounded_draws(seed, w, family):
     """gen and Trapdoor read raw words; the draws they stand for are the reference."""
     handle, trapdoor = OracleRegistry().gen(family, SecurityParam(w), seed)
     slots = live_state(util._reused.keygen), live_state(util._reused.masks)
+    (key_id, perm_seed, shift, mask_in, mask_out), keygen, masks = bounded_draws(seed, w, family)
+    assert handle == KeyHandle(key_id=key_id, w=w)
+    assert trapdoor == Trapdoor(family=family, perm_seed=perm_seed, w=w, shift=shift)
+    assert (trapdoor.mask_in, trapdoor.mask_out) == (mask_in, mask_out)
+    assert slots == (live_state(keygen), live_state(masks))
+
+
+def bounded_draws(seed, w, family):
+    """((key_id, perm_seed, shift, mask_in, mask_out), keygen, masks): a key's material
+    by NumPy's own draws, and the two Generators that drew it."""
     keygen = rng_from(derive_seed(seed, entcf._LANE_BY_FAMILY[family.value], w))
     key_id = rand_u64(keygen)
     perm_seed = rand_u64(keygen)
@@ -460,10 +487,20 @@ def test_key_material_equals_the_bounded_draws(seed, w, family):
     masks = rng_from(perm_seed)
     mask_in = rand_bits(masks, w + 1)
     mask_out = rand_bits(masks, w + 1)
-    assert handle == KeyHandle(key_id=key_id, w=w)
-    assert trapdoor == Trapdoor(family=family, perm_seed=perm_seed, w=w, shift=shift)
-    assert (trapdoor.mask_in, trapdoor.mask_out) == (mask_in, mask_out)
-    assert slots == (live_state(keygen), live_state(masks))
+    return (key_id, perm_seed, shift, mask_in, mask_out), keygen, masks
+
+
+def test_key_material_from_refusing_generators_equals_the_bounded_draws(monkeypatch):
+    """gen makes no Generator draw: with _rekeyed's generators refusing integers and
+    random, it still makes every key the bounded draws make."""
+    monkeypatch.setattr(util, "_reused", RefusingSlots())
+    for i in range(300):
+        seed, w, family = derive_seed(i), entcf.W_MIN + i % 21, list(Family)[i % 2]
+        handle, trapdoor = OracleRegistry().gen(family, SecurityParam(w), seed)
+        got = (handle.key_id, trapdoor.perm_seed, trapdoor.shift, trapdoor.mask_in,
+               trapdoor.mask_out)
+        assert got == bounded_draws(seed, w, family)[0]
+    assert isinstance(util._reused.keygen, Refusing)
 
 
 # -------------------------------------------------------------------- export

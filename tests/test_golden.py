@@ -8,18 +8,26 @@ every session replayed through run_session, which must give the same bytes.
 Both ways the digest is taken twice: of write_transcripts of the collected
 transcripts, and of what the batch itself writes to a sink, as `run --out`
 does.
+
+Every draw is made from raw Philox words by SCHEMA.md's rules, not by a
+NumPy Generator method, so the session path keeps these bytes when handed
+Generators whose integers and random raise.
 """
 
 import hashlib
 import io
+import threading
 
 import numpy as np
 import pytest
 
-from magicert import engine
+from magicert import engine, util, verifier
 from magicert.engine import run_batch, write_transcripts
-from magicert.entcf import SecurityParam
+from magicert.entcf import SecurityParam, key_record
+from magicert.provers import parse_prover_spec
+from magicert.util import derive_seed
 from magicert.verifier import RoundType
+from test_engine import serve_in_thread
 
 GOLDEN = [
     (16, "honest", {},
@@ -80,3 +88,73 @@ def test_transcript_digest_is_pinned_when_every_session_replays(monkeypatch, lam
     assert replays == list(range(200))
     assert sink_digest(lam, spec, **pins) == digest
     assert replays == list(range(200)) * 2
+
+
+class Refusing(np.random.Generator):
+    """A Generator whose own draws raise: only its bit generator's words may be read."""
+
+    def integers(self, *args, **kwargs):
+        raise AssertionError("a draw through Generator.integers")
+
+    def random(self, *args, **kwargs):
+        raise AssertionError("a draw through Generator.random")
+
+
+class RefusingSlots(threading.local):
+    """util._rekeyed's per-thread generators, each one Refusing."""
+
+    def __getattr__(self, slot):
+        gen = Refusing(np.random.Philox(key=0))
+        setattr(self, slot, gen)
+        return gen
+
+
+@pytest.mark.parametrize("lam, spec, pins, digest", GOLDEN, ids=IDS)
+def test_replays_from_refusing_generators_keep_the_digest(monkeypatch, lam, spec, pins, digest):
+    monkeypatch.setattr(util, "_reused", RefusingSlots())
+    monkeypatch.setattr(engine, "lemire_rejects", lambda x, k: np.ones(np.shape(x), dtype=bool))
+    assert transcript_digest(lam, spec, **pins) == digest
+    assert isinstance(util._rekeyed(1, "verifier"), Refusing)
+
+
+# 12 loopback sessions at lam 8, master seed 4242, as served before draws left the Generator
+WIRE_GOLDEN = [("honest", "89e9c17023f4e7224dc784df5edc2513309def365aa9a48a420fcd61073421c8"),
+               ("noisy:bitflip:0.3",
+                "7f6f186a8ab0ebd83c7ad1edea697bef92e82a6fa808187bf94c548edd41d206")]
+
+
+@pytest.mark.parametrize("spec, digest", WIRE_GOLDEN, ids=["honest", "bitflip"])
+def test_loopback_sessions_from_refusing_generators_keep_the_digest(monkeypatch, spec, digest):
+    monkeypatch.setattr(util, "_reused", RefusingSlots())  # on the server's thread as well
+    thread, holder = serve_in_thread(SecurityParam(8), 4242, 12)
+    engine.connect(f"127.0.0.1:{holder['port']}", spec, 4242)
+    thread.join(10.0)
+    buf = io.StringIO()
+    write_transcripts(buf, holder["result"][1])
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+def test_direct_calls_on_refusing_generators_draw_the_pinned_sessions():
+    """begin and a prover given Generators directly, as criterion 6 gives them, draw what
+    the array path draws for the bitflip case above (its digest is pinned)."""
+    sp, spec = SecurityParam(8), "noisy:bitflip:0.1"
+    _, batch = run_batch(sp, spec, 60, 2111, collect=True)
+    factory = parse_prover_spec(spec)
+    for t in batch:
+        def lane(tag):
+            return Refusing(np.random.Philox(key=derive_seed(t.seed, tag)))
+
+        sess = verifier.begin(sp, lane(engine._VERIFIER_LANE))
+        prover = factory(sess.registry, lane(engine._PROVER_LANE), t.index)
+        if sess.receive_commit(prover.commit(sess.handles)) is RoundType.PREIMAGE:
+            sess.check_preimage(prover.answer_preimage())
+        else:
+            ds = prover.answer_hadamard()
+            sess.check_hadamard(ds, prover.answer_questions(sess.send_questions()))
+        keys = tuple(key_record(h.key_id, h.w, k.family, k.perm_seed, k.shift)
+                     for h, k in zip(sess.handles, sess.trapdoors))
+        assert (sess.theta, keys, sess.ys, sess.round.value, sess.preimages, sess.ds, sess.q,
+                sess.test_index, sess.vs, sess.flag.value) == \
+            (t.theta, t.keys, t.ys, t.round, t.preimages, t.ds, t.q, t.test_index, t.vs, t.flag)
+    assert {t.round for t in batch} == {"preimage", "hadamard"}
+    assert {t.test_index for t in batch} >= {0, 1, 2}

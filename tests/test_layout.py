@@ -11,7 +11,9 @@ assignment is checked the same way: each name it binds must appear in src/
 outside that assignment (dunders such as __version__ are exempt). ROADMAP
 also keeps one copy of each rule: a name that two modules bind at top
 level, by assignment, def or class, is a copy; a module that needs
-another's name imports it, and imports do not count.
+another's name imports it, and imports do not count. Every random draw is
+made by one reader, util._Stream, so src/ calls no attribute named
+integers or random (NumPy's Generator draws).
 
 The benchmark under perfbench/ calls into src/ by name and wraps functions
 by name, so the last two tests fail on a src/ name it reads that is gone.
@@ -121,6 +123,13 @@ def test_no_top_level_name_is_bound_in_two_modules():
         for name in top_level_bindings(tree):
             modules[name].append(module)
     assert {name: found for name, found in modules.items() if len(found) > 1} == {}
+
+
+def test_no_draw_goes_round_the_one_reader():
+    calls = [f"{module}.py:{node.lineno}" for module, tree in parsed_modules().items()
+             for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr in ("integers", "random")]
+    assert calls == []
 
 
 # ------------------------------------------------------ the benchmark's hooks

@@ -498,7 +498,7 @@ class TestRegisterTables:
 
         def measure_pauli(state, q, rng):
             edges = np.cumsum(qsim.outcome_distribution(state, q)).tolist()
-            return int_to_tuple(sample_edges(edges, rng), 3)
+            return int_to_tuple(sample_edges(edges, rng.random()), 3)
 
         states = {qubits: per_session_register(qubits, gate) for qubits in PATTERNS}
         for seed in range(200):

@@ -58,7 +58,7 @@ def basis_state(n: int, index: int) -> StateVector:
 def measure_pauli(state: StateVector, q, rng) -> tuple[int, ...]:
     """Sample outcomes: qubit i read in the X basis when q_i = 1, else Z."""
     edges = np.cumsum(outcome_distribution(state, q)).tolist()
-    return int_to_tuple(sample_edges(edges, rng), state.n)
+    return int_to_tuple(sample_edges(edges, rng.random()), state.n)
 
 
 def kron3(a, b, c):

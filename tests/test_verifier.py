@@ -15,7 +15,7 @@ import scipy.stats
 from magicert import verifier
 from magicert.entcf import Family, SecurityParam
 from magicert.errors import MalformedAnswerError, ParameterError, ProtocolOrderError
-from magicert.util import derive_seed, rng_from
+from magicert.util import _Stream, derive_seed, rng_from
 from magicert.verifier import BASIS_CHOICES, Flag, RoundType
 
 SP4 = SecurityParam(4)
@@ -251,7 +251,7 @@ class TestHadamardExamples:
 def honest_preimage_session(theta=(1, 0, 0), seed=77):
     """Commit honestly and return the session plus correct (b, x) answers."""
     sess = make_session(theta, seed=seed)
-    prover_rng = rng_from(derive_seed(seed, 0xFEED))
+    prover_rng = _Stream(rng_from(derive_seed(seed, 0xFEED)).bit_generator)
     ys, answers = [], []
     for handle, trapdoor in zip(sess.handles, sess.trapdoors):
         y, c = sess.registry.sample_commitment(handle, prover_rng)
@@ -432,7 +432,7 @@ class TestUniformity:
         assert p > CHI2_SIG
 
     def test_round_type_uniform(self):
-        rng = rng_from(derive_seed(2026, 2))
+        rng = _Stream(rng_from(derive_seed(2026, 2)).bit_generator)
         sess, _ = prepared_session((0, 0, 1), (0, 0, 0), seed=13)
         counts = {RoundType.PREIMAGE: 0, RoundType.HADAMARD: 0}
         ys = sess.ys
@@ -444,7 +444,7 @@ class TestUniformity:
         assert p > CHI2_SIG
 
     def test_question_and_index_uniform(self):
-        rng = rng_from(derive_seed(2026, 3))
+        rng = _Stream(rng_from(derive_seed(2026, 3)).bit_generator)
         sess, _ = prepared_session((0, 0, 0), (0, 0, 0), seed=14)
         sess.rng = rng
         q_counts = {bits: 0 for bits in all_bits(3)}
