@@ -356,29 +356,12 @@ def _text_file(sink):
         yield fh
 
 
-def _record_line(index, seed, lam, theta, keys, ys, round, test_index, preimages, ds, q, vs,
-                 flag, accept, abort) -> str:
-    """One transcript record as one JSON line, by SCHEMA.md's encoding rule: the bytes
-    json.dumps(record, sort_keys=True) writes for it, newline included.
-
-    The fields come in SessionTranscript's order, as plain values, None for
-    null: theta, q and vs 3-bit texts, ys and ds ints, preimages (bit, int)
-    pairs, keys the key list's JSON text. round and flag are among their
-    schema values, so need no escaping; abort goes through the encoder, as
-    json escapes it. Both the array path and write_transcripts render with it.
-    """
-    x, y = f"0{lam}b", f"0{lam + 1}b"
-    return (
-        f'{{"abort": {"null" if abort is None else _ENCODER.encode(abort)}, '
-        f'"accept": {"true" if accept else "false"}, '
-        f'"ds": {"null" if ds is None else _bit_list(ds, x)}, "flag": {_quoted(flag)}, '
-        f'"index": {index}, "keys": {keys}, "lam": {lam}, '
-        f'"preimages": {"null" if preimages is None else _pair_list(preimages, x)}, '
-        f'"q": {_quoted(q)}, "round": {_quoted(round)}, "seed": "{seed}", '
-        f'"test_index": {"null" if test_index is None else test_index}, '
-        f'"theta": "{theta}", "vs": {_quoted(vs)}, '
-        f'"ys": {"null" if ys is None else _bit_list(ys, y)}}}\n'
-    )
+# SCHEMA.md's record line: its keys in sorted order, each %s filled with that field's JSON
+# text. The one literal of the record layout; _transcript_line fills it from a transcript,
+# _chunk_lines from a chunk's columns.
+_RECORD = ('{"abort": %s, "accept": %s, "ds": %s, "flag": %s, "index": %s, "keys": %s, '
+           '"lam": %s, "preimages": %s, "q": %s, "round": %s, "seed": "%s", '
+           '"test_index": %s, "theta": "%s", "vs": %s, "ys": %s}\n')
 
 
 def _quoted(text) -> str:
@@ -399,9 +382,24 @@ def _bit_text(bits) -> str | None:
 
 
 def _transcript_line(t: SessionTranscript) -> str:
-    return _record_line(t.index, t.seed, t.lam, _bit_text(t.theta), _ENCODER.encode(list(t.keys)),
-                        t.ys, t.round, t.test_index, t.preimages, t.ds, _bit_text(t.q),
-                        _bit_text(t.vs), t.flag, t.accept, t.abort)
+    """One transcript record as one JSON line, by SCHEMA.md's encoding rule: the bytes
+    json.dumps(t.to_record(), sort_keys=True) writes, newline included.
+
+    round and flag are among their schema values, so need no escaping;
+    abort goes through the encoder, as json escapes it.
+    """
+    x, y = f"0{t.lam}b", f"0{t.lam + 1}b"
+    return _RECORD % (
+        "null" if t.abort is None else _ENCODER.encode(t.abort),
+        "true" if t.accept else "false",
+        "null" if t.ds is None else _bit_list(t.ds, x),
+        _quoted(t.flag), t.index, _ENCODER.encode(list(t.keys)), t.lam,
+        "null" if t.preimages is None else _pair_list(t.preimages, x),
+        _quoted(_bit_text(t.q)), _quoted(t.round), t.seed,
+        "null" if t.test_index is None else t.test_index,
+        _bit_text(t.theta), _quoted(_bit_text(t.vs)),
+        "null" if t.ys is None else _bit_list(t.ys, y),
+    )
 
 
 def write_transcripts(sink, transcripts) -> None:
@@ -570,8 +568,19 @@ _CLAW = np.array(verifier.BASIS_CHOICES, dtype=bool).T  # [coordinate, theta ind
 _FLAGS_BY_CODE = tuple(Flag)
 _ROUND_VALUES = (RoundType.PREIMAGE.value, RoundType.HADAMARD.value)  # by hadamard
 _QUESTIONS = tuple(_THREE_BITS.values())  # three bits by their code, MSB first
-_BIT_TEXTS = tuple(_THREE_BITS)  # their texts
-_THETA_TEXTS = tuple(_bit_text(bits) for bits in verifier.BASIS_CHOICES)  # by theta index
+# field texts by code, for _chunk_lines' lookups: a flag's accept and flag texts; three
+# bits' (q, vs) by their code, 8 for null; a round's by hadamard; test_index, 3 for null;
+# theta by its index; a key's family by claw
+_ACCEPT_TEXTS = np.array(["true" if f is Flag.NONE else "false" for f in Flag], dtype=object)
+_FLAG_TEXTS = np.array([_quoted(f.value) for f in Flag], dtype=object)
+_THREE_BIT_TEXTS = np.array([*map(_quoted, _THREE_BITS), "null"], dtype=object)
+_ROUND_TEXTS = np.array([_quoted(r) for r in _ROUND_VALUES], dtype=object)
+_TEST_INDEX_TEXTS = np.array(["0", "1", "2", "null"], dtype=object)
+_THETA_TEXTS = np.array([_bit_text(bits) for bits in verifier.BASIS_CHOICES], dtype=object)
+_FAMILY_TEXTS = np.array([entcf.Family.INJECTIVE.value, entcf.Family.CLAW.value], dtype=object)
+# entcf.key_record's map as JSON text: family, id, perm_seed, then a claw key's shift item
+# ('"shift": "<bits>", ') or nothing, then w
+_KEY = '{"family": "%s", "id": "%s", "perm_seed": "%s", %s"w": "%s"}'
 _LANES = np.array([[_VERIFIER_LANE], [_PROVER_LANE]], dtype=np.uint64)  # by row
 
 
@@ -740,33 +749,67 @@ def _answer_table(cls, depol: float) -> np.ndarray:
 
 
 def _chunk_lines(lam, cols: _Columns, start, replayed):
-    """Yield a chunk's transcript lines in index order: replayed sessions' through
-    write_transcripts' rule, the rest rendered straight from the columns with the fields
-    run_session gives them."""
-    ys, b, x, ds = (column.T.tolist() for column in (cols.ys, cols.b, cols.x, cols.ds))
-    vs = (cols.vs[0] << 2 | cols.vs[1] << 1 | cols.vs[2]).tolist()
-    # every key's entcf.key_record map in sorted-key order, session-major (session i's
-    # three are 3i, 3i+1, 3i+2), rendered as the loop takes each session's three
-    spec, claw = f"0{lam}b", _CLAW.take(cols.theta, axis=1).T.ravel().tolist()
-    maps = (
-        f'{{"family": "F", "id": "{k}", "perm_seed": "{p}", "shift": "{s:{spec}}", "w": "{lam}"}}'
-        if c else f'{{"family": "G", "id": "{k}", "perm_seed": "{p}", "w": "{lam}"}}'
-        for c, k, p, s in zip(claw, *(a.T.ravel().tolist()
-                                      for a in (cols.key_id, cols.perm_seed, cols.shift))))
-    for i, (seed, t, had, f, q, test, k0, k1, k2) in enumerate(zip(
-            cols.seeds.tolist(), cols.theta.tolist(), cols.hadamard.tolist(),
-            cols.flag.tolist(), cols.q.tolist(), cols.test_index.tolist(), maps, maps, maps)):
-        keys = f"[{k0}, {k1}, {k2}]"
-        if start + i in replayed:
-            yield _transcript_line(replayed[start + i])
-        elif had:
-            yield _record_line(start + i, seed, lam, _THETA_TEXTS[t], keys, ys[i],
-                               "hadamard", test if t == 0 else None, None, ds[i], _BIT_TEXTS[q],
-                               _BIT_TEXTS[vs[i]], _FLAGS_BY_CODE[f].value, f == 0, None)
-        else:
-            yield _record_line(start + i, seed, lam, _THETA_TEXTS[t], keys, ys[i],
-                               "preimage", None, zip(b[i], x[i]), None, None, None,
-                               _FLAGS_BY_CODE[f].value, f == 0, None)
+    """A chunk's transcript lines in index order: replayed sessions' by _transcript_line,
+    the others _RECORD filled with the fields run_session gives them.
+
+    Each field's texts are made for the whole chunk first, bit lists as one
+    code-point matrix each and the other fields by lookups on their codes.
+    The chunk's template is _RECORD with the fields every line shares filled
+    in (abort, lam, and the key list's layout), so each line is one % of it.
+    A field that only the other round has is null.
+    """
+    n, had = len(cols.seeds), cols.hadamard
+    claw = _CLAW.take(cols.theta, axis=1)
+    vs = cols.vs[0] << 2 | cols.vs[1] << 1 | cols.vs[2]
+    # each coordinate's key fields in _KEY's order: family, id, perm_seed, shift item
+    families, ids, perm_seeds = (_FAMILY_TEXTS.take(claw).tolist(), cols.key_id.tolist(),
+                                 cols.perm_seed.tolist())
+    shifts = _bit_texts('"shift": "%s", ', [(cols.shift.ravel(), lam)], claw.ravel(), "")
+    keys = [field for i in range(3)
+            for field in (families[i], ids[i], perm_seeds[i], shifts[i * n:(i + 1) * n])]
+    key_list = "[%s]" % ", ".join([_KEY % ("%s", "%s", "%s", "%s", lam)] * 3)
+    template = _RECORD % ("null", *["%s"] * 4, key_list, lam, *["%s"] * 8)
+    lines = map(template.__mod__, zip(
+        _ACCEPT_TEXTS.take(cols.flag).tolist(),
+        _bit_texts(_bit_list(["%s"] * 3, "s"), [(d, lam) for d in cols.ds], had),
+        _FLAG_TEXTS.take(cols.flag).tolist(),
+        range(start, start + n),
+        *keys,
+        _bit_texts(_pair_list([("%s", "%s")] * 3, "s"),
+                   [field for i in range(3) for field in ((cols.b[i], 1), (cols.x[i], lam))],
+                   ~had),
+        _THREE_BIT_TEXTS.take(np.where(had, cols.q, 8)).tolist(),
+        _ROUND_TEXTS.take(had).tolist(),
+        cols.seeds.tolist(),
+        _TEST_INDEX_TEXTS.take(np.where(had & (cols.theta == 0), cols.test_index, 3)).tolist(),
+        _THETA_TEXTS.take(cols.theta).tolist(),
+        _THREE_BIT_TEXTS.take(np.where(had, vs, 8)).tolist(),
+        _bit_texts(_bit_list(["%s"] * 3, "s"), [(y, lam + 1) for y in cols.ys])))
+    if replayed:
+        lines = (_transcript_line(replayed[index]) if index in replayed else line
+                 for index, line in enumerate(lines, start))
+    return lines
+
+
+def _bit_texts(template: str, fields, rows=None, other: str = "null") -> list[str]:
+    """template % (the fields' bit texts) for each session of a chunk, as one code-point
+    matrix: fields are (values, width) pairs, values a uint64 element per session, that
+    fill template's %s slots in turn with their MSB-first texts. Sessions outside rows
+    (a boolean mask; None for all) get other instead.
+
+    numpy drops a U element's trailing NULs, so other is other's code points
+    followed by zeros.
+    """
+    literals = [np.array([*map(ord, text)], dtype=np.uint8) for text in template.split("%s")]
+    n = len(fields[0][0])
+    parts = [np.broadcast_to(literals[0], (n, len(literals[0])))]
+    for (values, width), literal in zip(fields, literals[1:]):
+        bits = np.unpackbits(values.astype(">u8").view(np.uint8).reshape(n, 8), axis=1)
+        parts += [bits[:, 64 - width:] | 48, np.broadcast_to(literal, (n, len(literal)))]
+    codes = np.concatenate(parts, axis=1, dtype=np.uint32)
+    if rows is not None:
+        codes[~rows] = [*map(ord, other), *[0] * (codes.shape[1] - len(other))]
+    return codes.view(f"U{codes.shape[1]}").ravel().tolist()
 
 
 def _batch_chunk(sp, factory, plan, master_seed, pins, start, stop, stats, out, kept):
@@ -796,6 +839,8 @@ def _batch_chunk(sp, factory, plan, master_seed, pins, start, stop, stats, out, 
     replayed = {index: run_session(sp, factory, master_seed, index, **pins) for index in again}
     for t in replayed.values():
         stats.add(t)
+    if out is None and kept is None:
+        return
     lines = (map(_transcript_line, replayed.values()) if cols is None
              else _chunk_lines(sp.lam, cols, start, replayed))
     if kept is not None:
@@ -890,9 +935,7 @@ def serve(
                 on_listen(server.getsockname()[1])
             conn, _ = server.accept()
             conn.settimeout(IDLE_TIMEOUT)
-            with conn:
-                rfile = conn.makefile("rb")
-                wfile = conn.makefile("wb")
+            with conn, _stream_files(conn) as (rfile, wfile):
                 transcripts = _serve_sessions(rfile, wfile, sp, master_seed, n_sessions)
     stats = FlagStats.from_transcripts(transcripts)
     if sink is not None:
@@ -907,10 +950,23 @@ def connect(endpoint: str, prover_spec: str, master_seed: int) -> list[dict]:
     if kind[0] == "stdio":
         return _client_sessions(sys.stdin.buffer, sys.stdout.buffer, factory, master_seed)
     _, host, port = kind
-    with socket.create_connection((host, port), timeout=IDLE_TIMEOUT) as conn:
-        rfile = conn.makefile("rb")
-        wfile = conn.makefile("wb")
+    with (socket.create_connection((host, port), timeout=IDLE_TIMEOUT) as conn,
+          _stream_files(conn) as (rfile, wfile)):
         return _client_sessions(rfile, wfile, factory, master_seed)
+
+
+@contextlib.contextmanager
+def _stream_files(conn):
+    """conn's read and write files, both closed on the way out, so that the socket closes
+    with conn whatever ends the sessions: a file left open keeps it open, and the peer
+    would wait out IDLE_TIMEOUT. A frame a broken peer never took is dropped on close."""
+    with conn.makefile("rb") as rfile:
+        wfile = conn.makefile("wb")
+        try:
+            yield rfile, wfile
+        finally:
+            with contextlib.suppress(OSError):
+                wfile.close()
 
 
 def _serve_sessions(rfile, wfile, sp, master_seed, n_sessions) -> list[SessionTranscript]:

@@ -9,6 +9,7 @@ import multiprocessing
 import socket
 import sys
 import threading
+import time
 import tracemalloc
 from unittest.mock import patch
 
@@ -869,6 +870,18 @@ class TestArrayPath:
         spec = scripted_spec(tmp_path) if spec == "scripted" else spec
         assert_flat_file_sink_peak(spec, 43, None)
 
+    @pytest.mark.parametrize("spec", ["honest", "scripted"])
+    def test_stats_only_batches_render_no_line(self, monkeypatch, tmp_path, spec):
+        # a stats-only chunk would drop its lines, so it makes none of their texts
+        def refused(*args):
+            raise AssertionError("a stats-only batch rendered a line")
+
+        monkeypatch.setattr(engine, "_chunk_lines", refused)
+        monkeypatch.setattr(engine, "_transcript_line", refused)
+        spec = scripted_spec(tmp_path) if spec == "scripted" else spec
+        stats, kept = run_batch(SP4, spec, 40, 44)
+        assert kept is None and stats.n_sessions == 40
+
     @pytest.mark.parametrize("k", [2, 3, 5, 8, 15, 31, (1 << 16) - 1, (1 << 24) - 1])
     def test_lemire_matches_numpy_on_crafted_words(self, k):
         inverse = pow(k, -1, 1 << 32) if k % 2 else 0
@@ -1009,6 +1022,29 @@ class TestRecordRenderer:
         for lines in (expected, json_lines(aborted)):
             path.write_text(lines, encoding="utf-8")
             assert transcript_bytes(list(iter_transcripts(path))) == lines
+
+    @pytest.mark.parametrize("lam", [4, 8, 16, 24])
+    def test_lines_across_chunks_with_replays_inside_them(self, monkeypatch, tmp_path, lam):
+        # three chunks of 16, replays at their first, middle and last lanes, each replayed
+        # session marked by an abort text so that its line shows which path wrote it: a
+        # path sink, as perfbench writes it, and collect=True's transcripts read back from
+        # its lines both hold json.dumps of each session's record
+        n, forced, sp, path = 40, TestArrayPath.FORCED_REPLAYS, SecurityParam(lam), tmp_path / "out"
+        for w in range(17, entcf.W_MAX + 1):  # the stand-in the test above takes past 16
+            monkeypatch.setitem(entcf._base_tables, w, (_XorBase(), _XorBase()))
+        calls = TestArrayPath.force_replays(monkeypatch, forced)
+        counted = engine.run_session
+
+        def marked(t):
+            return dataclasses.replace(t, flag=None, accept=False, abort='replayed "é"')
+
+        monkeypatch.setattr(engine, "run_session", lambda *args, **kw: marked(counted(*args, **kw)))
+        _, kept = run_batch(sp, "honest", n, 53, sink=path, collect=True)
+        assert calls == forced
+        expected = json_lines([marked(t) if t.index in forced else t
+                               for t in (run_session(sp, HONEST, 53, i) for i in range(n))])
+        assert {t.round for t in kept} == {"preimage", "hadamard"}
+        assert path.read_text(encoding="utf-8") == expected == json_lines(kept)
 
 
 # ---------------------------------------------------------------------- wire
@@ -1418,6 +1454,32 @@ class TestWire:
         thread.join(5.0)
         assert not thread.is_alive() and not listened
         assert len(errors) == 1 and "negative" in str(errors[0])
+
+    def test_a_server_session_that_raises_ends_connect_at_once(self, monkeypatch):
+        # a fault that is no protocol error escapes serve; the socket closes as it goes,
+        # so the client reads the end of the stream instead of waiting out IDLE_TIMEOUT
+        def broken(self, ys, round=None):
+            raise RuntimeError("verifier fault")
+
+        monkeypatch.setattr(verifier.VerifierSession, "receive_commit", broken)
+        errors, ports, listening = [], [], threading.Event()
+
+        def target():
+            try:
+                engine.serve(SP4, "127.0.0.1:0", 2525, 3,
+                             on_listen=lambda port: (ports.append(port), listening.set()))
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        assert listening.wait(5.0)
+        began = time.monotonic()
+        with pytest.raises(TransportError, match="connection closed while waiting for ROUND"):
+            engine.connect(f"127.0.0.1:{ports[0]}", "honest", 2525)
+        assert time.monotonic() - began < 5.0
+        thread.join(5.0)
+        assert not thread.is_alive() and [str(exc) for exc in errors] == ["verifier fault"]
 
     def test_parse_endpoint_forms(self):
         assert parse_endpoint("stdio") == ("stdio",)

@@ -13,17 +13,22 @@ also keeps one copy of each rule: a name that two modules bind at top
 level, by assignment, def or class, is a copy; a module that needs
 another's name imports it, and imports do not count. Every random draw is
 made by one reader, util._Stream, so src/ calls no attribute named
-integers or random (NumPy's Generator draws).
+integers or random (NumPy's Generator draws). The transcript record's line
+layout is written once, as engine._RECORD, which both renderers fill, so
+each record key's JSON text ('"preimages": ') is in one string literal.
 
 The benchmark under perfbench/ calls into src/ by name and wraps functions
 by name, so the last two tests fail on a src/ name it reads that is gone.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 from collections import Counter, defaultdict
 from pathlib import Path
+
+from magicert import engine
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "magicert"
 
@@ -130,6 +135,14 @@ def test_no_draw_goes_round_the_one_reader():
              for node in ast.walk(tree) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Attribute) and node.func.attr in ("integers", "random")]
     assert calls == []
+
+
+def test_the_record_layout_is_one_literal():
+    texts = [node.value for tree in parsed_modules().values() for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    keys = [f'"{f.name}": ' for f in dataclasses.fields(engine.SessionTranscript)]
+    assert {key: sum(text.count(key) for text in texts) for key in keys} == dict.fromkeys(keys, 1)
+    assert [text for text in texts if keys[0] in text] == [engine._RECORD]
 
 
 # ------------------------------------------------------ the benchmark's hooks
