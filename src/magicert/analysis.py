@@ -47,6 +47,10 @@ class EstimationParams:
             raise ParameterError(
                 f"failure probability {self.delta_prime} is not in (0, 1)"
             )
+        try:
+            sample_size(self)
+        except (ZeroDivisionError, OverflowError):
+            raise ParameterError(f"precision {self.eps_prime} has no finite sample size") from None
 
 
 @dataclass(frozen=True)
@@ -58,12 +62,12 @@ class SoundnessParams:
     negl: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.c > 0.0:
-            raise ParameterError(f"scale c={self.c} must be positive")
-        if not self.r > 0.0:
-            raise ParameterError(f"exponent r={self.r} must be positive")
-        if self.negl < 0.0:
-            raise ParameterError(f"slack negl={self.negl} must be nonnegative")
+        if not 0.0 < self.c < math.inf:
+            raise ParameterError(f"scale c={self.c} must be positive and finite")
+        if not 0.0 < self.r < 2048.0:  # the deviation factor 2^(r/2) overflows from 2048 on
+            raise ParameterError(f"exponent r={self.r} must be in (0, 2048)")
+        if not 0.0 <= self.negl < math.inf:
+            raise ParameterError(f"slack negl={self.negl} must be nonnegative and finite")
 
 
 class RateEstimate(NamedTuple):

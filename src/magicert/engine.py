@@ -5,13 +5,14 @@ batch runner runs a batch in the calling process, one chunk of session
 indices at a time, and streams each chunk's transcript lines to the sink;
 seeds are derived per index, so results never depend on the chunk size. A
 chunk of a generated prover is drawn and checked in one pass of array
-operations over all of its sessions, and its lines are its one output. The
-wire mode splits the two parties across a newline-delimited message stream:
-the server runs the same run_session with a RemoteProver that relays each
-prover call to the peer, so wire transcripts equal in-process transcripts
-bit for bit by construction. Both ends derive a session's seed lanes in one
-helper; the prover side rebuilds the key oracle from the shared master seed
-(trusted setup).
+operations over all of its sessions, a rejected half redrawn in the arrays,
+and its lines are its one output; a scripted chunk runs run_session for
+each index. The wire mode splits the two parties across a newline-delimited
+message stream: the server runs the same run_session with a RemoteProver
+that relays each prover call to the peer, so wire transcripts equal
+in-process transcripts bit for bit by construction. Both ends derive a
+session's seed lanes in one helper; the prover side rebuilds the key oracle
+from the shared master seed (trusted setup).
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ from .util import (
     bits_str,
     derive_seed,
     int_to_tuple,
-    lemire,
-    lemire_rejects,
     parse_bits,
     philox_words,
     sample_edges_rows,
@@ -127,7 +126,7 @@ class Message:
             v, sid, seq, kind, payload = (body[k] for k in ("v", "sid", "seq", "kind", "payload"))
         except KeyError as exc:
             raise TransportError(f"frame lacks required fields: {exc}") from exc
-        if v != WIRE_VERSION:
+        if type(v) is not int or v != WIRE_VERSION:
             raise TransportError(f"unsupported wire version {v!r}")
         if kind not in MESSAGE_KINDS:
             raise TransportError(f"unknown message kind {kind!r}")
@@ -610,20 +609,17 @@ class _Columns(NamedTuple):
     """A chunk's sessions as arrays: one element per session, or (3, n) with a row per
     coordinate.
 
-    theta indexes BASIS_CHOICES and flag indexes Flag. replay marks the
-    sessions run_session must replay instead: a Lemire draw on a range that
-    is not a power of two rejects its first half, or two key ids collide;
-    their other entries mean nothing. Every session has ys; b and x, the
-    opened preimage pairs, are a preimage round's record, and ds, q, vs and
-    test_index (theta 000 only) a Hadamard round's. Each column holds a
-    value for every session, and the other round's values mean nothing.
+    theta indexes BASIS_CHOICES and flag indexes Flag. Every session has ys;
+    b and x, the opened preimage pairs, are a preimage round's record, and
+    ds, q, vs and test_index (theta 000 only) a Hadamard round's. Each
+    column holds a value for every session, and the other round's values
+    mean nothing.
     """
 
     seeds: np.ndarray
     theta: np.ndarray
     hadamard: np.ndarray
     flag: np.ndarray
-    replay: np.ndarray
     key_id: np.ndarray
     perm_seed: np.ndarray
     shift: np.ndarray
@@ -646,40 +642,41 @@ def _array_chunk(lam, plan, master_seed, start, stop) -> _Columns:
     where it is. The keys go to entcf's permutation as (3, n) arrays, and
     the Hadamard check runs once per basis triple present, each session
     taking its own triple's result; a chunk with no preimage round skips
-    that round's coins and check.
+    that round's coins and check. Each session redraws its rejected halves
+    (_Stream.below), and one whose key ids clash raises where run_session would.
     """
     table_key, flip, theta, round = plan
     seeds = derive_seed(master_seed, np.arange(start, stop, dtype=np.uint64))
     n, w = len(seeds), lam
-    # one philox_words call per stream, for the blocks it reads: the verifier's and
-    # prover's first two in one pass over 2n keys (the verifier reads at most seven
-    # words, a prover six), the prover's third for bit flips (words 6-8), and block 0
-    # of each keygen and mask stream
+    # one philox_words call per stream, for the blocks its first draws read: the
+    # verifier's and prover's first two in one pass over 2n keys (the verifier reads
+    # seven words, a prover six), the prover's third for bit flips (words 6-8), and
+    # block 0 of each keygen and mask stream; a redrawn half may read on
     lane_keys = derive_seed(seeds, _LANES)
     words = philox_words(lane_keys.ravel(), 0, 2)
-    ver, prover_words = _Stream(words[:, :n]), words[:, n:]
+    ver, prover_words = _Stream(words[:, :n], lane_keys[0]), words[:, n:]
     if flip > 0:
         prover_words = np.concatenate([prover_words, philox_words(lane_keys[1], 2, 1)])
-    prover = _Stream(prover_words)
+    prover = _Stream(prover_words, lane_keys[1])
     # verifier.begin: the basis triple, then a 64-bit key seed per coordinate
-    if theta is None:
-        half = ver.half()
-        t_index, replay = lemire(half, 5), lemire_rejects(half, 5)
-    else:
-        t_index, replay = np.full(n, theta, dtype=np.uint64), np.zeros(n, dtype=bool)
+    t_index = ver.below(5) if theta is None else np.full(n, theta, dtype=np.uint64)
     key_seeds = np.concatenate([ver.u64() for _ in range(3)])
-    # OracleRegistry.gen for the three coordinates at once, coordinate-major
+    # OracleRegistry.gen for the three coordinates at once, coordinate-major; an
+    # injective key's shift is its stream's last draw, made and never read
     claw = _CLAW.take(t_index, axis=1)
     lane = np.where(claw.ravel(), np.uint64(entcf._LANE_BY_FAMILY["F"]),
                     np.uint64(entcf._LANE_BY_FAMILY["G"]))
-    keygen = _Stream(philox_words(derive_seed(key_seeds, lane, w), 0, 1))
+    keygen_keys = derive_seed(key_seeds, lane, w)
+    keygen = _Stream(philox_words(keygen_keys, 0, 1), keygen_keys)
     key_id, perm_seed = keygen.u64().reshape(3, n), keygen.u64().reshape(3, n)
-    half, k = keygen.half().reshape(3, n), (1 << w) - 1
-    shift = np.where(claw, 1 + lemire(half, k), 0)
-    replay |= (claw & lemire_rejects(half, k)).any(axis=0)
-    replay |= (key_id[0] == key_id[1]) | (key_id[0] == key_id[2]) | (key_id[1] == key_id[2])
+    shift = np.where(claw, 1 + keygen.below((1 << w) - 1).reshape(3, n), 0)
+    # begin a session whose key ids clash, so that gen raises KeyLookupError where it would
+    clash = (key_id[0] == key_id[1]) | (key_id[0] == key_id[2]) | (key_id[1] == key_id[2])
+    for i in np.flatnonzero(clash).tolist():
+        _session_lanes(entcf.SecurityParam(lam), master_seed, start + i,
+                       None if theta is None else verifier.BASIS_CHOICES[theta])
     # the keys in the Trapdoor fields entcf's permutation reads
-    masks = _Stream(philox_words(perm_seed.ravel(), 0, 1))
+    masks = _Stream(philox_words(perm_seed.ravel(), 0, 1), perm_seed.ravel())
     m_in, m_out = masks.bits(w + 1).reshape(3, n), masks.bits(w + 1).reshape(3, n)
     keys = SimpleNamespace(w=w, offset=np.where(claw, shift, np.uint64(1 << w)),
                            mask_in=m_in, mask_out=m_out)
@@ -688,9 +685,7 @@ def _array_chunk(lam, plan, master_seed, start, stop) -> _Columns:
         hadamard = ver.bits(1) == 1
     else:
         hadamard = np.full(n, round is RoundType.HADAMARD)
-    q, half = ver.bits(3), ver.half()
-    test_index = lemire(half, 3)
-    replay |= hadamard & (t_index == 0) & lemire_rejects(half, 3)
+    q, test_index = ver.bits(3), ver.below(3)  # the stream's last draw, for every session
 
     # HonestProver.commit: sample_commitment per coordinate, an injective key's b then
     # x, or a claw key's x0 with b = 0
@@ -728,7 +723,7 @@ def _array_chunk(lam, plan, master_seed, start, stop) -> _Columns:
         fails = verifier.hadamard_fails(bases, questions, test_index, tops, us, vs) != 0
         flag = np.where(hadamard & (t_index == t) & fails,
                         _FLAGS_BY_CODE.index(verifier.failure_flag(bases)), flag)
-    return _Columns(seeds, t_index, hadamard, flag, replay, key_id, perm_seed,
+    return _Columns(seeds, t_index, hadamard, flag, key_id, perm_seed,
                     shift, ys, b, x, ds, q, test_index, vs)
 
 
@@ -748,9 +743,9 @@ def _answer_table(cls, depol: float) -> np.ndarray:
                            for qubits in registers])
 
 
-def _chunk_lines(lam, cols: _Columns, start, replayed):
-    """A chunk's transcript lines in index order: replayed sessions' by _transcript_line,
-    the others _RECORD filled with the fields run_session gives them.
+def _chunk_lines(lam, cols: _Columns, start):
+    """A chunk's transcript lines in index order: _RECORD filled with the fields
+    run_session gives each session.
 
     Each field's texts are made for the whole chunk first, bit lists as one
     code-point matrix each and the other fields by lookups on their codes.
@@ -769,7 +764,7 @@ def _chunk_lines(lam, cols: _Columns, start, replayed):
             for field in (families[i], ids[i], perm_seeds[i], shifts[i * n:(i + 1) * n])]
     key_list = "[%s]" % ", ".join([_KEY % ("%s", "%s", "%s", "%s", lam)] * 3)
     template = _RECORD % ("null", *["%s"] * 4, key_list, lam, *["%s"] * 8)
-    lines = map(template.__mod__, zip(
+    return map(template.__mod__, zip(
         _ACCEPT_TEXTS.take(cols.flag).tolist(),
         _bit_texts(_bit_list(["%s"] * 3, "s"), [(d, lam) for d in cols.ds], had),
         _FLAG_TEXTS.take(cols.flag).tolist(),
@@ -785,10 +780,6 @@ def _chunk_lines(lam, cols: _Columns, start, replayed):
         _THETA_TEXTS.take(cols.theta).tolist(),
         _THREE_BIT_TEXTS.take(np.where(had, vs, 8)).tolist(),
         _bit_texts(_bit_list(["%s"] * 3, "s"), [(y, lam + 1) for y in cols.ys])))
-    if replayed:
-        lines = (_transcript_line(replayed[index]) if index in replayed else line
-                 for index, line in enumerate(lines, start))
-    return lines
 
 
 def _bit_texts(template: str, fields, rows=None, other: str = "null") -> list[str]:
@@ -817,32 +808,28 @@ def _batch_chunk(sp, factory, plan, master_seed, pins, start, stop, stats, out, 
     transcript lines to out and append their transcripts to kept, in index order, where
     either is not None.
 
-    With a plan the chunk runs on the array path, and run_session replays
-    only the sessions the arrays do not cover; without one (a scripted
-    prover) it replays every session. The chunk's one output is its lines:
-    they stream to out as they are made, and kept gets the transcripts
-    SessionTranscript.from_record reads back from them. A stats-only chunk
-    renders none.
+    With a plan the chunk runs on the array path, every session of it;
+    without one (a scripted prover) run_session runs every session. The
+    chunk's one output is its lines: they stream to out as they are made,
+    and kept gets the transcripts SessionTranscript.from_record reads back
+    from them. A stats-only chunk renders none.
     """
     if plan is None:
-        cols, again = None, range(start, stop)
+        transcripts = [run_session(sp, factory, master_seed, index, **pins)
+                       for index in range(start, stop)]
+        for t in transcripts:
+            stats.add(t)
     else:
         cols = _array_chunk(sp.lam, plan, master_seed, start, stop)
-        fresh = ~cols.replay
-        theta_index = cols.theta[fresh].astype(np.intp)
-        counts = np.bincount((cols.hadamard[fresh] * 5 + theta_index) * 4 + cols.flag[fresh])
+        counts = np.bincount((cols.hadamard * 5 + cols.theta.astype(np.intp)) * 4 + cols.flag)
         for c in np.flatnonzero(counts).tolist():
             theta_cls = verifier.theta_class(verifier.BASIS_CHOICES[c // 4 % 5])
             cell = (_ROUND_VALUES[c // 20], theta_cls, _FLAGS_BY_CODE[c % 4].value)
             stats.cells[cell] += int(counts[c])
-        again = (np.flatnonzero(cols.replay) + start).tolist()
-    replayed = {index: run_session(sp, factory, master_seed, index, **pins) for index in again}
-    for t in replayed.values():
-        stats.add(t)
     if out is None and kept is None:
         return
-    lines = (map(_transcript_line, replayed.values()) if cols is None
-             else _chunk_lines(sp.lam, cols, start, replayed))
+    lines = (map(_transcript_line, transcripts) if plan is None
+             else _chunk_lines(sp.lam, cols, start))
     if kept is not None:
         lines = list(lines)
         kept += [SessionTranscript.from_record(_decoded(line)) for line in lines]
@@ -870,10 +857,10 @@ def run_batch(
     collect=True keeps the list; collect=True reads its transcripts back
     from those lines. A chunk of an honest, stabilizer or noisy prover runs
     on the array path: one pass of array operations over all of the chunk's
-    sessions takes every draw and check, with the same outcomes and lines
-    as run_session, which replays the few sessions the arrays do not cover.
-    A scripted chunk runs run_session for every index. A bad theta or
-    round pin raises ParameterError before any session, whatever n is.
+    sessions takes every draw and check, rejected halves redrawn included,
+    with the same outcomes and lines as run_session. A scripted chunk runs
+    run_session for every index. A bad theta or round pin raises
+    ParameterError before any session, whatever n is.
 
     parallelism is validated but starts no process. It stays in the
     signature because callers pass it (acceptance criterion 8, perfbench),

@@ -33,12 +33,31 @@ S_GATE = np.array([[1, 0], [0, 1j]], dtype=np.complex128)
 T_GATE = np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=np.complex128)
 TDAG_GATE = T_GATE.conj().T
 
+_EYE = np.eye(2, dtype=np.complex128)
+
 _SINGLE_QUBIT = {"H": H_GATE, "X": X_GATE, "Z": Z_GATE, "T": T_GATE, "TDAG": TDAG_GATE}
+# qubits each named gate acts on, by name
+_ARITY = {**dict.fromkeys(_SINGLE_QUBIT, 1), "CZ": 2, "CCZ": 3}
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _check_size(size: int, what: str) -> None:
+    """ParameterError naming what unless size is 2^n with n in [1, N_MAX]."""
+    n = int(size).bit_length() - 1
+    if not 1 <= n <= N_MAX or size != 1 << n:
+        raise ParameterError(f"{what} {size} is not 2^n with n in [1,{N_MAX}]")
+
+
+def _kron(factors) -> np.ndarray:
+    """The tensor product of 2x2 factors, qubit 0's leftmost."""
+    m = np.ones((1, 1), dtype=np.complex128)
+    for factor in factors:
+        m = np.kron(m, factor)
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,9 +68,7 @@ class StateVector:
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amps, dtype=np.complex128).reshape(-1)
-        n = int(amps.size).bit_length() - 1
-        if amps.size != 1 << n or not 1 <= n <= N_MAX:
-            raise ParameterError(f"amplitude count {amps.size} is not 2^n with n in [1,{N_MAX}]")
+        _check_size(amps.size, "amplitude count")
         norm = float(np.sum(np.abs(amps) ** 2))
         if abs(norm - 1.0) > ATOL_EXACT:
             raise ParameterError(f"state norm {norm} deviates from 1 beyond {ATOL_EXACT}")
@@ -63,51 +80,43 @@ class StateVector:
 
 
 @dataclass(frozen=True, eq=False)
-class Observable:
+class _Hermitian:
+    """Hermitian 2^n x 2^n matrix on n qubits; what names it in errors."""
+
+    matrix: np.ndarray
+    what = "matrix"
+
+    def __post_init__(self) -> None:
+        m = np.asarray(self.matrix, dtype=np.complex128)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ParameterError(f"{self.what} must be a square matrix")
+        _check_size(m.shape[0], "dimension")
+        if np.max(np.abs(m - m.conj().T)) > ATOL_EXACT:
+            raise ParameterError(f"{self.what} is not Hermitian within tolerance")
+        object.__setattr__(self, "matrix", _freeze(m))
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[0].bit_length() - 1
+
+
+class Observable(_Hermitian):
     """Hermitian operator on n qubits."""
 
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ParameterError("observable must be a square matrix")
-        n = int(m.shape[0]).bit_length() - 1
-        if m.shape[0] != 1 << n or not 1 <= n <= N_MAX:
-            raise ParameterError(f"dimension {m.shape[0]} is not 2^n with n in [1,{N_MAX}]")
-        if np.max(np.abs(m - m.conj().T)) > ATOL_EXACT:
-            raise ParameterError("observable is not Hermitian within tolerance")
-        object.__setattr__(self, "matrix", _freeze(m))
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0].bit_length() - 1
+    what = "observable"
 
 
-@dataclass(frozen=True, eq=False)
-class DensityState:
+class DensityState(_Hermitian):
     """Positive unit-trace operator on n qubits."""
 
-    matrix: np.ndarray
+    what = "density matrix"
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ParameterError("density matrix must be square")
-        n = int(m.shape[0]).bit_length() - 1
-        if m.shape[0] != 1 << n or not 1 <= n <= N_MAX:
-            raise ParameterError(f"dimension {m.shape[0]} is not 2^n with n in [1,{N_MAX}]")
-        if np.max(np.abs(m - m.conj().T)) > ATOL_EXACT:
-            raise ParameterError("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(m).real - 1.0) > ATOL_EXACT:
+        super().__post_init__()
+        if abs(np.trace(self.matrix).real - 1.0) > ATOL_EXACT:
             raise ParameterError("density matrix trace deviates from 1")
-        if np.linalg.eigvalsh(m).min() < -ATOL_PSD:
+        if np.linalg.eigvalsh(self.matrix).min() < -ATOL_PSD:
             raise ParameterError("density matrix is not positive semidefinite within tolerance")
-        object.__setattr__(self, "matrix", _freeze(m))
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0].bit_length() - 1
 
     @classmethod
     def from_statevector(cls, sv: StateVector) -> "DensityState":
@@ -165,18 +174,12 @@ def apply_gate(state: StateVector, gate: str, *qubits: int) -> StateVector:
             raise ParameterError(f"qubit index {q} out of range for n={n}")
     if len(set(qubits)) != len(qubits):
         raise ParameterError("qubit indices must be distinct")
-    if name in _SINGLE_QUBIT:
-        if len(qubits) != 1:
-            raise ParameterError(f"{name} acts on exactly one qubit")
-        return StateVector(_apply_single(state.amps, n, qubits[0], _SINGLE_QUBIT[name]))
-    if name == "CZ":
-        if len(qubits) != 2:
-            raise ParameterError("CZ acts on exactly two qubits")
-    elif name == "CCZ":
-        if len(qubits) != 3:
-            raise ParameterError("CCZ acts on exactly three qubits")
-    else:
+    if name not in _ARITY:
         raise ParameterError(f"unknown gate {gate!r}")
+    if len(qubits) != _ARITY[name]:
+        raise ParameterError(f"{name} acts on exactly {_ARITY[name]} qubit(s)")
+    if name in _SINGLE_QUBIT:
+        return StateVector(_apply_single(state.amps, n, qubits[0], _SINGLE_QUBIT[name]))
     return StateVector(state.amps * _controlled_phase_mask(n, tuple(sorted(qubits))))
 
 
@@ -186,11 +189,7 @@ def apply_gate(state: StateVector, gate: str, *qubits: int) -> StateVector:
 @lru_cache(maxsize=None)
 def _basis_rotation(n: int, q: tuple[int, ...]) -> np.ndarray:
     """Tensor product with H at every position where q is 1."""
-    m = np.ones((1, 1), dtype=np.complex128)
-    eye = np.eye(2, dtype=np.complex128)
-    for bit in q:
-        m = np.kron(m, H_GATE if bit else eye)
-    return _freeze(m)
+    return _freeze(_kron(H_GATE if bit else _EYE for bit in q))
 
 
 def _check_bases(n: int, q) -> tuple[int, ...]:
@@ -217,11 +216,7 @@ def outcome_distribution_density(rho: DensityState, q) -> np.ndarray:
 
 
 def _pauli_on(n: int, i: int, gate: np.ndarray) -> np.ndarray:
-    m = np.ones((1, 1), dtype=np.complex128)
-    eye = np.eye(2, dtype=np.complex128)
-    for pos in range(n):
-        m = np.kron(m, gate if pos == i else eye)
-    return m
+    return _kron(gate if pos == i else _EYE for pos in range(n))
 
 
 def _cz_matrix(n: int, i: int, j: int) -> np.ndarray:

@@ -169,12 +169,13 @@ class _Stream:
     pending. A draw given a session mask is made by the masked sessions
     only: the others keep their places, and its values there mean nothing.
     While every session is at the same place, that place is an int and a
-    bool, and a draw reads one row of words.
+    bool, and a draw reads one row of words. A read past the words held
+    appends the next block of the streams' Philox keys.
     """
 
-    def __init__(self, words):
+    def __init__(self, words, keys=None):
         if isinstance(words, np.ndarray):
-            self.words, self.lanes = words, np.arange(words.shape[1])
+            self.words, self.keys, self.lanes = words, keys, np.arange(words.shape[1])
             self.low, self.high = _LO32, _32
         else:  # one stream, which draws unmasked: _take is called only to move past a word
             self._take, self.low, self.high = lambda moved: words.random_raw(), 0xFFFFFFFF, 32
@@ -189,8 +190,12 @@ class _Stream:
 
     def _take(self, moved) -> np.ndarray:
         """Each session's next word; the sessions in moved go past it."""
-        word = (self.words[self.next] if type(self.next) is int
-                else self.words[self.next, self.lanes])
+        try:
+            word = (self.words[self.next] if type(self.next) is int
+                    else self.words[self.next, self.lanes])
+        except IndexError:  # only a redrawn half reads past the first blocks
+            self.words = np.vstack([self.words, philox_words(self.keys, len(self.words) // 4, 1)])
+            return self._take(moved)
         self.next = self.next + moved
         return word
 
@@ -211,7 +216,7 @@ class _Stream:
             else:
                 half = np.where(self.held, self.pending, word & self.low)
                 self.pending = np.where(fresh, word >> self.high, self.pending)
-        self.held = self.held ^ mask
+        self.held = self._parted(self.held ^ mask)
         return half
 
     def bits(self, width: int, mask=True):
@@ -226,12 +231,15 @@ class _Stream:
         """A 64-bit seed: integers(0, 2^63) shifted left once, or'd with a coin."""
         return self.word(mask) >> 1 << 1 | self.bits(1, mask)
 
-    def below(self, k: int) -> int:
-        """integers(0, k), 1 < k < 2^32, on one stream: Lemire's draw, reading halves
-        until it accepts one."""
+    def below(self, k: int):
+        """integers(0, k), 1 < k < 2^32: Lemire's draw, each stream reading halves until
+        it accepts one."""
         half = self.half()
-        while lemire_rejects(half, k):
-            half = self.half()
+        again = self._parted(lemire_rejects(half, k))
+        while again is not False:
+            redrawn = self.half(again)
+            half = redrawn if again is True else np.where(again, redrawn, half)
+            again = self._parted(again & lemire_rejects(half, k))
         return lemire(half, k)
 
 

@@ -67,6 +67,16 @@ class TestParams:
         with pytest.raises(ParameterError):
             EstimationParams(eps_prime=0.1, delta_prime=delta)
 
+    @pytest.mark.parametrize("eps", [1e-160, 1e-200, 5e-324])
+    def test_estimation_params_refuse_an_eps_without_a_finite_sample_size(self, eps):
+        # 1e-200 squared underflows to 0, and 1e-160's sample size overflows the floats
+        with pytest.raises(ParameterError, match=f"precision {eps} "):
+            EstimationParams(eps_prime=eps, delta_prime=0.1)
+
+    def test_estimation_params_keep_the_smallest_eps_with_a_sample_size(self):
+        params = EstimationParams(eps_prime=1e-150, delta_prime=0.1)
+        assert sample_size(params) == math.ceil(math.log(2 / 0.1) / (2 * 1e-150**2))
+
     def test_soundness_defaults(self):
         sp = SoundnessParams()
         assert sp.c == 1.0
@@ -81,11 +91,24 @@ class TestParams:
             {"r": 0.0},
             {"r": -0.5},
             {"negl": -1e-12},
+            {"c": math.inf},
+            {"c": math.nan},
+            {"r": math.inf},
+            {"r": math.nan},
+            {"negl": math.inf},
+            {"negl": math.nan},
+            {"r": 2048.0},  # the deviation factor 2^(r/2) overflows from here on
+            {"r": 2050.0},
         ],
     )
     def test_soundness_rejects_bad_values(self, kwargs):
-        with pytest.raises(ParameterError):
+        (name, value), = kwargs.items()
+        with pytest.raises(ParameterError, match=f"{name}={value}"):
             SoundnessParams(**kwargs)
+
+    def test_soundness_keeps_the_widest_exponent_whose_factor_computes(self):
+        sp = SoundnessParams(r=2046.0)
+        assert deviation_bound((0.25, 0.25, 0.25), sp) == 0.75 * 2.0**1023  # (2^1023 - 1) 3/4
 
     def test_soundness_accepts_custom(self):
         sp = SoundnessParams(c=0.5, r=3.0, negl=0.01)

@@ -169,6 +169,15 @@ class TestAnalyze:
         code, _, _ = run_cli(capsys, "analyze", str(path), "--epsilon", "1.5")
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [("--epsilon", "1e-200"), ("--r", "inf"),
+                                             ("--r", "2050"), ("--c", "inf"),
+                                             ("--negl", "nan")])
+    def test_values_the_report_cannot_compute_exit_2(self, capsys, tmp_path, flag, value):
+        path = self.make_transcripts(tmp_path, "honest", 20, 1)
+        code, stdout, stderr = run_cli(capsys, "analyze", str(path), flag, value)
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: ") and str(float(value)) in stderr
+
     def test_corrupt_transcripts_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("this is not a transcript\n")
@@ -242,6 +251,12 @@ class TestSampleSize:
         )
         assert code == 0
         assert stdout.strip() == "3"
+
+    @pytest.mark.parametrize("eps", ["1e-160", "1e-200"])
+    def test_epsilon_without_a_finite_sample_size_exits_2(self, capsys, eps):
+        code, stdout, stderr = run_cli(capsys, "samplesize", "--epsilon", eps, "--delta", "0.1")
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: precision {eps} has no finite sample size\n"
 
     def test_epsilon_out_of_range_exits_2(self, capsys):
         code, _, stderr = run_cli(

@@ -108,6 +108,7 @@ class TestMessageCodec:
             b"not json\n",
             b"[1,2,3]\n",
             b'{"v":2,"sid":"1","seq":0,"kind":"KEYS","payload":{}}\n',
+            b'{"kind":"KEYS","payload":{},"seq":0,"sid":"5","v":true}\n',
             b'{"v":1,"sid":"1","seq":0,"kind":"NOPE","payload":{}}\n',
             b'{"v":1,"sid":"1","seq":-1,"kind":"KEYS","payload":{}}\n',
             b'{"v":1,"sid":"1","seq":0,"kind":"KEYS","payload":[]}\n',
@@ -120,6 +121,8 @@ class TestMessageCodec:
     def test_malformed_frames_raise(self, line):
         with pytest.raises(TransportError):
             Message.decode(line)
+        with pytest.raises(TransportError):
+            engine._recv(io.BytesIO(line))
 
 
     @pytest.mark.parametrize("sid, seq", [
@@ -546,13 +549,12 @@ def scalar_outcomes(lam, spec, master_seed, n, pins):
 
 
 def array_outcomes(lam, spec, master_seed, n, pins):
-    """The same per session from the array path, None where it replays the session."""
+    """The same per session from the array path."""
     plan = engine._array_plan(spec, *verifier.check_pins(pins.get("theta"), pins.get("round")))
     cols = engine._array_chunk(lam, plan, master_seed, 0, n)
-    return [None if again else ("hadamard" if had else "preimage",
-                                verifier.theta_class(verifier.BASIS_CHOICES[t]),
-                                list(verifier.Flag)[f].value)
-            for t, had, f, again in zip(cols.theta, cols.hadamard, cols.flag, cols.replay)]
+    return [("hadamard" if had else "preimage", verifier.theta_class(verifier.BASIS_CHOICES[t]),
+             list(verifier.Flag)[f].value)
+            for t, had, f in zip(cols.theta, cols.hadamard, cols.flag)]
 
 
 def transcript_bytes(transcripts) -> str:
@@ -585,6 +587,35 @@ def assert_flat_file_sink_peak(spec, master_seed, sink):
     assert peak(8 * engine._CHUNK) < 1.5 * peak(engine._CHUNK)
 
 
+# lam 17 is the widest rejection rate, 2^-17 per claw shift; 24 takes _XorBase's stand-in
+REJECTING_LAMS = [4, 8, 16, 17, 24]
+
+
+def rejecting_batch(monkeypatch, tmp_path, lam, spec, pins, n=40):
+    """n sessions with a quarter of all halves rejected, on both paths: run_session's
+    transcripts, then the batch's stats, collected transcripts and path-sink text.
+
+    Every half whose two low bits are 0 rejects, so a bounded draw reads 4/3
+    halves on average, and some sessions read past their streams' first
+    blocks. The batch runs in chunks of 16, and a call of
+    run_session from it fails the test.
+    """
+    def refuse(*args, **pins):
+        raise AssertionError("session path used")
+
+    monkeypatch.setattr(util, "lemire_rejects", lambda x, k: x & 3 == 0)
+    for w in range(18, entcf.W_MAX + 1):
+        monkeypatch.setitem(entcf._base_tables, w, (_XorBase(), _XorBase()))
+    sp, factory, path = SecurityParam(lam), parse_prover_spec(spec), tmp_path / "out.jsonl"
+    pinned = verifier.check_pins(pins.get("theta"), pins.get("round"))
+    expected = [run_session(sp, factory, 45, index, theta=pinned[0], round=pinned[1])
+                for index in range(n)]
+    monkeypatch.setattr(engine, "_CHUNK", 16)
+    monkeypatch.setattr(engine, "run_session", refuse)
+    stats, kept = run_batch(sp, spec, n, 45, sink=path, collect=True, **pins)
+    return expected, stats, kept, path.read_text(encoding="utf-8")
+
+
 # the bounded draws that can reject: the basis triple, the test index, and claw shifts
 BELOW = [3, 5] + [(1 << w) - 1 for w in range(entcf.W_MIN, entcf.W_MAX + 1)]
 
@@ -608,12 +639,14 @@ def generator_draw(gen, draw):
     return int(gen.integers(0, 1 << draw))
 
 
-def crafted(words):
-    """A fresh generator whose next raw words are `words` (at most four)."""
-    gen = rng_from(0)
+def crafted(words, key=0):
+    """A fresh rng_from(key) whose block 0 is `words` (at most four, zero-padded): its raw
+    words are those, then its own from block 1 on."""
+    gen = rng_from(key)
     state = gen.bit_generator.state
     state["buffer"] = np.array(list(words) + [0] * (4 - len(words)), dtype=np.uint64)
     state["buffer_pos"] = 0
+    state["state"]["counter"] = np.array([1, 0, 0, 0], dtype=np.uint64)
     gen.bit_generator.state = state
     return gen
 
@@ -631,8 +664,7 @@ class TestArrayPath:
         scalar = scalar_outcomes(lam, spec, master_seed, n, pins)
         array = array_outcomes(lam, spec, master_seed, n, pins)
         assert len(array) == n
-        assert [a for a in array if a is not None] == [
-            s for s, a in zip(scalar, array) if a is not None]
+        assert array == scalar
 
     @pytest.mark.parametrize("pinned", [False, True], ids=["unpinned", "pinned"])
     @pytest.mark.parametrize("lam", [4, 16])
@@ -694,70 +726,31 @@ class TestArrayPath:
         assert transcript_bytes(split_kept) == transcript_bytes(whole_kept)
         assert transcript_bytes(split_kept) == session_bytes(4, "noisy:bitflip:0.2", 32, 700, {})
 
-    @pytest.mark.parametrize("spec, pins", [("honest", {}), ("stabilizer", HYPER_PINS),
-                                            ("noisy:bitflip:0.05", {"round": "hadamard"}),
-                                            ("noisy:depol:0.3", {"round": "hadamard"})])
-    def test_forced_replay_gives_identical_stats(self, monkeypatch, spec, pins):
-        n = 150
-        array, _ = run_batch(SP4, spec, n, 33, **pins)
-        _, array_kept = run_batch(SP4, spec, n, 33, collect=True, **pins)
-        calls = []
+    @pytest.mark.parametrize("pins", [{}, HYPER_PINS, {"theta": (0, 0, 0)}],
+                             ids=["unpinned", "hyper", "theta000"])
+    @pytest.mark.parametrize("lam", REJECTING_LAMS)
+    @pytest.mark.parametrize("spec", COVERED)
+    def test_forced_rejections_give_identical_stats(self, monkeypatch, tmp_path, spec, lam,
+                                                    pins):
+        expected, stats, kept, written = rejecting_batch(monkeypatch, tmp_path, lam, spec, pins)
+        assert stats.as_dict() == FlagStats.from_transcripts(expected).as_dict()
+        assert transcript_bytes(kept) == written == transcript_bytes(expected)
 
-        def counted(*args, **kwargs):
-            calls.append(args[3])
-            return run_session(*args, **kwargs)
+    @pytest.mark.parametrize("lam", REJECTING_LAMS)
+    def test_rejections_inside_a_chunk_keep_the_index_order(self, monkeypatch, tmp_path, lam):
+        expected, stats, kept, _ = rejecting_batch(monkeypatch, tmp_path, lam, "honest", {})
+        assert [t.index for t in kept] == list(range(len(expected)))
+        assert transcript_bytes(kept) == transcript_bytes(expected)
+        assert stats.as_dict() == FlagStats.from_transcripts(expected).as_dict()
 
-        monkeypatch.setattr(engine, "lemire_rejects", lambda x, k: np.ones(x.shape, dtype=bool))
-        monkeypatch.setattr(engine, "run_session", counted)
-        replayed, replayed_kept = run_batch(SP4, spec, n, 33, collect=True, **pins)
-        assert replayed.as_dict() == array.as_dict()
-        assert transcript_bytes(replayed_kept) == transcript_bytes(array_kept)
-        assert calls == list(range(n))
-
-    # chunks of 16: first, middle and last lanes
-    FORCED_REPLAYS = [0, 5, 6, 7, 21, 39]
-
-    @staticmethod
-    def force_replays(monkeypatch, forced) -> list:
-        """Run batches in chunks of 16 whose sessions at the forced indices run_session
-        replays; returns the list the replayed indices are appended to."""
-        chunk, calls = engine._array_chunk, []
-
-        def with_replays(lam, plan, master_seed, start, stop):
-            cols = chunk(lam, plan, master_seed, start, stop)
-            replay = cols.replay.copy()
-            replay[[i - start for i in forced if start <= i < stop]] = True
-            return cols._replace(replay=replay)
-
-        def counted(*args, **kwargs):
-            calls.append(args[3])
-            return run_session(*args, **kwargs)
-
-        monkeypatch.setattr(engine, "_CHUNK", 16)
-        monkeypatch.setattr(engine, "_array_chunk", with_replays)
-        monkeypatch.setattr(engine, "run_session", counted)
-        return calls
-
-    def test_replays_inside_a_chunk_keep_the_index_order(self, monkeypatch):
-        n, forced = 40, self.FORCED_REPLAYS
-        _, plain = run_batch(SP4, "honest", n, 38, collect=True)
-        calls = self.force_replays(monkeypatch, forced)
-        stats, mixed = run_batch(SP4, "honest", n, 38, collect=True)
-        assert calls == forced
-        assert [t.index for t in mixed] == list(range(n))
-        assert transcript_bytes(mixed) == transcript_bytes(plain)
-        assert stats.as_dict() == FlagStats.from_transcripts(plain).as_dict()
-
-    def test_replays_inside_a_chunk_keep_the_index_order_in_a_sink(self, monkeypatch):
-        # the sink's lines interleave lines rendered from a chunk's columns with replayed
-        # sessions' lines
-        n, forced, buf = 40, self.FORCED_REPLAYS, io.StringIO()
-        _, plain = run_batch(SP4, "honest", n, 38, collect=True)
-        calls = self.force_replays(monkeypatch, forced)
-        stats, _ = run_batch(SP4, "honest", n, 38, sink=buf)
-        assert calls == forced
-        assert buf.getvalue() == transcript_bytes(plain)
-        assert stats.as_dict() == FlagStats.from_transcripts(plain).as_dict()
+    @pytest.mark.parametrize("lam", REJECTING_LAMS)
+    def test_rejections_inside_a_chunk_keep_the_index_order_in_a_sink(self, monkeypatch,
+                                                                      tmp_path, lam):
+        expected, stats, _, written = rejecting_batch(monkeypatch, tmp_path, lam, "honest", {})
+        assert [json.loads(line)["index"] for line in written.splitlines()] == list(
+            range(len(expected)))
+        assert written == transcript_bytes(expected)
+        assert stats.as_dict() == FlagStats.from_transcripts(expected).as_dict()
 
     @pytest.mark.parametrize("lam", [4, 16])
     def test_sink_and_collect_write_the_collected_bytes(self, monkeypatch, tmp_path, lam):
@@ -768,14 +761,34 @@ class TestArrayPath:
         assert path.read_text(encoding="utf-8") == transcript_bytes(to_path)
         assert buf.getvalue() == transcript_bytes(to_file) == transcript_bytes(to_path)
 
-    def test_colliding_key_ids_are_replayed_and_raise(self, monkeypatch):
-        def colliding(self, mask=True):  # every key seed, key id and permutation seed is 0
-            return self.word(mask) & 0
+    @pytest.mark.parametrize("theta", [(0, 0, 1), None, (0, 0, 0), (1, 1, 1)])
+    def test_colliding_key_ids_raise_where_run_session_does(self, monkeypatch, theta):
+        # every key seed, key id and permutation seed is below 4, so most sessions' key ids
+        # clash: an injective and a claw key with different trapdoors raise, and keys of
+        # one family and seed share a trapdoor and raise nothing
+        def colliding(self, mask=True):
+            return self.word(mask) & 3
+
+        def outcome(run):
+            try:
+                return "bytes", transcript_bytes(run())
+            except entcf.KeyLookupError as exc:
+                return "raised", str(exc)
 
         monkeypatch.setattr(util._Stream, "u64", colliding)
-        # so an injective and a claw key share id 0 with different trapdoors
-        with pytest.raises(entcf.KeyLookupError, match="collision"):
-            run_batch(SP4, "honest", 3, 34, theta=(0, 0, 1))
+        seen = set()
+        for master_seed in range(20):
+            batch = outcome(lambda: run_batch(SP4, "honest", 3, master_seed, collect=True,
+                                              theta=theta)[1])
+            assert batch == outcome(lambda: [run_session(SP4, HONEST, master_seed, index,
+                                                         theta=theta) for index in range(3)])
+            if batch[0] == "raised":
+                assert "collision" in batch[1]
+                seen.add("raised")
+            elif any(len({key["id"] for key in json.loads(line)["keys"]}) < 3
+                     for line in batch[1].splitlines()):
+                seen.add("clashed")
+        assert seen == {"raised", "clashed"}
 
     def test_uncovered_batches_take_the_session_path(self, monkeypatch, tmp_path):
         def refuse(*args):
@@ -908,6 +921,33 @@ class TestArrayPath:
             assert reader.below(k) == int(gen.integers(0, k)) == lemire(12345, k)
             assert reader.below(k) == int(gen.integers(0, k)) == lemire(0x9E3779B9, k)
 
+    def test_array_redraws_equal_one_stream_readers(self):
+        # a zero half rejects every range that is not a power of two: lane 0 rejects
+        # nothing, lanes 1-3 reject one, two and three halves in their first draw, lane 4
+        # eight (all of block 0), and lane 5 four in its third; lanes 2-5 reach block 1
+        draws = [("below", 5), "u64", ("below", 3), 1, ("below", (1 << 17) - 1)]
+        keys = np.array([derive_seed(46, lane) for lane in range(6)], dtype=np.uint64)
+        words = philox_words(keys, 0, 1) | np.uint64(1)  # no half of a lane is zero
+        words[0, 1] &= np.uint64(0xFFFFFFFF << 32)
+        words[0, 2:5] = 0
+        words[1, 3] &= np.uint64(0xFFFFFFFF << 32)
+        words[1:, 4] = 0
+        words[2:, 5] = 0
+        odd = np.arange(6) % 2 == 1  # the draw of one bit is masked by the odd lanes
+        masks = [odd if draw == 1 else True for draw in draws]
+        for lanes in ([0, 1], range(6)):
+            stream = util._Stream(words[:, lanes], keys[lanes])
+            got = [reader_draw(stream, draw, mask if mask is True else mask[lanes])
+                   for draw, mask in zip(draws, masks)]
+            # a stream of lanes 0 and 1 alone stays in block 0, and appends nothing
+            assert len(stream.words) == (8 if len(lanes) == 6 else 4)
+            for j, lane in enumerate(lanes):
+                gen = crafted(words[:, lane].tolist(), int(keys[lane]))
+                one = util._Stream(crafted(words[:, lane].tolist(), int(keys[lane])).bit_generator)
+                for draw, mask, values in zip(draws, masks, got):
+                    if mask is True or mask[lane]:
+                        assert values[j] == reader_draw(one, draw) == generator_draw(gen, draw)
+
     def test_philox_words_equal_numpy_streams(self):
         keys = np.array([0, 1, (1 << 63), (1 << 64) - 1] + [
             int(x) for x in rng_from(37).integers(0, 1 << 63, 60)], dtype=np.uint64)
@@ -933,18 +973,18 @@ class TestArrayPath:
                                     st.tuples(st.just("below"), st.sampled_from(BELOW))),
                           max_size=14))
     def test_masked_stream_draws_equal_each_sessions_generator(self, data, n, draws):
-        # lane 0 never draws; each draw's mask is all-true, all-false or drawn per lane;
-        # below is a one-lane draw, which the array stream leaves out
+        # lane 0 never draws a masked draw; each such draw's mask is all-true, all-false or
+        # drawn per lane; below draws on every lane. The stream holds block 0, and appends
+        # the blocks its draws read past it
         lane_mask = st.lists(st.booleans(), min_size=n, max_size=n).map(
             lambda bits: np.array([False, *bits[1:]]))
-        masks = [False if type(draw) is tuple
+        masks = [True if type(draw) is tuple
                  else data.draw(st.one_of(st.just(True), st.just(False), lane_mask))
                  for draw in draws]
         keys = np.array(data.draw(st.lists(st.integers(0, (1 << 64) - 1),
                                            min_size=n, max_size=n)), dtype=np.uint64)
-        stream = util._Stream(philox_words(keys, 0, len(draws) // 2 + 1))
-        got = [None if type(draw) is tuple else reader_draw(stream, draw, mask)
-               for draw, mask in zip(draws, masks)]
+        stream = util._Stream(philox_words(keys, 0, 1), keys)
+        got = [reader_draw(stream, draw, mask) for draw, mask in zip(draws, masks)]
         for lane, key in enumerate(keys.tolist()):
             gen = rng_from(key)
             for draw, mask, values in zip(draws, masks, got):
@@ -1023,28 +1063,14 @@ class TestRecordRenderer:
             path.write_text(lines, encoding="utf-8")
             assert transcript_bytes(list(iter_transcripts(path))) == lines
 
-    @pytest.mark.parametrize("lam", [4, 8, 16, 24])
-    def test_lines_across_chunks_with_replays_inside_them(self, monkeypatch, tmp_path, lam):
-        # three chunks of 16, replays at their first, middle and last lanes, each replayed
-        # session marked by an abort text so that its line shows which path wrote it: a
-        # path sink, as perfbench writes it, and collect=True's transcripts read back from
-        # its lines both hold json.dumps of each session's record
-        n, forced, sp, path = 40, TestArrayPath.FORCED_REPLAYS, SecurityParam(lam), tmp_path / "out"
-        for w in range(17, entcf.W_MAX + 1):  # the stand-in the test above takes past 16
-            monkeypatch.setitem(entcf._base_tables, w, (_XorBase(), _XorBase()))
-        calls = TestArrayPath.force_replays(monkeypatch, forced)
-        counted = engine.run_session
-
-        def marked(t):
-            return dataclasses.replace(t, flag=None, accept=False, abort='replayed "é"')
-
-        monkeypatch.setattr(engine, "run_session", lambda *args, **kw: marked(counted(*args, **kw)))
-        _, kept = run_batch(sp, "honest", n, 53, sink=path, collect=True)
-        assert calls == forced
-        expected = json_lines([marked(t) if t.index in forced else t
-                               for t in (run_session(sp, HONEST, 53, i) for i in range(n))])
+    @pytest.mark.parametrize("lam", REJECTING_LAMS)
+    def test_lines_across_chunks_with_rejections_inside_them(self, monkeypatch, tmp_path, lam):
+        # three chunks of 16 whose sessions redraw rejected halves: a path sink, as
+        # perfbench writes it, and collect=True's transcripts read back from its lines
+        # both hold json.dumps of each session's record
+        expected, _, kept, written = rejecting_batch(monkeypatch, tmp_path, lam, "honest", {})
         assert {t.round for t in kept} == {"preimage", "hadamard"}
-        assert path.read_text(encoding="utf-8") == expected == json_lines(kept)
+        assert written == json_lines(expected) == json_lines(kept)
 
 
 # ---------------------------------------------------------------------- wire
@@ -1148,6 +1174,13 @@ class TestWire:
         transcripts = engine._serve_sessions(io.BytesIO(frame), io.BytesIO(), SP4, 2121, 3)
         assert len(transcripts) == 1
         assert transcripts[0].abort.startswith("TransportError: undecodable frame")
+
+    def test_boolean_wire_version_aborts_the_served_session(self):
+        frame = b'{"kind":"COMMIT","payload":{},"seq":1,"sid":"%d","v":true}\n' % derive_seed(
+            2121, 0)
+        transcripts = engine._serve_sessions(io.BytesIO(frame), io.BytesIO(), SP4, 2121, 3)
+        assert len(transcripts) == 1
+        assert transcripts[0].abort == "TransportError: unsupported wire version True"
 
     @pytest.mark.parametrize("field", ["index", "lam"])
     def test_json_constant_in_keys_raises_transport_error(self, field):

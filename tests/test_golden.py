@@ -3,14 +3,13 @@
 Each case runs a 200-session batch at master seed 2111 and hashes the
 transcript file it would write. A change that alters any draw, any record
 field or the record encoding moves a digest; SCHEMA.md is the contract.
-Covered provers' batches take the array path; each case also runs with
-every session replayed through run_session, which must give the same bytes.
-Both ways the digest is taken twice: of write_transcripts of the collected
-transcripts, and of what the batch itself writes to a sink, as `run --out`
-does.
+Covered provers' batches take the array path, and the digest is taken
+twice: of write_transcripts of the collected transcripts, and of what the
+batch itself writes to a sink, as `run --out` does. Each case's 200
+sessions run one by one through run_session must give the same bytes.
 
 Every draw is made from raw Philox words by SCHEMA.md's rules, not by a
-NumPy Generator method, so the session path keeps these bytes when handed
+NumPy Generator method, so run_session keeps these bytes when handed
 Generators whose integers and random raise.
 """
 
@@ -22,7 +21,7 @@ import numpy as np
 import pytest
 
 from magicert import engine, util, verifier
-from magicert.engine import run_batch, write_transcripts
+from magicert.engine import run_batch, run_session, write_transcripts
 from magicert.entcf import SecurityParam, key_record
 from magicert.provers import parse_prover_spec
 from magicert.util import derive_seed
@@ -58,6 +57,13 @@ def sink_digest(lam, spec, master_seed=2111, n=200, **pins) -> str:
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
+def session_digest(lam, spec, master_seed=2111, n=200, **pins) -> str:
+    factory, buf = parse_prover_spec(spec), io.StringIO()
+    write_transcripts(buf, [run_session(SecurityParam(lam), factory, master_seed, index, **pins)
+                            for index in range(n)])
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
 IDS = ["honest-l16", "stabilizer-l4", "depol-l16", "bitflip-l8", "stabilizer-l4-hyper",
        "depol-l4-hyper"]
 
@@ -73,21 +79,8 @@ def test_sink_digest_is_pinned(lam, spec, pins, digest):
 
 
 @pytest.mark.parametrize("lam, spec, pins, digest", GOLDEN, ids=IDS)
-def test_transcript_digest_is_pinned_when_every_session_replays(monkeypatch, lam, spec, pins,
-                                                                 digest):
-    replays = []
-    run_session = engine.run_session
-
-    def counted(*args, **kwargs):
-        replays.append(args[3])
-        return run_session(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "lemire_rejects", lambda x, k: np.ones(np.shape(x), dtype=bool))
-    monkeypatch.setattr(engine, "run_session", counted)
-    assert transcript_digest(lam, spec, **pins) == digest
-    assert replays == list(range(200))
-    assert sink_digest(lam, spec, **pins) == digest
-    assert replays == list(range(200)) * 2
+def test_session_digest_is_pinned(lam, spec, pins, digest):
+    assert session_digest(lam, spec, **pins) == digest
 
 
 class Refusing(np.random.Generator):
@@ -110,10 +103,9 @@ class RefusingSlots(threading.local):
 
 
 @pytest.mark.parametrize("lam, spec, pins, digest", GOLDEN, ids=IDS)
-def test_replays_from_refusing_generators_keep_the_digest(monkeypatch, lam, spec, pins, digest):
+def test_sessions_from_refusing_generators_keep_the_digest(monkeypatch, lam, spec, pins, digest):
     monkeypatch.setattr(util, "_reused", RefusingSlots())
-    monkeypatch.setattr(engine, "lemire_rejects", lambda x, k: np.ones(np.shape(x), dtype=bool))
-    assert transcript_digest(lam, spec, **pins) == digest
+    assert session_digest(lam, spec, **pins) == digest
     assert isinstance(util._rekeyed(1, "verifier"), Refusing)
 
 

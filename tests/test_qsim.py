@@ -134,6 +134,17 @@ def test_statevector_rejects_bad_norm_and_size():
         StateVector(np.ones(32) / math.sqrt(32))  # n=5 beyond cap
 
 
+@pytest.mark.parametrize("make", [lambda: StateVector(np.zeros(0)),
+                                  lambda: Observable(np.zeros((0, 0))),
+                                  lambda: DensityState(np.zeros((0, 0))),
+                                  lambda: DensityState(np.eye(32) / 32)],
+                         ids=["no-amplitude", "0x0-observable", "0x0-density", "n=5-density"])
+def test_every_size_outside_2_to_the_n_is_a_parameter_error(make):
+    # a size of 0 once raised ValueError from a negative shift
+    with pytest.raises(ParameterError, match=r"is not 2\^n with n in \[1,4\]"):
+        make()
+
+
 # -------------------------------------------------------------------- gates
 
 
@@ -163,6 +174,9 @@ def test_gate_index_validation():
         apply_gate(sv, "CCZ")  # needs three qubits, n=2
     with pytest.raises(ParameterError):
         apply_gate(sv, "FOO", 0)
+    for gate, qubits in (("H", (0, 1)), ("CZ", (0,)), ("T", ())):
+        with pytest.raises(ParameterError, match=f"{gate} acts on exactly"):
+            apply_gate(sv, gate, *qubits)
 
 
 def test_single_qubit_gates_match_matrices():
@@ -313,6 +327,15 @@ def test_projector_product_pins_target():
 def test_observable_rejects_non_hermitian():
     with pytest.raises(ParameterError):
         Observable(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+@pytest.mark.parametrize("cls, what", [(Observable, "observable"),
+                                       (DensityState, "density matrix")])
+def test_operators_refuse_non_square_and_non_hermitian_matrices_by_name(cls, what):
+    with pytest.raises(ParameterError, match=f"{what} must be a square matrix"):
+        cls(np.ones((2, 4)) / 2)
+    with pytest.raises(ParameterError, match=f"{what} is not Hermitian"):
+        cls(np.array([[0.5, 1], [0, 0.5]], dtype=complex))
 
 
 # -------------------------------------------------------- distance measures
