@@ -64,8 +64,11 @@ class SoundnessParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.c < math.inf:
             raise ParameterError(f"scale c={self.c} must be positive and finite")
-        if not 0.0 < self.r < 2048.0:  # the deviation factor 2^(r/2) overflows from 2048 on
-            raise ParameterError(f"exponent r={self.r} must be in (0, 2048)")
+        # the deviation factor, 2^(r/2) - 1 at an integer r/2 and 2 2^(r/2) - 1 otherwise,
+        # is finite up to r = 2046 and overflows past it; the smallest float r halves to
+        # an exponent of 0, at which a zero radius would count 1
+        if not (0.0 < self.r / 2.0 and self.r <= 2046.0):
+            raise ParameterError(f"exponent r={self.r} must be in (0, 2046]")
         if not 0.0 <= self.negl < math.inf:
             raise ParameterError(f"slack negl={self.negl} must be nonnegative and finite")
 

@@ -642,7 +642,8 @@ def _array_chunk(lam, plan, master_seed, start, stop) -> _Columns:
     where it is. The keys go to entcf's permutation as (3, n) arrays, and
     the Hadamard check runs once per basis triple present, each session
     taking its own triple's result; a chunk with no preimage round skips
-    that round's coins and check. Each session redraws its rejected halves
+    that round's coins and check, and one with no Hadamard round that round's
+    draws and check. Each session redraws its rejected halves
     (_Stream.below), and one whose key ids clash raises where run_session would.
     """
     table_key, flip, theta, round = plan
@@ -650,14 +651,11 @@ def _array_chunk(lam, plan, master_seed, start, stop) -> _Columns:
     n, w = len(seeds), lam
     # one philox_words call per stream, for the blocks its first draws read: the
     # verifier's and prover's first two in one pass over 2n keys (the verifier reads
-    # seven words, a prover six), the prover's third for bit flips (words 6-8), and
-    # block 0 of each keygen and mask stream; a redrawn half may read on
+    # seven words, a prover six), and block 0 of each keygen and mask stream; a redrawn
+    # half, or a Hadamard round's bit flips (prover words 6-8), reads on
     lane_keys = derive_seed(seeds, _LANES)
     words = philox_words(lane_keys.ravel(), 0, 2)
-    ver, prover_words = _Stream(words[:, :n], lane_keys[0]), words[:, n:]
-    if flip > 0:
-        prover_words = np.concatenate([prover_words, philox_words(lane_keys[1], 2, 1)])
-    prover = _Stream(prover_words, lane_keys[1])
+    ver, prover = _Stream(words[:, :n], lane_keys[0]), _Stream(words[:, n:], lane_keys[1])
     # verifier.begin: the basis triple, then a 64-bit key seed per coordinate
     t_index = ver.below(5) if theta is None else np.full(n, theta, dtype=np.uint64)
     key_seeds = np.concatenate([ver.u64() for _ in range(3)])
@@ -704,25 +702,28 @@ def _array_chunk(lam, plan, master_seed, start, stop) -> _Columns:
         opens = entcf._opens(keys, b, x, ys).all(axis=0)
         flag = np.where(opens | hadamard, flag, _FLAGS_BY_CODE.index(Flag.FAIL_PRE))
     # answer_hadamard: a uniform d per coordinate; a claw collapses to <d, x0 ^ x1>
-    # in X, and x0 ^ x1 is the shift, so the prover's bit is the verifier's u
-    ds = np.stack([prover.bits(w, hadamard) for _ in range(3)])
-    us = np.bitwise_count(ds & shift).astype(np.uint64) & 1
-    opened = np.where(claw, us, b)
-    # answer_questions: one uniform against the row of the register's answer edges
-    code = t_index << 6 | opened[0] << 5 | opened[1] << 4 | opened[2] << 3 | q
-    rows = _answer_table(*table_key).take(code, axis=0)
-    outcome = sample_edges_rows(rows, prover.uniform(hadamard)).astype(np.uint64)
-    vs = np.stack([outcome >> 2 & 1, outcome >> 1 & 1, outcome & 1])
-    if flip > 0:
-        vs ^= np.stack([prover.uniform(hadamard) < flip for _ in range(3)])
-    # check_hadamard, by the rule of each basis triple the chunk's Hadamard rounds hold
-    tops = entcf._perm_backward(keys, ys) >> w
-    questions = [q >> 2 & 1, q >> 1 & 1, q & 1]
-    for t in np.flatnonzero(np.bincount(t_index.astype(np.intp), hadamard)).tolist():
-        bases = verifier.BASIS_CHOICES[t]
-        fails = verifier.hadamard_fails(bases, questions, test_index, tops, us, vs) != 0
-        flag = np.where(hadamard & (t_index == t) & fails,
-                        _FLAGS_BY_CODE.index(verifier.failure_flag(bases)), flag)
+    # in X, and x0 ^ x1 is the shift, so the prover's bit is the verifier's u. A chunk of
+    # preimage rounds only has nothing to draw or check here, and its ds and vs are null
+    ds = vs = np.zeros((3, n), dtype=np.uint64)
+    if hadamard.any():
+        ds = np.stack([prover.bits(w, hadamard) for _ in range(3)])
+        us = np.bitwise_count(ds & shift).astype(np.uint64) & 1
+        opened = np.where(claw, us, b)
+        # answer_questions: one uniform against the row of the register's answer edges
+        code = t_index << 6 | opened[0] << 5 | opened[1] << 4 | opened[2] << 3 | q
+        rows = _answer_table(*table_key).take(code, axis=0)
+        outcome = sample_edges_rows(rows, prover.uniform(hadamard)).astype(np.uint64)
+        vs = np.stack([outcome >> 2 & 1, outcome >> 1 & 1, outcome & 1])
+        if flip > 0:
+            vs ^= np.stack([prover.uniform(hadamard) < flip for _ in range(3)])
+        # check_hadamard, by the rule of each basis triple the chunk's Hadamard rounds hold
+        tops = entcf._perm_backward(keys, ys) >> w
+        questions = [q >> 2 & 1, q >> 1 & 1, q & 1]
+        for t in np.flatnonzero(np.bincount(t_index.astype(np.intp), hadamard)).tolist():
+            bases = verifier.BASIS_CHOICES[t]
+            fails = verifier.hadamard_fails(bases, questions, test_index, tops, us, vs) != 0
+            flag = np.where(hadamard & (t_index == t) & fails,
+                            _FLAGS_BY_CODE.index(verifier.failure_flag(bases)), flag)
     return _Columns(seeds, t_index, hadamard, flag, key_id, perm_seed,
                     shift, ys, b, x, ds, q, test_index, vs)
 

@@ -88,35 +88,50 @@ def _rekeyed(seed: int, slot: str) -> np.random.Generator:
     return gen
 
 
-# Philox4x64-10 round multipliers, split into 32-bit limbs, and the two key
-# increments (Salmon et al., SC'11); NumPy scalars, because a Python int
-# operand costs a range check on every array operation
+# Philox4x64-10's round multipliers M0, M1 and key increments W0, W1 (Salmon et al., SC'11).
+# From them, as Python ints masked to 64 bits: philox_words' multiplier tables (M0 and M1,
+# their low limbs, their high limbs), and round r's key words' r W0 and r W1. A lone
+# operand is a 0-d array, which NumPy takes faster than a NumPy scalar or a Python int
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _U64 = np.uint64
-_PHILOX_M = tuple((_U64(m), _U64(m & 0xFFFFFFFF), _U64(m >> 32))
-                  for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
-_PHILOX_W0 = _U64(0x9E3779B97F4A7C15)
-_PHILOX_W1 = tuple(_U64(r * 0xBB67AE8584CAA73B & MASK64) for r in range(10))
-_LO32, _32 = _U64(0xFFFFFFFF), _U64(32)
+_LO32, _32 = np.array(0xFFFFFFFF, dtype=_U64), np.array(32, dtype=_U64)
+_PHILOX_TABLES = np.array([[m >> s & 0xFFFFFFFF if s < 64 else m for m in _PHILOX_M]
+                           for s in (64, 0, 32)], dtype=_U64)[:, :, None, None]
+_PHILOX_K0 = np.array([[r * _PHILOX_W[0] & MASK64] for r in range(10)], dtype=_U64)
+_PHILOX_K1 = tuple(np.array(r * _PHILOX_W[1] & MASK64, dtype=_U64) for r in range(10))
 
 
-def _mulhilo(a: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of each a * m, from 32-bit limb products.
+def _mulhilo(a, m, m_lo, m_hi, lo, t, hi, t2) -> None:
+    """Each a * m as 64-bit words, from 32-bit limb products: the high word into hi, the
+    low into lo. m, m_lo and m_hi are the multipliers and their 32-bit limbs, shaped like
+    a; t and t2 are scratch, and a is overwritten.
 
     No sum below can wrap: (2^32 - 1)^2 + 2 (2^32 - 1) < 2^64.
     """
-    m, m_lo, m_hi = m
-    a_lo, a_hi = a & _LO32, a >> _32
-    carry = a_lo * m_hi + (a_lo * m_lo >> _32)
-    mid = a_hi * m_lo + (carry & _LO32)
-    return a_hi * m_hi + (carry >> _32) + (mid >> _32), a * m
+    np.bitwise_and(a, _LO32, out=t)
+    np.right_shift(a, _32, out=hi)
+    np.multiply(a, m, out=lo)
+    np.multiply(t, m_lo, out=t2)
+    np.right_shift(t2, _32, out=t2)
+    np.multiply(t, m_hi, out=a)
+    np.add(a, t2, out=a)  # carry = a_lo m_hi + (a_lo m_lo >> 32)
+    np.multiply(hi, m_lo, out=t2)
+    np.bitwise_and(a, _LO32, out=t)
+    np.add(t2, t, out=t2)  # mid = a_hi m_lo + (carry & LO32)
+    np.multiply(hi, m_hi, out=hi)
+    np.right_shift(a, _32, out=a)
+    np.add(hi, a, out=hi)
+    np.right_shift(t2, _32, out=t2)
+    np.add(hi, t2, out=hi)
 
 
-# NumPy's own Philox(key=k).random_raw gives the same words, one key at a time:
-# over 16,384 keys of two blocks each it took about 21 us a key fresh, and
-# 2.5-3.4 us rekeying one reused generator (_rekeyed), against 0.7-1.0 us a key
-# here (NumPy 2.4, 2-core Xeon). A session reads about eight keys, so either
-# would cost more than the array path's whole time per session: about 4 us for
-# stats-only honest chunks of 2,048 sessions at lam 4 and 16.
+# NumPy's own Philox(key=k).random_raw gives the same words, one key at a time: over
+# 16,384 keys of two blocks each it took about 21 us a key fresh, and 2.5-3.4 us
+# rekeying one reused generator (_rekeyed). A call here makes about 175 NumPy calls
+# whatever its size, so a small one is mostly their dispatch: about 115 us for one key
+# of two blocks, 210-230 us for 300 keys, 0.52-0.55 ms for 2,000 and 1.1-1.4 ms for
+# 4,096 (NumPy 2.4, 2-core Xeon; a session reads about eight keys).
 def philox_words(keys: np.ndarray, first_block: int, blocks: int) -> np.ndarray:
     """Raw words 4*first_block .. 4*(first_block+blocks)-1 of rng_from(k), per uint64 key k.
 
@@ -125,21 +140,38 @@ def philox_words(keys: np.ndarray, first_block: int, blocks: int) -> np.ndarray:
     block, and hands a block's four words out in order, so block b is
     Philox4x64-10 of the counter (b + 1, 0, 0, 0).
     """
-    # Round 0 of the counter (b + 1, 0, 0, 0) gives (key, 0, hi, lo) of (b + 1)·M0, and
-    # round 1's M1 product of that hi is per block too: start from round 1, with the
-    # block constants as a (blocks, 1) column and each key's as an (n,) row
-    block = np.arange(first_block + 1, first_block + blocks + 1, dtype=_U64)[:, None]
-    hi, lo = _mulhilo(block, _PHILOX_M[0])
-    hi1, lo1 = _mulhilo(hi, _PHILOX_M[1])
-    hi0, lo0 = _mulhilo(keys, _PHILOX_M[0])
-    key = keys + _PHILOX_W0
-    c = (hi1 ^ key, lo1, hi0 ^ lo ^ _PHILOX_W1[1], lo0)
-    for r in range(2, 10):
-        key = key + _PHILOX_W0
-        hi0, lo0 = _mulhilo(c[0], _PHILOX_M[0])
-        hi1, lo1 = _mulhilo(c[2], _PHILOX_M[1])
-        c = (hi1 ^ c[1] ^ key, lo1, hi0 ^ c[3] ^ _PHILOX_W1[r], lo0)
-    return np.stack(c).transpose(1, 0, 2).reshape(4 * blocks, len(keys))
+    # The state's multiplied words (c0, c2) are one contiguous (2, blocks, n) array, so a
+    # round is one _mulhilo against whole multiplier tables; the other two words are the
+    # last round's low products, (c3, c1) in that order. A round's permutation is taken by
+    # choosing rows as the new words are written. Every buffer is a view of one scratch
+    # array: one allocation per call, which malloc hands back without fresh pages (a fresh
+    # buffer each cost more in page faults than the arithmetic)
+    n = len(keys)
+    size = 2 * blocks * n
+    scratch = np.empty(9 * size + 10 * n, dtype=_U64)
+    state = scratch[:9 * size].reshape(9, 2, blocks, n)
+    np.copyto(state[:3], _PHILOX_TABLES)
+    m, m_lo, m_hi, c, lo, prev, t, hi, t2 = state
+    round_keys = scratch[9 * size:].reshape(10, n)
+    np.add(_PHILOX_K0, keys, out=round_keys)  # row r: the key word k + r W0
+    # round 0 of the counter (b + 1, 0, 0, 0) gives (k, 0, hi, lo) of (b + 1) M0
+    block_hi, block_lo = np.array([divmod((b + 1) * _PHILOX_M[0], 1 << 64) for b in range(
+        first_block, first_block + blocks)], dtype=_U64).T[:, :, None]
+    np.copyto(c[0], keys)
+    np.copyto(c[1], block_hi)
+    np.copyto(prev[0], block_lo)
+    prev[1] = 0
+    out = np.empty((blocks, 4, n), dtype=_U64)
+    for r in range(1, 10):
+        _mulhilo(c, m, m_lo, m_hi, lo, t, hi, t2)
+        np.bitwise_xor(hi, prev, out=hi)  # (hi(c0 M0) ^ c3, hi(c2 M1) ^ c1)
+        words = (out[:, 0], out[:, 2]) if r == 9 else c
+        np.bitwise_xor(hi[1], round_keys[r], out=words[0])
+        np.bitwise_xor(hi[0], _PHILOX_K1[r], out=words[1])
+        prev, lo = lo, prev
+    np.copyto(out[:, 1], prev[1])
+    np.copyto(out[:, 3], prev[0])
+    return out.reshape(4 * blocks, n)
 
 
 def lemire(x, k: int):
@@ -280,10 +312,20 @@ def sample_edges(edges: Sequence[float], u: float) -> int:
 def sample_edges_rows(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """sample_edges for many draws: row i holds draw i's edges and u[i] its uniform.
 
-    The search repeats bisect_right's halving step for step, so each index
-    equals sample_edges' even where a row's edges are not sorted.
+    On a sorted row bisect_right's index is the number of edges <= u * the
+    last edge, so when every row is sorted (a cumulative sum of weights is)
+    one comparison and one row sum give it. Otherwise _bisect_rows repeats
+    the bisection step for step. Either way each index equals sample_edges'.
     """
     r = u * rows[:, -1]
+    if (rows[:, 1:] >= rows[:, :-1]).all():
+        return np.minimum((rows <= r[:, None]).sum(1), rows.shape[1] - 1)
+    return _bisect_rows(rows, r)
+
+
+def _bisect_rows(rows: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """min(bisect_right(rows[i], r[i]), width - 1) per row, by bisect_right's own halving
+    steps, so it holds on rows whose edges are not sorted too."""
     width, lanes = rows.shape[1], np.arange(len(r))
     lo, hi = np.zeros(len(r), dtype=np.intp), np.full(len(r), width, dtype=np.intp)
     for _ in range(width.bit_length()):

@@ -110,6 +110,22 @@ class TestParams:
         sp = SoundnessParams(r=2046.0)
         assert deviation_bound((0.25, 0.25, 0.25), sp) == 0.75 * 2.0**1023  # (2^1023 - 1) 3/4
 
+    # past r = 2046 the factor 2 2^(r/2) - 1 overflows to inf although 2^(r/2) does not;
+    # 5e-324, the smallest float, halves to an exponent of 0
+    @pytest.mark.parametrize("r", [2046.5, 2047.0, math.nextafter(2046.0, math.inf),
+                                   math.nextafter(2048.0, 0.0), 5e-324])
+    def test_soundness_refuses_every_exponent_without_a_finite_deviation(self, r):
+        with pytest.raises(ParameterError, match=f"r={r}"):
+            SoundnessParams(r=r)
+
+    @pytest.mark.parametrize("r", [1e-323, math.nextafter(2.0, 0.0), 2.0,
+                                   math.nextafter(2.0, math.inf),
+                                   math.nextafter(2046.0, 0.0), 2046.0])
+    def test_soundness_edge_exponents_give_finite_bounds_and_zero_at_zero_radius(self, r):
+        sp = SoundnessParams(r=r)
+        assert math.isfinite(deviation_bound((0.25, 0.25, 0.25), sp))
+        assert deviation_bound((0.0, 0.0, 0.0), sp) == 0.0
+
     def test_soundness_accepts_custom(self):
         sp = SoundnessParams(c=0.5, r=3.0, negl=0.01)
         assert (sp.c, sp.r, sp.negl) == (0.5, 3.0, 0.01)

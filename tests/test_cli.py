@@ -178,6 +178,16 @@ class TestAnalyze:
         assert (code, stdout) == (2, "")
         assert stderr.startswith("error: ") and str(float(value)) in stderr
 
+    @pytest.mark.parametrize("value", ["2047", "2046.5"])
+    def test_an_exponent_whose_deviation_factor_overflows_exits_2(self, capsys, tmp_path,
+                                                                  value):
+        path = self.make_transcripts(tmp_path, "honest", 20, 1)
+        code, stdout, stderr = run_cli(capsys, "analyze", str(path), "--r", value)
+        assert (code, stdout) == (2, "")
+        assert f"r={float(value)}" in stderr
+        code, stdout, _ = run_cli(capsys, "analyze", str(path), "--r", "2046")
+        assert code in (0, 1) and "radius exponent 1" in stdout
+
     def test_corrupt_transcripts_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("this is not a transcript\n")

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import multiprocessing
 import socket
 import sys
@@ -958,6 +959,26 @@ class TestArrayPath:
             assert words[:, j].tolist() == raw.tolist()
             assert later[:, j].tolist() == raw[4:].tolist()
 
+    @settings(max_examples=100, deadline=None)
+    @given(keys=st.lists(st.one_of(st.sampled_from([0, (1 << 64) - 1]),
+                                   st.integers(0, (1 << 64) - 1)), min_size=1, max_size=40),
+           first_block=st.integers(0, 4), blocks=st.integers(1, 3), data=st.data())
+    @example(keys=[0, (1 << 64) - 1], first_block=0, blocks=1, data=None)
+    @example(keys=[(1 << 64) - 1] * 40, first_block=4, blocks=3, data=None)
+    def test_philox_words_equal_numpy_random_raw(self, keys, first_block, blocks, data):
+        array = np.array(keys, dtype=np.uint64)
+        words = philox_words(array, first_block, blocks)
+        assert words.shape == (4 * blocks, len(keys))
+        for j, key in enumerate(keys):
+            raw = np.random.Philox(key=key).random_raw(4 * (first_block + blocks))
+            assert words[:, j].tolist() == raw[4 * first_block:].tolist()
+        # each key's lane is its own: a call on a slice of the keys gives those columns
+        a, b = (0, len(keys)) if data is None else sorted(
+            data.draw(st.lists(st.integers(0, len(keys)), min_size=2, max_size=2)))
+        if a < b:
+            assert philox_words(array[a:b], first_block, blocks).tolist() == \
+                words[:, a:b].tolist()
+
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, (1 << 64) - 1),
            lanes=st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=8))
@@ -1003,6 +1024,40 @@ class TestArrayPath:
         us = rng_from(seed).random(len(rows))
         got = sample_edges_rows(np.array(rows), us).tolist()
         assert got == [sample_edges(row, u) for row, u in zip(rows, us.tolist())]
+
+    @pytest.mark.parametrize("spec", ["honest", "stabilizer", "noisy:depol:1e-12",
+                                      "noisy:depol:0.05", "noisy:depol:0.2", "noisy:depol:1.0"])
+    def test_answer_tables_are_sorted_and_counted_as_bisected(self, spec):
+        table = engine._answer_table(*engine._array_plan(spec, None, None)[0])
+        assert (table[:, 1:] >= table[:, :-1]).all()
+        gen = rng_from(48)
+        rows = table.take(gen.integers(0, len(table), 10**5), axis=0)
+        us = gen.random(10**5)
+        # uniforms at both ends, and ones whose product lands on or beside an edge
+        us[:2] = 0.0, math.nextafter(1.0, 0.0)
+        ends = rows[2:, -1:]
+        ties = np.divide(rows[2:, :], ends, out=np.zeros_like(rows[2:, :]), where=ends > 0)
+        us[2:] = np.where(np.arange(len(us) - 2) % 2 == 0, us[2:],
+                          ties[np.arange(len(us) - 2), gen.integers(0, 8, len(us) - 2)])
+        counted = sample_edges_rows(rows, us)
+        assert counted.tolist() == util._bisect_rows(rows, us * rows[:, -1]).tolist()
+
+    @pytest.mark.parametrize("lam", [4, 16])
+    @pytest.mark.parametrize("spec", COVERED)
+    def test_preimage_pinned_chunks_skip_the_hadamard_round(self, monkeypatch, spec, lam):
+        sp, pins = SecurityParam(lam), {"round": "preimage"}
+        expected = [run_session(sp, parse_prover_spec(spec), 49, index, round=RoundType.PREIMAGE)
+                    for index in range(300)]
+
+        def refuse(*args):
+            raise AssertionError("a Hadamard round's code ran")
+
+        monkeypatch.setattr(engine, "sample_edges_rows", refuse)
+        monkeypatch.setattr(entcf, "_perm_backward", refuse)
+        sink = io.StringIO()
+        stats, kept = run_batch(sp, spec, 300, 49, sink=sink, collect=True, **pins)
+        assert sink.getvalue() == transcript_bytes(kept) == transcript_bytes(expected)
+        assert stats.as_dict() == FlagStats.from_transcripts(expected).as_dict()
 
 
 class _XorBase:
