@@ -65,8 +65,10 @@ class SoundnessParams:
         if not 0.0 < self.c < math.inf:
             raise ParameterError(f"scale c={self.c} must be positive and finite")
         # the deviation factor, 2^(r/2) - 1 at an integer r/2 and 2 2^(r/2) - 1 otherwise,
-        # is finite up to r = 2046 and overflows past it; the smallest float r halves to
-        # an exponent of 0, at which a zero radius would count 1
+        # is finite up to r = 2046 and overflows past it. The bound it scales can still
+        # overflow to inf below that (at r = 2046 once the radii sum past about 2), and
+        # such a decision is reported unresolved. The smallest float r halves to an
+        # exponent of 0, at which a zero radius would count 1
         if not (0.0 < self.r / 2.0 and self.r <= 2046.0):
             raise ParameterError(f"exponent r={self.r} must be in (0, 2046]")
         if not 0.0 <= self.negl < math.inf:

@@ -6,18 +6,22 @@ indices at a time, and streams each chunk's transcript lines to the sink;
 seeds are derived per index, so results never depend on the chunk size. A
 chunk of a generated prover is drawn and checked in one pass of array
 operations over all of its sessions, a rejected half redrawn in the arrays,
-and its lines are its one output; a scripted chunk runs run_session for
-each index. The wire mode splits the two parties across a newline-delimited
-message stream: the server runs the same run_session with a RemoteProver
-that relays each prover call to the peer, so wire transcripts equal
-in-process transcripts bit for bit by construction. Both ends derive a
+and its lines, its one output, are rendered as one byte matrix (a row per
+session, each field in fixed columns, NUL-padded) and written with one
+call; a scripted chunk runs run_session for each index. The wire mode
+splits the two parties across a newline-delimited message stream: the
+server runs the same run_session with a RemoteProver that relays each
+prover call to the peer, so wire transcripts equal in-process transcripts
+bit for bit by construction. Both ends derive a
 session's seed lanes in one helper; the prover side rebuilds the key oracle
 from the shared master seed (trusted setup).
 """
 
 from __future__ import annotations
 
+import codecs
 import contextlib
+import io
 import json
 import socket
 import sys
@@ -346,12 +350,13 @@ def _broken_verdict_rule(accept, flag, abort) -> str | None:
 
 
 @contextlib.contextmanager
-def _text_file(sink):
-    """sink as an open text file: None or a file object as is, a path opened for writing."""
+def _open_sink(sink, mode: str):
+    """sink as an open file: None or a file object as is, a path opened for writing in
+    mode, "w" (text, UTF-8) or "wb"."""
     if sink is None or hasattr(sink, "write"):
         yield sink
         return
-    with open(sink, "w", encoding="utf-8") as fh:
+    with open(sink, mode, encoding=None if "b" in mode else "utf-8") as fh:
         yield fh
 
 
@@ -403,7 +408,7 @@ def _transcript_line(t: SessionTranscript) -> str:
 
 def write_transcripts(sink, transcripts) -> None:
     """One self-describing record per line; sink is a path or a text file."""
-    with _text_file(sink) as fh:
+    with _open_sink(sink, "w") as fh:
         fh.writelines(map(_transcript_line, transcripts))
 
 
@@ -567,16 +572,28 @@ _CLAW = np.array(verifier.BASIS_CHOICES, dtype=bool).T  # [coordinate, theta ind
 _FLAGS_BY_CODE = tuple(Flag)
 _ROUND_VALUES = (RoundType.PREIMAGE.value, RoundType.HADAMARD.value)  # by hadamard
 _QUESTIONS = tuple(_THREE_BITS.values())  # three bits by their code, MSB first
+
+
+def _text_table(texts) -> np.ndarray:
+    """ASCII texts as the rows of a uint8 matrix, each NUL-padded to the longest."""
+    return np.array(texts, dtype="S").view(np.uint8).reshape(len(texts), -1)
+
+
 # field texts by code, for _chunk_lines' lookups: a flag's accept and flag texts; three
 # bits' (q, vs) by their code, 8 for null; a round's by hadamard; test_index, 3 for null;
-# theta by its index; a key's family by claw
-_ACCEPT_TEXTS = np.array(["true" if f is Flag.NONE else "false" for f in Flag], dtype=object)
-_FLAG_TEXTS = np.array([_quoted(f.value) for f in Flag], dtype=object)
-_THREE_BIT_TEXTS = np.array([*map(_quoted, _THREE_BITS), "null"], dtype=object)
-_ROUND_TEXTS = np.array([_quoted(r) for r in _ROUND_VALUES], dtype=object)
-_TEST_INDEX_TEXTS = np.array(["0", "1", "2", "null"], dtype=object)
-_THETA_TEXTS = np.array([_bit_text(bits) for bits in verifier.BASIS_CHOICES], dtype=object)
-_FAMILY_TEXTS = np.array([entcf.Family.INJECTIVE.value, entcf.Family.CLAW.value], dtype=object)
+# theta by its index; a key's family by claw; and every four-digit group, 0000-9999
+_ACCEPT_TEXTS = _text_table(["true" if f is Flag.NONE else "false" for f in Flag])
+_FLAG_TEXTS = _text_table([_quoted(f.value) for f in Flag])
+_THREE_BIT_TEXTS = _text_table([*map(_quoted, _THREE_BITS), "null"])
+_ROUND_TEXTS = _text_table([_quoted(r) for r in _ROUND_VALUES])
+_TEST_INDEX_TEXTS = _text_table(["0", "1", "2", "null"])
+_THETA_TEXTS = _text_table([_bit_text(bits) for bits in verifier.BASIS_CHOICES])
+_FAMILY_TEXTS = _text_table([entcf.Family.INJECTIVE.value, entcf.Family.CLAW.value])
+_DIGITS = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
+# a uint64 has at most 20 digits: it has k + 1 where k of these are at most it, and row k
+# of _LEADING keeps the last k + 1 of 20 bytes
+_TENS = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
+_LEADING = np.tri(20, dtype=np.uint8)[:, ::-1]
 # entcf.key_record's map as JSON text: family, id, perm_seed, then a claw key's shift item
 # ('"shift": "<bits>", ') or nothing, then w
 _KEY = '{"family": "%s", "id": "%s", "perm_seed": "%s", %s"w": "%s"}'
@@ -744,64 +761,107 @@ def _answer_table(cls, depol: float) -> np.ndarray:
                            for qubits in registers])
 
 
-def _chunk_lines(lam, cols: _Columns, start):
-    """A chunk's transcript lines in index order: _RECORD filled with the fields
-    run_session gives each session.
-
-    Each field's texts are made for the whole chunk first, bit lists as one
-    code-point matrix each and the other fields by lookups on their codes.
-    The chunk's template is _RECORD with the fields every line shares filled
-    in (abort, lam, and the key list's layout), so each line is one % of it.
-    A field that only the other round has is null.
+@lru_cache(maxsize=None)
+def _record_row(lam: int) -> tuple[np.ndarray, dict]:
+    """A record line of width lam as a row of _chunk_lines' byte matrix, and each field's
+    (start, stop) columns in it. The row is _RECORD with the fields every line shares
+    filled in (abort, lam, the key list's layout) and a NUL slot for each other field,
+    as wide as its widest text; a bit list or a shift item is a slot, as is each bit
+    text in it. A slot narrower or wider than its texts fails where they are written.
     """
+    slots = {}
+
+    def widened(template, fields, at):  # template's text from column at
+        pieces = template.split("%s")
+        text = pieces[0]
+        for (name, width), piece in zip(fields, pieces[1:]):
+            inner = widened(*width, at + len(text)) if type(width) is tuple else "\0" * width
+            slots.setdefault(name, []).append((at + len(text), at + len(text) + len(inner)))
+            text += inner + piece
+        return text
+
+    bits = _bit_list(["%s"] * 3, "s")
+    key = _KEY % ("%s", "%s", "%s", "%s", lam)
+    text = widened(_RECORD % ("null", *["%s"] * 4, "[%s]" % ", ".join([key] * 3), lam,
+                              *["%s"] * 8), [
+        ("accept", 5), ("ds", (bits, [("d", lam)] * 3)), ("flag", 12), ("index", 20),
+        *[("family", 1), ("id", 20), ("perm_seed", 20),
+          ("shift", ('"shift": "%s", ', [("shift_bits", lam)]))] * 3,
+        ("preimages", (_pair_list([("%s", "%s")] * 3, "s"), [("b", 1), ("x", lam)] * 3)),
+        ("q", 5), ("round", 10), ("seed", 20), ("test_index", 4), ("theta", 3), ("vs", 5),
+        ("ys", (bits, [("y", lam + 1)] * 3))], 0)
+    return np.frombuffer(text.encode(), dtype=np.uint8), slots
+
+
+def _bit_bytes(values: np.ndarray, width: int) -> np.ndarray:
+    """The MSB-first text of each uint64 value's low width bits, as width ASCII bytes."""
+    bits = np.unpackbits(values.astype(">u8").view(np.uint8).reshape(*values.shape, 8), axis=-1)
+    return bits[..., 64 - width:] | 48
+
+
+def _decimals(values: np.ndarray) -> np.ndarray:
+    """str of each uint64 value as 20 ASCII bytes: its digits, right-aligned after NULs."""
+    groups = np.empty((*values.shape, 5), dtype=np.uint64)  # of four digits, MSB first
+    high, low = np.divmod(values, 10**8)
+    groups[..., 0], middle = np.divmod(high, 10**8)
+    groups[..., 1], groups[..., 2] = np.divmod(middle, 10**4)
+    groups[..., 3], groups[..., 4] = np.divmod(low, 10**4)
+    # every group is below 10^4, so its int64 view indexes the table without a copy
+    digits = _DIGITS.take(groups.view(np.int64), axis=0).reshape(*values.shape, 20)
+    digits *= _LEADING.take(np.searchsorted(_TENS, values, side="right"), axis=0)
+    return digits
+
+
+def _chunk_lines(lam, cols: _Columns, start) -> np.ndarray:
+    """A chunk's transcript lines in index order, as one uint8 array of their bytes: the
+    records run_session gives each session.
+
+    Each session gets a row of one byte matrix, a copy of _record_row(lam),
+    and each field is written into its slots for the whole chunk at once: a
+    text chosen by a code is a row of its table, a bit text comes from
+    unpackbits and a decimal from four-digit groups. Texts are NUL-padded
+    and a field that only the other round has is null, so the lines are the
+    matrix without its NULs.
+    """
+    row, slots = _record_row(lam)
     n, had = len(cols.seeds), cols.hadamard
+    m = np.empty((n, len(row)), dtype=np.uint8)
+    m[:] = row
+
+    def put(name, texts):  # texts: one (n, width) matrix per slot of name
+        for (a, b), text in zip(slots[name], texts):
+            m[:, a:b] = text
+
     claw = _CLAW.take(cols.theta, axis=1)
     vs = cols.vs[0] << 2 | cols.vs[1] << 1 | cols.vs[2]
-    # each coordinate's key fields in _KEY's order: family, id, perm_seed, shift item
-    families, ids, perm_seeds = (_FAMILY_TEXTS.take(claw).tolist(), cols.key_id.tolist(),
-                                 cols.perm_seed.tolist())
-    shifts = _bit_texts('"shift": "%s", ', [(cols.shift.ravel(), lam)], claw.ravel(), "")
-    keys = [field for i in range(3)
-            for field in (families[i], ids[i], perm_seeds[i], shifts[i * n:(i + 1) * n])]
-    key_list = "[%s]" % ", ".join([_KEY % ("%s", "%s", "%s", "%s", lam)] * 3)
-    template = _RECORD % ("null", *["%s"] * 4, key_list, lam, *["%s"] * 8)
-    return map(template.__mod__, zip(
-        _ACCEPT_TEXTS.take(cols.flag).tolist(),
-        _bit_texts(_bit_list(["%s"] * 3, "s"), [(d, lam) for d in cols.ds], had),
-        _FLAG_TEXTS.take(cols.flag).tolist(),
-        range(start, start + n),
-        *keys,
-        _bit_texts(_pair_list([("%s", "%s")] * 3, "s"),
-                   [field for i in range(3) for field in ((cols.b[i], 1), (cols.x[i], lam))],
-                   ~had),
-        _THREE_BIT_TEXTS.take(np.where(had, cols.q, 8)).tolist(),
-        _ROUND_TEXTS.take(had).tolist(),
-        cols.seeds.tolist(),
-        _TEST_INDEX_TEXTS.take(np.where(had & (cols.theta == 0), cols.test_index, 3)).tolist(),
-        _THETA_TEXTS.take(cols.theta).tolist(),
-        _THREE_BIT_TEXTS.take(np.where(had, vs, 8)).tolist(),
-        _bit_texts(_bit_list(["%s"] * 3, "s"), [(y, lam + 1) for y in cols.ys])))
-
-
-def _bit_texts(template: str, fields, rows=None, other: str = "null") -> list[str]:
-    """template % (the fields' bit texts) for each session of a chunk, as one code-point
-    matrix: fields are (values, width) pairs, values a uint64 element per session, that
-    fill template's %s slots in turn with their MSB-first texts. Sessions outside rows
-    (a boolean mask; None for all) get other instead.
-
-    numpy drops a U element's trailing NULs, so other is other's code points
-    followed by zeros.
-    """
-    literals = [np.array([*map(ord, text)], dtype=np.uint8) for text in template.split("%s")]
-    n = len(fields[0][0])
-    parts = [np.broadcast_to(literals[0], (n, len(literals[0])))]
-    for (values, width), literal in zip(fields, literals[1:]):
-        bits = np.unpackbits(values.astype(">u8").view(np.uint8).reshape(n, 8), axis=1)
-        parts += [bits[:, 64 - width:] | 48, np.broadcast_to(literal, (n, len(literal)))]
-    codes = np.concatenate(parts, axis=1, dtype=np.uint32)
-    if rows is not None:
-        codes[~rows] = [*map(ord, other), *[0] * (codes.shape[1] - len(other))]
-    return codes.view(f"U{codes.shape[1]}").ravel().tolist()
+    for name, table, codes in (
+            ("accept", _ACCEPT_TEXTS, cols.flag), ("flag", _FLAG_TEXTS, cols.flag),
+            ("family", _FAMILY_TEXTS, claw), ("q", _THREE_BIT_TEXTS, np.where(had, cols.q, 8)),
+            ("round", _ROUND_TEXTS, had), ("theta", _THETA_TEXTS, cols.theta),
+            ("test_index", _TEST_INDEX_TEXTS,
+             np.where(had & (cols.theta == 0), cols.test_index, 3)),
+            ("vs", _THREE_BIT_TEXTS, np.where(had, vs, 8))):
+        put(name, table.take(codes, axis=0).reshape(-1, n, table.shape[1]))
+    for name, values, width in (("y", cols.ys, lam + 1), ("d", cols.ds, lam), ("b", cols.b, 1),
+                                ("x", cols.x, lam), ("shift_bits", cols.shift, lam)):
+        put(name, _bit_bytes(values, width))
+    for name, values in (("index", np.arange(start, start + n, dtype=np.uint64)[None]),
+                         ("seed", cols.seeds[None]),
+                         ("id", cols.key_id), ("perm_seed", cols.perm_seed)):
+        put(name, _decimals(values))
+    for name, rows, text in (("ds", [~had], b"null"), ("preimages", [had], b"null"),
+                             ("shift", ~claw, b"")):
+        for (a, b), other in zip(slots[name], rows):
+            m[other, a:b] = np.frombuffer(text.ljust(b - a, b"\0"), dtype=np.uint8)
+    # drop the NULs a block at a time, each block's bytes moved down to the front of the
+    # matrix itself, so that no mask or copy of the whole matrix is made
+    m, end = m.reshape(-1), 0
+    for a in range(0, m.size, 1 << 16):
+        block = m[a:a + (1 << 16)]
+        block = block[block != 0]
+        m[end:end + block.size] = block
+        end += block.size
+    return m[:end]
 
 
 def _batch_chunk(sp, factory, plan, master_seed, pins, start, stop, stats, out, kept):
@@ -811,9 +871,9 @@ def _batch_chunk(sp, factory, plan, master_seed, pins, start, stop, stats, out, 
 
     With a plan the chunk runs on the array path, every session of it;
     without one (a scripted prover) run_session runs every session. The
-    chunk's one output is its lines: they stream to out as they are made,
-    and kept gets the transcripts SessionTranscript.from_record reads back
-    from them. A stats-only chunk renders none.
+    chunk's one output is the text of its lines: it goes to out in one
+    write, and kept gets the transcripts SessionTranscript.from_record reads
+    back from it. A stats-only chunk renders none.
     """
     if plan is None:
         transcripts = [run_session(sp, factory, master_seed, index, **pins)
@@ -829,13 +889,13 @@ def _batch_chunk(sp, factory, plan, master_seed, pins, start, stop, stats, out, 
             stats.cells[cell] += int(counts[c])
     if out is None and kept is None:
         return
-    lines = (map(_transcript_line, transcripts) if plan is None
-             else _chunk_lines(sp.lam, cols, start))
+    data = ("".join(map(_transcript_line, transcripts)).encode() if plan is None
+            else _chunk_lines(sp.lam, cols, start))
     if kept is not None:
-        lines = list(lines)
-        kept += [SessionTranscript.from_record(_decoded(line)) for line in lines]
+        kept += [SessionTranscript.from_record(_decoded(line))
+                 for line in codecs.decode(data, "utf-8").split("\n")[:-1]]
     if out is not None:
-        out.writelines(lines)
+        out.write(codecs.decode(data, "utf-8") if isinstance(out, io.TextIOBase) else data)
 
 
 def run_batch(
@@ -854,14 +914,16 @@ def run_batch(
 
     Every batch runs in the calling process, one chunk of _CHUNK session
     indices at a time, and writes each chunk's transcript lines to the sink
-    as the chunk ends, so its memory does not grow with n unless
-    collect=True keeps the list; collect=True reads its transcripts back
-    from those lines. A chunk of an honest, stabilizer or noisy prover runs
-    on the array path: one pass of array operations over all of the chunk's
-    sessions takes every draw and check, rejected halves redrawn included,
-    with the same outcomes and lines as run_session. A scripted chunk runs
-    run_session for every index. A bad theta or round pin raises
-    ParameterError before any session, whatever n is.
+    in one write as the chunk ends, so its memory does not grow with n
+    unless collect=True keeps the list; collect=True reads its transcripts
+    back from those lines. A path sink is opened in binary and a text file
+    gets the same text. A chunk of an honest, stabilizer or noisy prover
+    runs on the array path: one pass of array operations over all of the
+    chunk's sessions takes every draw and check, rejected halves redrawn
+    included, with the same outcomes as run_session, and its lines are
+    rendered from those columns as one byte matrix, with the same bytes.
+    A scripted chunk runs run_session for every index. A bad theta or round
+    pin raises ParameterError before any session, whatever n is.
 
     parallelism is validated but starts no process. It stays in the
     signature because callers pass it (acceptance criterion 8, perfbench),
@@ -876,7 +938,7 @@ def run_batch(
     factory = parse_prover_spec(prover_spec)
     plan = _array_plan(prover_spec, theta, round)
     pins, stats, kept = dict(theta=theta, round=round), FlagStats(), [] if collect else None
-    with _text_file(sink) as out:
+    with _open_sink(sink, "wb") as out:
         for start in range(0, n, _CHUNK):
             _batch_chunk(sp, factory, plan, master_seed, pins, start, min(start + _CHUNK, n),
                          stats, out, kept)

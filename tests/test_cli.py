@@ -188,6 +188,17 @@ class TestAnalyze:
         code, stdout, _ = run_cli(capsys, "analyze", str(path), "--r", "2046")
         assert code in (0, 1) and "radius exponent 1" in stdout
 
+    def test_a_deviation_bound_that_overflows_reads_inf_and_is_unresolved(self, capsys,
+                                                                          tmp_path):
+        # at r = 2046 each radius enters with the finite factor 2^1023 - 1, so these
+        # radii (about 4.2 in all) overflow the bound, an IEEE double, to inf
+        path = self.make_transcripts(tmp_path, "honest", 20, 1)
+        code, stdout, _ = run_cli(capsys, "analyze", str(path), "--r", "2046")
+        assert code == 0 and "decision: ACCEPT" in stdout
+        assert "deviation: score is within inf of the true value" in stdout
+        assert stdout.endswith("  unresolved: score + deviation = inf reaches 1/3, so this "
+                               "sample cannot rule out REJECT\n")
+
     def test_corrupt_transcripts_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("this is not a transcript\n")

@@ -762,6 +762,54 @@ class TestArrayPath:
         assert path.read_text(encoding="utf-8") == transcript_bytes(to_path)
         assert buf.getvalue() == transcript_bytes(to_file) == transcript_bytes(to_path)
 
+    @pytest.mark.parametrize("spec", ["honest", "scripted"])
+    def test_each_chunk_is_one_write_of_the_same_bytes_to_a_path_or_a_text_file(
+            self, monkeypatch, tmp_path, spec):
+        writes, real_open = [], open
+
+        class CountedText(io.StringIO):
+            def write(self, text):
+                writes.append("text")
+                return super().write(text)
+
+        class CountedFile:  # the file run_batch opens for a path sink
+            def __init__(self, *args, **kwargs):
+                self.fh = real_open(*args, **kwargs)
+
+            def write(self, data):
+                writes.append("path")
+                return self.fh.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(engine, "open", CountedFile, raising=False)
+        monkeypatch.setattr(engine, "_CHUNK", 64)  # 300 sessions in five chunks
+        spec = scripted_spec(tmp_path) if spec == "scripted" else spec
+        path, buf = tmp_path / "out.jsonl", CountedText()
+        _, kept = run_batch(SP4, spec, 300, 39, sink=path, collect=True)
+        run_batch(SP4, spec, 300, 39, sink=buf)
+        assert path.read_bytes() == buf.getvalue().encode() == transcript_bytes(kept).encode()
+        assert writes == ["path"] * 5 + ["text"] * 5
+
+    def test_rendering_a_chunk_holds_one_byte_matrix(self):
+        # the lines are compacted inside the matrix itself; a mask or a copy of the whole
+        # matrix would take the peak past twice the matrix
+        n = 2000
+        cols = engine._array_chunk(16, engine._array_plan("honest", None, None), 46, 0, n)
+        engine._chunk_lines(16, cols, 0)  # build the row first
+        tracemalloc.start()
+        try:
+            lines = engine._chunk_lines(16, cols, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * len(engine._record_row(16)[0])
+        assert bytes(lines).count(b"\n") == n
+
     @pytest.mark.parametrize("theta", [(0, 0, 1), None, (0, 0, 0), (1, 1, 1)])
     def test_colliding_key_ids_raise_where_run_session_does(self, monkeypatch, theta):
         # every key seed, key id and permutation seed is below 4, so most sessions' key ids
@@ -1081,6 +1129,27 @@ def json_lines(transcripts) -> str:
     return "".join(json.dumps(t.to_record(), sort_keys=True) + "\n" for t in transcripts)
 
 
+def hand_built_columns(lam, decimals, seed) -> engine._Columns:
+    """A chunk's columns built by hand, a session per decimal: the seed, key id and
+    permutation seed columns (seven in all) each a rotation of decimals, and every other
+    field drawn at random within its range."""
+    rng = np.random.default_rng(seed)
+    n, decimals = len(decimals), np.array(decimals, dtype=np.uint64)
+    seeds, *keys = (np.roll(decimals, k) for k in range(7))
+
+    def below(k, shape=(3, n)):
+        return rng.integers(0, k, size=shape, dtype=np.uint64)
+
+    theta = below(5, n)
+    claw = engine._CLAW.take(theta, axis=1)
+    return engine._Columns(
+        seeds=seeds, theta=theta, hadamard=rng.random(n) < 0.5,
+        flag=rng.integers(0, 4, n).astype(np.int8), key_id=np.stack(keys[:3]),
+        perm_seed=np.stack(keys[3:]), shift=np.where(claw, below(1 << lam), 0),
+        ys=below(2 << lam), b=below(2), x=below(1 << lam), ds=below(1 << lam), q=below(8, n),
+        test_index=below(3, n), vs=below(2))
+
+
 class TestRecordRenderer:
     """Every line a batch's sink or write_transcripts writes is json.dumps of its record."""
 
@@ -1117,6 +1186,31 @@ class TestRecordRenderer:
         for lines in (expected, json_lines(aborted)):
             path.write_text(lines, encoding="utf-8")
             assert transcript_bytes(list(iter_transcripts(path))) == lines
+
+    @pytest.mark.parametrize("start", [995, 9995])
+    @pytest.mark.parametrize("lam", [entcf.W_MIN, 16, entcf.W_MAX])
+    def test_decimal_fields_at_every_digit_boundary(self, lam, start):
+        # the index column crosses 999 -> 1000 or 9999 -> 10000, and every other decimal
+        # column takes each value below; the chunk rendered whole equals it rendered as
+        # two chunks split at the crossing
+        values = [0, 9, 10, *[v for k in range(1, 20) for v in (10**k - 1, 10**k)],
+                  2**63, 2**64 - 1]
+        cols = hand_built_columns(lam, values, seed=start + lam)
+        whole = bytes(engine._chunk_lines(lam, cols, start))
+        first, rest = (engine._Columns(*(c[..., part] for c in cols))
+                       for part in (slice(None, 5), slice(5, None)))
+        assert whole == bytes(engine._chunk_lines(lam, first, start)) + bytes(
+            engine._chunk_lines(lam, rest, start + 5))
+        lines = whole.decode("ascii").splitlines(keepends=True)
+        assert len(lines) == len(values)
+        for i, line in enumerate(lines):
+            record = SessionTranscript.from_record(json.loads(line)).to_record()
+            assert line == json.dumps(record, sort_keys=True) + "\n"
+            assert f'"index": {start + i}, ' in line and record["index"] == start + i
+            assert record["seed"] == str(cols.seeds[i])
+            assert [key["id"] for key in record["keys"]] == [str(v) for v in cols.key_id[:, i]]
+            assert [key["perm_seed"] for key in record["keys"]] == [
+                str(v) for v in cols.perm_seed[:, i]]
 
     @pytest.mark.parametrize("lam", REJECTING_LAMS)
     def test_lines_across_chunks_with_rejections_inside_them(self, monkeypatch, tmp_path, lam):
