@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import codecs
 import contextlib
-import io
 import json
 import socket
 import sys
@@ -350,13 +349,12 @@ def _broken_verdict_rule(accept, flag, abort) -> str | None:
 
 
 @contextlib.contextmanager
-def _open_sink(sink, mode: str):
-    """sink as an open file: None or a file object as is, a path opened for writing in
-    mode, "w" (text, UTF-8) or "wb"."""
+def _text_file(sink):
+    """sink as an open text file: None or a file object as is, a path opened for writing."""
     if sink is None or hasattr(sink, "write"):
         yield sink
         return
-    with open(sink, mode, encoding=None if "b" in mode else "utf-8") as fh:
+    with open(sink, "w", encoding="utf-8") as fh:
         yield fh
 
 
@@ -408,7 +406,7 @@ def _transcript_line(t: SessionTranscript) -> str:
 
 def write_transcripts(sink, transcripts) -> None:
     """One self-describing record per line; sink is a path or a text file."""
-    with _open_sink(sink, "w") as fh:
+    with _text_file(sink) as fh:
         fh.writelines(map(_transcript_line, transcripts))
 
 
@@ -889,13 +887,12 @@ def _batch_chunk(sp, factory, plan, master_seed, pins, start, stop, stats, out, 
             stats.cells[cell] += int(counts[c])
     if out is None and kept is None:
         return
-    data = ("".join(map(_transcript_line, transcripts)).encode() if plan is None
-            else _chunk_lines(sp.lam, cols, start))
+    text = ("".join(map(_transcript_line, transcripts)) if plan is None
+            else codecs.decode(_chunk_lines(sp.lam, cols, start), "utf-8"))
     if kept is not None:
-        kept += [SessionTranscript.from_record(_decoded(line))
-                 for line in codecs.decode(data, "utf-8").split("\n")[:-1]]
+        kept += [SessionTranscript.from_record(_decoded(line)) for line in text.split("\n")[:-1]]
     if out is not None:
-        out.write(codecs.decode(data, "utf-8") if isinstance(out, io.TextIOBase) else data)
+        out.write(text)
 
 
 def run_batch(
@@ -916,8 +913,7 @@ def run_batch(
     indices at a time, and writes each chunk's transcript lines to the sink
     in one write as the chunk ends, so its memory does not grow with n
     unless collect=True keeps the list; collect=True reads its transcripts
-    back from those lines. A path sink is opened in binary and a text file
-    gets the same text. A chunk of an honest, stabilizer or noisy prover
+    back from those lines. A chunk of an honest, stabilizer or noisy prover
     runs on the array path: one pass of array operations over all of the
     chunk's sessions takes every draw and check, rejected halves redrawn
     included, with the same outcomes as run_session, and its lines are
@@ -938,7 +934,7 @@ def run_batch(
     factory = parse_prover_spec(prover_spec)
     plan = _array_plan(prover_spec, theta, round)
     pins, stats, kept = dict(theta=theta, round=round), FlagStats(), [] if collect else None
-    with _open_sink(sink, "wb") as out:
+    with _text_file(sink) as out:
         for start in range(0, n, _CHUNK):
             _batch_chunk(sp, factory, plan, master_seed, pins, start, min(start + _CHUNK, n),
                          stats, out, kept)
