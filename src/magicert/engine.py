@@ -579,7 +579,8 @@ def _text_table(texts) -> np.ndarray:
 
 # field texts by code, for _chunk_lines' lookups: a flag's accept and flag texts; three
 # bits' (q, vs) by their code, 8 for null; a round's by hadamard; test_index, 3 for null;
-# theta by its index; a key's family by claw; and every four-digit group, 0000-9999
+# theta by its index; a key's family by claw; every byte's bits; and every four-digit
+# group, 0000-9999
 _ACCEPT_TEXTS = _text_table(["true" if f is Flag.NONE else "false" for f in Flag])
 _FLAG_TEXTS = _text_table([_quoted(f.value) for f in Flag])
 _THREE_BIT_TEXTS = _text_table([*map(_quoted, _THREE_BITS), "null"])
@@ -587,6 +588,7 @@ _ROUND_TEXTS = _text_table([_quoted(r) for r in _ROUND_VALUES])
 _TEST_INDEX_TEXTS = _text_table(["0", "1", "2", "null"])
 _THETA_TEXTS = _text_table([_bit_text(bits) for bits in verifier.BASIS_CHOICES])
 _FAMILY_TEXTS = _text_table([entcf.Family.INJECTIVE.value, entcf.Family.CLAW.value])
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) | 48
 _DIGITS = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
 # a uint64 has at most 20 digits: it has k + 1 where k of these are at most it, and row k
 # of _LEADING keeps the last k + 1 of 20 bytes
@@ -596,6 +598,8 @@ _LEADING = np.tri(20, dtype=np.uint8)[:, ::-1]
 # ('"shift": "<bits>", ') or nothing, then w
 _KEY = '{"family": "%s", "id": "%s", "perm_seed": "%s", %s"w": "%s"}'
 _LANES = np.array([[_VERIFIER_LANE], [_PROVER_LANE]], dtype=np.uint64)  # by row
+# where _fail_table's index holds each input: tops, us and vs by coordinate, q, test_index
+_FAIL_SHIFTS = np.array([8, 7, 6, 5, 4, 3, 2, 1, 0, 11, 9], dtype=np.uint64)[:, None]
 
 
 def _array_plan(prover_spec: str, theta, round):
@@ -654,12 +658,13 @@ def _array_chunk(lam, plan, master_seed, start, stop) -> _Columns:
     order run_session makes them. A draw that only some sessions make (an
     injective key's branch bit, a preimage round's claw coin, a Hadamard
     round's words) is masked by them, so every other session's stream stays
-    where it is. The keys go to entcf's permutation as (3, n) arrays, and
-    the Hadamard check runs once per basis triple present, each session
-    taking its own triple's result; a chunk with no preimage round skips
-    that round's coins and check, and one with no Hadamard round that round's
-    draws and check. Each session redraws its rejected halves
-    (_Stream.below), and one whose key ids clash raises where run_session would.
+    where it is. The keys go to entcf's permutation as (3, n) arrays. The
+    prover's 32-bit draws are one masked _Stream.halves call, and the
+    Hadamard check is one lookup in _fail_table, by each session's basis
+    triple and inputs; a chunk with no preimage round skips that round's
+    coins and check, and one with no Hadamard round that round's draws and
+    check. Each session redraws its rejected halves (_Stream.below), and one
+    whose key ids clash raises where run_session would.
     """
     table_key, flip, theta, round = plan
     seeds = derive_seed(master_seed, np.arange(start, stop, dtype=np.uint64))
@@ -700,28 +705,29 @@ def _array_chunk(lam, plan, master_seed, start, stop) -> _Columns:
         hadamard = np.full(n, round is RoundType.HADAMARD)
     q, test_index = ver.bits(3), ver.below(3)  # the stream's last draw, for every session
 
-    # HonestProver.commit: sample_commitment per coordinate, an injective key's b then
-    # x, or a claw key's x0 with b = 0
-    b, x, injective = np.empty((3, n), dtype=np.uint64), np.empty((3, n), dtype=np.uint64), ~claw
-    for i in range(3):
-        b[i] = prover.bits(1, injective[i]) & injective[i]
-        x[i] = prover.bits(w)
+    # the prover's 32-bit draws, in its order, as one masked draw: HonestProver.commit's
+    # sample_commitment per coordinate (an injective key's b then x, or a claw key's x0
+    # with b = 0), answer_preimage's claw coins and answer_hadamard's ds
+    masks = np.ones((12, n), dtype=bool)
+    masks[0:6:2], masks[6:9], masks[9:] = ~claw, claw & ~hadamard, hadamard
+    widths = np.array([1, w] * 3 + [1] * 3 + [w] * 3, dtype=np.uint64)[:, None]
+    drawn = prover.halves(masks) >> 32 - widths
+    b, x = drawn[0:6:2] & masks[0:6:2], drawn[1:6:2]
     ys = entcf._image(keys, b, x)
     # answer_preimage opens a claw on a fair-coin branch, and check_preimage grades the
-    # pairs; a chunk of Hadamard rounds only has nothing to draw or grade here
+    # pairs; a chunk of Hadamard rounds only has nothing to grade here
     flag = np.zeros(n, dtype=np.int8)
     if not hadamard.all():
-        opening = claw & ~hadamard
-        coins = np.stack([prover.bits(1, opening[i]) for i in range(3)])
+        coins = drawn[6:9]
         b, x = np.where(claw, coins, b), x ^ coins * shift
         opens = entcf._opens(keys, b, x, ys).all(axis=0)
         flag = np.where(opens | hadamard, flag, _FLAGS_BY_CODE.index(Flag.FAIL_PRE))
     # answer_hadamard: a uniform d per coordinate; a claw collapses to <d, x0 ^ x1>
     # in X, and x0 ^ x1 is the shift, so the prover's bit is the verifier's u. A chunk of
-    # preimage rounds only has nothing to draw or check here, and its ds and vs are null
+    # preimage rounds only has nothing to check here, and its ds and vs are null
     ds = vs = np.zeros((3, n), dtype=np.uint64)
     if hadamard.any():
-        ds = np.stack([prover.bits(w, hadamard) for _ in range(3)])
+        ds = drawn[9:]
         us = np.bitwise_count(ds & shift).astype(np.uint64) & 1
         opened = np.where(claw, us, b)
         # answer_questions: one uniform against the row of the register's answer edges
@@ -731,16 +737,28 @@ def _array_chunk(lam, plan, master_seed, start, stop) -> _Columns:
         vs = np.stack([outcome >> 2 & 1, outcome >> 1 & 1, outcome & 1])
         if flip > 0:
             vs ^= np.stack([prover.uniform(hadamard) < flip for _ in range(3)])
-        # check_hadamard, by the rule of each basis triple the chunk's Hadamard rounds hold
+        # check_hadamard: each session's flag code, by its basis triple, from _fail_table
         tops = entcf._perm_backward(keys, ys) >> w
-        questions = [q >> 2 & 1, q >> 1 & 1, q & 1]
-        for t in np.flatnonzero(np.bincount(t_index.astype(np.intp), hadamard)).tolist():
-            bases = verifier.BASIS_CHOICES[t]
-            fails = verifier.hadamard_fails(bases, questions, test_index, tops, us, vs) != 0
-            flag = np.where(hadamard & (t_index == t) & fails,
-                            _FLAGS_BY_CODE.index(verifier.failure_flag(bases)), flag)
+        inputs = np.concatenate([tops, us, vs, q[None], test_index[None]]) << _FAIL_SHIFTS
+        flag = np.where(hadamard, _fail_table()[t_index, inputs.sum(axis=0)], flag)
     return _Columns(seeds, t_index, hadamard, flag, key_id, perm_seed,
                     shift, ys, b, x, ds, q, test_index, vs)
+
+
+@lru_cache(maxsize=None)
+def _fail_table() -> np.ndarray:
+    """check_hadamard's flag code (an index of Flag) for each basis triple and input: entry
+    (t, q << 11 | test_index << 9 | tops << 6 | us << 3 | vs), each three bits MSB first.
+
+    verifier.hadamard_fails decides every entry, on arrays of all 2^14 inputs;
+    built on the first chunk that checks a Hadamard round.
+    """
+    inputs = np.arange(1 << 14, dtype=np.uint16)
+    q, tops, us, vs = ([inputs >> at + 2 - k & 1 for k in range(3)] for at in (11, 6, 3, 0))
+    test_index = inputs >> 9 & 3
+    return np.array([np.where(verifier.hadamard_fails(bases, q, test_index, tops, us, vs) != 0,
+                              np.int8(_FLAGS_BY_CODE.index(verifier.failure_flag(bases))), 0)
+                     for bases in verifier.BASIS_CHOICES])
 
 
 @lru_cache(maxsize=None)
@@ -792,9 +810,11 @@ def _record_row(lam: int) -> tuple[np.ndarray, dict]:
 
 
 def _bit_bytes(values: np.ndarray, width: int) -> np.ndarray:
-    """The MSB-first text of each uint64 value's low width bits, as width ASCII bytes."""
-    bits = np.unpackbits(values.astype(">u8").view(np.uint8).reshape(*values.shape, 8), axis=-1)
-    return bits[..., 64 - width:] | 48
+    """The MSB-first text of each uint64 value's low width bits, as width ASCII bytes: the
+    texts of the low bytes that hold them, from _BYTE_BITS."""
+    octets = -(-width // 8)
+    low = values.astype(">u8").view(np.uint8).reshape(*values.shape, 8)[..., 8 - octets:]
+    return _BYTE_BITS.take(low, axis=0).reshape(*values.shape, 8 * octets)[..., -width:]
 
 
 def _decimals(values: np.ndarray) -> np.ndarray:
@@ -816,8 +836,8 @@ def _chunk_lines(lam, cols: _Columns, start) -> np.ndarray:
 
     Each session gets a row of one byte matrix, a copy of _record_row(lam),
     and each field is written into its slots for the whole chunk at once: a
-    text chosen by a code is a row of its table, a bit text comes from
-    unpackbits and a decimal from four-digit groups. Texts are NUL-padded
+    text chosen by a code is a row of its table, a bit text from its bytes'
+    texts and a decimal from four-digit groups. Texts are NUL-padded
     and a field that only the other round has is null, so the lines are the
     matrix without its NULs.
     """

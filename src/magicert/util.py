@@ -13,9 +13,12 @@ paid once per thread and slot.
 
 `_Stream` makes every draw from a stream's raw 64-bit words by SCHEMA.md's
 rules, on one stream or on many at once (their words from `philox_words`);
-only entcf's base permutation is left to a Generator, its shuffle. The seed
-derivation and Lemire's bounded draw run unchanged on Python ints and on
-uint64 arrays, so a batch of sessions is drawn as array operations.
+only entcf's base permutation is left to a Generator, its shuffle. On many
+streams, `_Stream.halves` makes a run of masked 32-bit draws in one gather.
+The seed derivation and Lemire's bounded draw run on Python ints and on
+uint64 arrays, so a batch of sessions is drawn as array operations; on
+arrays the derivation takes 0-d constants and no 64-bit masks, since
+uint64 arithmetic wraps by itself.
 """
 
 from __future__ import annotations
@@ -30,10 +33,18 @@ MASK64 = (1 << 64) - 1
 
 # splitmix64 increment; any odd constant with good avalanche would do
 _GOLDEN = 0x9E3779B97F4A7C15
+# mix64's shifts and multipliers, then _GOLDEN, as 0-d uint64 arrays for the array path:
+# NumPy takes a 0-d operand faster than a Python int, and without a scalar's wrap warning
+_MIX = tuple(np.array(c, dtype=np.uint64)
+             for c in (30, 27, 31, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, _GOLDEN))
 
 
 def mix64(x):
     """splitmix64 finalizer: scramble a 64-bit integer (an int, or each of a uint64 array)."""
+    if isinstance(x, np.ndarray):  # uint64 arithmetic wraps by itself: no mask to take
+        x = (x ^ x >> _MIX[0]) * _MIX[3]
+        x = (x ^ x >> _MIX[1]) * _MIX[4]
+        return x ^ x >> _MIX[2]
     x = x & MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
@@ -47,9 +58,10 @@ def derive_seed(seed: int, *lanes: int) -> int:
     tuple addresses a node in a seed tree (session index, role, ...). The
     seed or any lane may be a uint64 array, giving one seed per element.
     """
-    s = seed & MASK64
+    s = seed if isinstance(seed, np.ndarray) else seed & MASK64
     for lane in lanes:
-        s = mix64(s + (_GOLDEN + lane & MASK64))
+        s = mix64(s + lane + _MIX[5] if isinstance(lane, np.ndarray)
+                  else s + (_GOLDEN + lane & MASK64))
     return s
 
 
@@ -202,7 +214,8 @@ class _Stream:
     only: the others keep their places, and its values there mean nothing.
     While every session is at the same place, that place is an int and a
     bool, and a draw reads one row of words. A read past the words held
-    appends the next block of the streams' Philox keys.
+    appends the next blocks of the streams' Philox keys. halves makes a run
+    of masked 32-bit draws at once, as one gather.
     """
 
     def __init__(self, words, keys=None):
@@ -225,11 +238,18 @@ class _Stream:
         try:
             word = (self.words[self.next] if type(self.next) is int
                     else self.words[self.next, self.lanes])
-        except IndexError:  # only a redrawn half reads past the first blocks
-            self.words = np.vstack([self.words, philox_words(self.keys, len(self.words) // 4, 1)])
+        except IndexError:  # only a redrawn half, or a draw past the first blocks, reads on
+            self._hold(len(self.words) + 1)
             return self._take(moved)
         self.next = self.next + moved
         return word
+
+    def _hold(self, rows: int) -> None:
+        """Append the streams' next Philox blocks until at least rows words are held."""
+        more = rows - len(self.words)
+        if more > 0:
+            self.words = np.vstack([self.words, philox_words(
+                self.keys, len(self.words) // 4, -(-more // 4))])
 
     def word(self, mask=True):
         return self._take(self._parted(mask))
@@ -238,18 +258,65 @@ class _Stream:
         mask = self._parted(mask)
         if mask is False:
             return self.words[0]
-        if self.held is True:
+        if mask is not True or type(self.held) is not bool:  # sessions at different places
+            return self.halves(np.broadcast_to(mask, (1, len(self.lanes))))[0]
+        if self.held:
             half = self.pending
         else:
-            fresh = mask & (self.held ^ True)
-            word = self._take(fresh)
-            if fresh is True:
-                half, self.pending = word & self.low, word >> self.high
-            else:
-                half = np.where(self.held, self.pending, word & self.low)
-                self.pending = np.where(fresh, word >> self.high, self.pending)
-        self.held = self._parted(self.held ^ mask)
+            word = self._take(True)
+            half, self.pending = word & self.low, word >> self.high
+        self.held = not self.held
         return half
+
+    def halves(self, masks: np.ndarray) -> np.ndarray:
+        """D successive half(masks[d]) calls as one, masks a (D, n) session mask matrix:
+        row d of the result is the d-th call's halves, and each stream ends where the D
+        calls would leave it.
+
+        A session's draws take its pending half, if it holds one, then its
+        fresh halves in order: fresh half p is word next + p // 2's low half
+        if p is even, else its high half. The mask rows' cumulative sum numbers
+        each session's draws, so one gather reads every half; an extra row, a
+        draw by every session, reads the half left pending. While the streams
+        are at one place and each row is all-true or all-false, the numbering
+        is a list of ints and the gather reads whole rows: a handful of NumPy
+        calls, where the arrays' numbering takes about twenty.
+        """
+        aligned = type(self.next) is int and type(self.held) is bool
+        counts = masks.sum(axis=1).tolist() if aligned else []
+        # the fresh half each row's draw reads (-1: the held one), and the fresh halves each
+        # stream takes (-1: none, and it still holds one); a half no draw takes may lie
+        # past the words held, and any word will do for it
+        if aligned and set(counts) <= {0, masks.shape[1]}:
+            fresh, taken = [], -self.held
+            for count in counts:
+                fresh.append(taken)
+                taken += count > 0
+            fresh.append(taken)
+            following = self.next + (taken + 1 >> 1)
+            self._hold(following)
+            rows = [min(self.next + (max(p, 0) >> 1), len(self.words) - 1) for p in fresh]
+            halves = self.words[rows]
+            halves >>= np.array([32 * (p & 1) for p in fresh], dtype=np.uint64)[:, None]
+            halves &= self.low
+            if self.held:
+                halves[:fresh.count(-1)] = self.pending
+        else:
+            fresh = np.cumsum(np.concatenate([masks, np.ones_like(masks[:1])]), axis=0)
+            fresh -= 1 + self.held
+            taken = fresh[-1]
+            following = self.next + (taken + 1 >> 1)
+            self._hold(int(following.max(initial=0)))
+            read = np.maximum(fresh, 0)
+            halves = self.words[np.minimum(self.next + (read >> 1), len(self.words) - 1),
+                                self.lanes]
+            halves >>= (read & 1).astype(np.uint64) * self.high
+            halves &= self.low
+            if self.held is not False:
+                halves = np.where(fresh < 0, self.pending, halves)
+        # an odd count leaves the last word's high half pending (row D), as does -1
+        self.next, self.held, self.pending = following, self._parted(taken & 1 == 1), halves[-1]
+        return halves[:-1]
 
     def bits(self, width: int, mask=True):
         """integers(0, 2^width): Lemire's draw on a power-of-two range never rejects."""

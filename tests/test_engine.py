@@ -619,6 +619,8 @@ def rejecting_batch(monkeypatch, tmp_path, lam, spec, pins, n=40):
 
 # the bounded draws that can reject: the basis triple, the test index, and claw shifts
 BELOW = [3, 5] + [(1 << w) - 1 for w in range(entcf.W_MIN, entcf.W_MAX + 1)]
+# a session mask for up to six lanes: a bool for all of them, or one bool per lane
+LANE_ROW = st.one_of(st.booleans(), st.lists(st.booleans(), min_size=6, max_size=6))
 
 
 def reader_draw(stream, draw, mask=True):
@@ -1066,6 +1068,65 @@ class TestArrayPath:
             gen, one_lane = rng_from(key), util._Stream(rng_from(key).bit_generator)
             assert [reader_draw(one_lane, draw) for draw in draws] == \
                 [generator_draw(gen, draw) for draw in draws]
+
+    @settings(max_examples=100, deadline=None)
+    @given(keys=st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=6),
+           earlier=st.lists(st.tuples(st.one_of(st.integers(1, 25), st.just("u64")), LANE_ROW),
+                            max_size=3),
+           rows=st.lists(st.tuples(st.integers(1, 25), LANE_ROW), min_size=1, max_size=14))
+    @example(keys=[0, (1 << 64) - 1], earlier=[], rows=[(25, True)] * 14)
+    @example(keys=[1, 2, 3], earlier=[(7, [True, False, True, False, False, False]),
+                                      ("u64", True)],
+             rows=[(3, True), (25, [False, True, True, False, False, False]), (1, False)] * 4)
+    def test_batched_masked_halves_equal_successive_draws(self, keys, earlier, rows):
+        # a mask row is all-true or all-false (a bool) or drawn per lane; the earlier draws
+        # leave the lanes at different places, some holding a pending half. The stream holds
+        # block 0, and up to 3 + 14 draws read past it, as the bit-flip prover's words do
+        n, keys = len(keys), np.array(keys, dtype=np.uint64)
+
+        def lanes(row):
+            return np.full(n, row) if type(row) is bool else np.array(row[:n])
+
+        batched, successive = (util._Stream(philox_words(keys, 0, 1), keys) for _ in range(2))
+        for draw, row in earlier:
+            for stream in (batched, successive):
+                reader_draw(stream, draw, lanes(row))
+        masks = np.array([lanes(row) for _, row in rows])
+        widths = [width for width, _ in rows]
+        got = batched.halves(masks) >> np.array([32 - k for k in widths], dtype=np.uint64)[:, None]
+        expected = [successive.bits(width, mask) for width, mask in zip(widths, masks)]
+        for mask, values, reference in zip(masks, got, expected):
+            assert values[mask].tolist() == np.broadcast_to(reference, n)[mask].tolist()
+        # both streams end at one place: next word, held half and, where held, its value
+        held = np.broadcast_to(successive.held, n)
+        for stream in (batched, successive):
+            assert np.broadcast_to(stream.next, n).tolist() == \
+                np.broadcast_to(successive.next, n).tolist()
+            assert np.broadcast_to(stream.held, n).tolist() == held.tolist()
+            assert np.broadcast_to(stream.pending, n)[held].tolist() == \
+                np.broadcast_to(successive.pending, n)[held].tolist()
+        for lane, key in enumerate(keys.tolist()):
+            gen = rng_from(key)
+            for draw, row in earlier:
+                if lanes(row)[lane]:
+                    generator_draw(gen, draw)
+            for width, mask, values in zip(widths, masks, got):
+                if mask[lane]:
+                    assert values[lane] == generator_draw(gen, width)
+
+    def test_fail_table_equals_the_scalar_hadamard_check(self):
+        table = engine._fail_table()
+        assert table.shape == (5, 1 << 14) and table.dtype == np.int8
+        inputs = [[[i >> at + 2 - k & 1 for k in range(3)] for at in (11, 6, 3, 0)]
+                  for i in range(1 << 14)]
+        for t, bases in enumerate(verifier.BASIS_CHOICES):
+            code = engine._FLAGS_BY_CODE.index(verifier.failure_flag(bases))
+            expected = []
+            for i, (q, tops, us, vs) in enumerate(inputs):
+                fails = verifier.hadamard_fails(bases, q, i >> 9 & 3, tops, us, vs)
+                assert type(fails) is int
+                expected.append(code if fails else 0)
+            assert table[t].tolist() == expected
 
     @settings(max_examples=100, deadline=None)
     @given(rows=st.lists(st.lists(st.floats(0, 1), min_size=8, max_size=8),
