@@ -223,7 +223,7 @@ def cmd_connect(args) -> int:
     verdicts = engine.connect(args.addr, args.prover, args.seed)
     out = sys.stderr if args.addr == "stdio" else sys.stdout  # stdio: stdout is the wire
     for index, verdict in enumerate(verdicts):
-        if verdict.get("abort"):
+        if verdict.get("abort") is not None:
             # the text is the peer's: escaped, so no control byte reaches the terminal
             line = f"session {index}: abort ({ascii(verdict['abort'])})"
         elif verdict.get("accept"):

@@ -82,9 +82,6 @@ def _not_an_integer(text: str):
 # is an integer, and json.loads would read NaN, Infinity or 1e999 as floats
 _JSON = json.JSONDecoder(parse_float=_not_an_integer, parse_constant=_not_an_integer)
 _SCAN = _JSON.scan_once  # the scanner _JSON.decode calls: (value, end) of the value at an index
-# the text of a record's abort string and of key maps a transcript holds as dicts:
-# json.dumps(value, sort_keys=True), without building an encoder per line
-_ENCODER = json.JSONEncoder(sort_keys=True)
 
 _ROUNDS = (None, *(r.value for r in RoundType))
 _FLAGS = (None, *(f.value for f in Flag))
@@ -232,19 +229,22 @@ class SessionTranscript:
     abort: str | None = None
 
     def to_record(self) -> dict:
-        w = self.lam  # SecurityParam: w equals lam
+        """The record SCHEMA.md writes. A bit value is padded to its field's width and
+        never cut: a read record may hold one wider than lam allows, and writes back
+        with its digits."""
+        w_bits, y_bits = f"0{self.lam}b", f"0{self.lam + 1}b"  # SecurityParam: w equals lam
         return {
             "index": self.index,
             "seed": str(self.seed),
             "lam": self.lam,
             "theta": "".join(map(str, self.theta)),
             "keys": list(self.keys),
-            "ys": None if self.ys is None else [bits_str(y, w + 1) for y in self.ys],
+            "ys": None if self.ys is None else [format(y, y_bits) for y in self.ys],
             "round": self.round,
             "test_index": self.test_index,
             "preimages": None if self.preimages is None
-            else [[str(b), bits_str(x, w)] for b, x in self.preimages],
-            "ds": None if self.ds is None else [bits_str(d, w) for d in self.ds],
+            else [[str(b), format(x, w_bits)] for b, x in self.preimages],
+            "ds": None if self.ds is None else [format(d, w_bits) for d in self.ds],
             "q": None if self.q is None else "".join(map(str, self.q)),
             "vs": None if self.vs is None else "".join(map(str, self.vs)),
             "flag": self.flag,
@@ -359,49 +359,16 @@ def _text_file(sink):
 
 
 # SCHEMA.md's record line: its keys in sorted order, each %s filled with that field's JSON
-# text. The one literal of the record layout; _transcript_line fills it from a transcript,
-# _chunk_lines from a chunk's columns.
+# text, as json.dumps(to_record(), sort_keys=True) writes it. The one literal of the record
+# layout; _record_row fills it for _chunk_lines' byte matrix.
 _RECORD = ('{"abort": %s, "accept": %s, "ds": %s, "flag": %s, "index": %s, "keys": %s, '
            '"lam": %s, "preimages": %s, "q": %s, "round": %s, "seed": "%s", '
            '"test_index": %s, "theta": "%s", "vs": %s, "ys": %s}\n')
 
 
-def _quoted(text) -> str:
-    """null, or text in quotes: for texts that json does not escape."""
-    return "null" if text is None else f'"{text}"'
-
-
-def _bit_list(values, spec: str) -> str:
-    return '["' + '", "'.join([format(v, spec) for v in values]) + '"]'
-
-
-def _pair_list(pairs, spec: str) -> str:
-    return "[" + ", ".join([f'["{b}", "{v:{spec}}"]' for b, v in pairs]) + "]"
-
-
-def _bit_text(bits) -> str | None:
-    return None if bits is None else "".join(map(str, bits))
-
-
 def _transcript_line(t: SessionTranscript) -> str:
-    """One transcript record as one JSON line, by SCHEMA.md's encoding rule: the bytes
-    json.dumps(t.to_record(), sort_keys=True) writes, newline included.
-
-    round and flag are among their schema values, so need no escaping;
-    abort goes through the encoder, as json escapes it.
-    """
-    x, y = f"0{t.lam}b", f"0{t.lam + 1}b"
-    return _RECORD % (
-        "null" if t.abort is None else _ENCODER.encode(t.abort),
-        "true" if t.accept else "false",
-        "null" if t.ds is None else _bit_list(t.ds, x),
-        _quoted(t.flag), t.index, _ENCODER.encode(list(t.keys)), t.lam,
-        "null" if t.preimages is None else _pair_list(t.preimages, x),
-        _quoted(_bit_text(t.q)), _quoted(t.round), t.seed,
-        "null" if t.test_index is None else t.test_index,
-        _bit_text(t.theta), _quoted(_bit_text(t.vs)),
-        "null" if t.ys is None else _bit_list(t.ys, y),
-    )
+    """One transcript record as one JSON line, by SCHEMA.md's encoding rule."""
+    return json.dumps(t.to_record(), sort_keys=True) + "\n"
 
 
 def write_transcripts(sink, transcripts) -> None:
@@ -582,11 +549,11 @@ def _text_table(texts) -> np.ndarray:
 # theta by its index; a key's family by claw; every byte's bits; and every four-digit
 # group, 0000-9999
 _ACCEPT_TEXTS = _text_table(["true" if f is Flag.NONE else "false" for f in Flag])
-_FLAG_TEXTS = _text_table([_quoted(f.value) for f in Flag])
-_THREE_BIT_TEXTS = _text_table([*map(_quoted, _THREE_BITS), "null"])
-_ROUND_TEXTS = _text_table([_quoted(r) for r in _ROUND_VALUES])
+_FLAG_TEXTS = _text_table([json.dumps(f.value) for f in Flag])
+_THREE_BIT_TEXTS = _text_table([*map(json.dumps, _THREE_BITS), "null"])
+_ROUND_TEXTS = _text_table([json.dumps(r) for r in _ROUND_VALUES])
 _TEST_INDEX_TEXTS = _text_table(["0", "1", "2", "null"])
-_THETA_TEXTS = _text_table([_bit_text(bits) for bits in verifier.BASIS_CHOICES])
+_THETA_TEXTS = _text_table(["".join(map(str, bits)) for bits in verifier.BASIS_CHOICES])
 _FAMILY_TEXTS = _text_table([entcf.Family.INJECTIVE.value, entcf.Family.CLAW.value])
 _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) | 48
 _DIGITS = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
@@ -796,14 +763,14 @@ def _record_row(lam: int) -> tuple[np.ndarray, dict]:
             text += inner + piece
         return text
 
-    bits = _bit_list(["%s"] * 3, "s")
+    bits, pairs = '["%s", "%s", "%s"]', '[["%s", "%s"], ["%s", "%s"], ["%s", "%s"]]'
     key = _KEY % ("%s", "%s", "%s", "%s", lam)
     text = widened(_RECORD % ("null", *["%s"] * 4, "[%s]" % ", ".join([key] * 3), lam,
                               *["%s"] * 8), [
         ("accept", 5), ("ds", (bits, [("d", lam)] * 3)), ("flag", 12), ("index", 20),
         *[("family", 1), ("id", 20), ("perm_seed", 20),
           ("shift", ('"shift": "%s", ', [("shift_bits", lam)]))] * 3,
-        ("preimages", (_pair_list([("%s", "%s")] * 3, "s"), [("b", 1), ("x", lam)] * 3)),
+        ("preimages", (pairs, [("b", 1), ("x", lam)] * 3)),
         ("q", 5), ("round", 10), ("seed", 20), ("test_index", 4), ("theta", 3), ("vs", 5),
         ("ys", (bits, [("y", lam + 1)] * 3))], 0)
     return np.frombuffer(text.encode(), dtype=np.uint8), slots

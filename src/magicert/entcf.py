@@ -60,9 +60,6 @@ class Family(str, Enum):
     CLAW = "F"        # branches share one image; collisions form claws
     INJECTIVE = "G"   # branch images disjoint; image determines the branch bit
 
-    def __str__(self) -> str:  # serialize as the single-letter tag
-        return self.value
-
 
 @dataclass(frozen=True)
 class SecurityParam:

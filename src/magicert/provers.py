@@ -34,11 +34,7 @@ NOISE_MODELS = ("bitflip", "depolarizing")
 @lru_cache(maxsize=None)
 def _register(qubits: tuple[entcf.CollapsedQubit, ...], gate: bool) -> qsim.StateVector:
     """The opened register, with the three-qubit phase gate when gate is true."""
-    amps = qubits[0].amplitudes()
-    for qubit in qubits[1:]:
-        # the products np.kron forms, without its reshaping overhead
-        amps = np.multiply.outer(amps, qubit.amplitudes()).ravel()
-    state = qsim.StateVector(amps)
+    state = qsim.StateVector(qsim._kron(qubit.amplitudes() for qubit in qubits))
     return qsim.apply_gate(state, "CCZ") if gate else state
 
 

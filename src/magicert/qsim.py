@@ -53,7 +53,8 @@ def _check_size(size: int, what: str) -> None:
 
 
 def _kron(factors) -> np.ndarray:
-    """The tensor product of 2x2 factors, qubit 0's leftmost."""
+    """The tensor product of one-qubit factors (2x2 matrices or amplitude pairs), qubit
+    0's leftmost."""
     m = np.ones((1, 1), dtype=np.complex128)
     for factor in factors:
         m = np.kron(m, factor)

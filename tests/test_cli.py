@@ -386,6 +386,42 @@ class TestServeConnect:
         assert "\x1b" not in stdout and "\r" not in stdout
         assert "session 0: abort ('\\x1b[2J\\x1b[31mfake\\r\\n')" in stdout
 
+    def test_connect_prints_an_empty_abort_as_an_abort(self, capsys):
+        """A server whose VERDICT carries "abort": "" (flag null, accept false): the rules
+        take it as an abort, and so must the printed line."""
+
+        class EmptyAbort:
+            """A server's write end that sends each VERDICT with an empty abort text."""
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def write(self, data):
+                msg = engine.Message.decode(data)
+                if msg.kind == "VERDICT":
+                    data = engine.Message(msg.sid, msg.seq, "VERDICT", {
+                        "accept": False, "flag": None, "abort": ""}).encode()
+                return self.inner.write(data)
+
+            def flush(self):
+                self.inner.flush()
+
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            def serve():
+                conn, _ = server.accept()
+                with conn, conn.makefile("rb") as rfile, conn.makefile("wb") as wfile:
+                    engine._serve_sessions(rfile, EmptyAbort(wfile), entcf.SecurityParam(4), 5, 2)
+
+            thread = threading.Thread(target=serve, daemon=True)
+            thread.start()
+            code, stdout, _ = run_cli(capsys, "connect", "--addr",
+                                      f"127.0.0.1:{server.getsockname()[1]}",
+                                      "--prover", "honest", "--seed", "5")
+            thread.join(10.0)
+        assert not thread.is_alive()
+        assert code == 0
+        assert stdout == "session 0: abort ('')\nsession 1: abort ('')\n0/2 accepted\n"
+
     def test_connect_refused_exits_2(self, capsys):
         port = free_port()
         code, _, stderr = run_cli(

@@ -1289,8 +1289,9 @@ class TestRecordRenderer:
 # ---------------------------------------------------------------------- wire
 
 
-def serve_in_thread(sp, master_seed, n_sessions):
-    """Start a loopback server; returns (thread, port, result holder)."""
+def serve_in_thread(sp, master_seed, n_sessions, sink=None):
+    """Start a loopback server, writing its transcripts to sink if given; returns (thread,
+    result holder), the holder's port set."""
     holder = {}
     port_ready = threading.Event()
 
@@ -1300,7 +1301,7 @@ def serve_in_thread(sp, master_seed, n_sessions):
 
     def target():
         holder["result"] = engine.serve(
-            sp, "127.0.0.1:0", master_seed, n_sessions, on_listen=on_listen
+            sp, "127.0.0.1:0", master_seed, n_sessions, sink=sink, on_listen=on_listen
         )
 
     thread = threading.Thread(target=target, daemon=True)
@@ -1559,6 +1560,50 @@ class TestWire:
             with pytest.raises(TransportError, match="QUESTIONS"):
                 engine._client_one(cli_r, cli_w, HONEST, master_seed, keys)
             assert Message.decode(srv_r.readline()).kind == "COMMIT"
+
+    def test_keys_that_differ_from_the_replayed_oracle_raise_transport_error(self):
+        # the right session id and width, but key ids the master seed never generates
+        master_seed = 1616
+        keys = Message(sid=derive_seed(master_seed, 0), seq=0, kind="KEYS", payload={
+            "index": 0, "lam": 4, "keys": [{"id": str(k), "w": 4} for k in (1, 2, 3)]})
+        wfile = io.BytesIO()
+        with pytest.raises(TransportError, match="advertised keys do not match the replayed"):
+            engine._client_one(io.BytesIO(), wfile, HONEST, master_seed, keys)
+        assert wfile.getvalue() == b""  # no COMMIT leaves before the keys check
+
+    @pytest.mark.parametrize("round_value", ["bogus", None, ["preimage"]])
+    def test_malformed_round_raises_transport_error(self, round_value):
+        master_seed = 1616
+        sess = run_session(SP4, HONEST, master_seed, 0)
+        seed = derive_seed(master_seed, 0)
+        keys = Message(sid=seed, seq=0, kind="KEYS", payload={
+            "index": 0, "lam": 4, "keys": [{"id": k["id"], "w": 4} for k in sess.keys]})
+        round_frame = Message(sid=seed, seq=2, kind="ROUND", payload={"round": round_value})
+        wfile = io.BytesIO()
+        with pytest.raises(TransportError, match="^malformed ROUND payload "):
+            engine._client_one(io.BytesIO(round_frame.encode()), wfile, HONEST, master_seed,
+                               keys)
+        assert Message.decode(wfile.getvalue()).kind == "COMMIT"
+
+    @pytest.mark.parametrize("answers, abort", [
+        ([["0", "0000"]] * 2, "expected 3 preimage answers"),
+        ("0000", "expected 3 preimage answers"),
+        ([["0", "0000"], ["1", "00000"], ["0", "0000"]], "preimage '00000' is not 4 bits"),
+        ([["0", "000"]] * 3, "preimage '000' is not 4 bits"),
+    ])
+    def test_preimage_answers_of_the_wrong_shape_abort_the_served_session(self, answers, abort):
+        master_seed = next(m for m in range(100)
+                           if run_session(SP4, HONEST, m, 0).round == "preimage")
+        seed = derive_seed(master_seed, 0)
+        frames = b"".join(Message(sid=seed, seq=seq, kind=kind, payload=payload).encode()
+                          for seq, kind, payload in [(1, "COMMIT", {"ys": ["00000"] * 3}),
+                                                     (3, "PREIMAGES", {"answers": answers})])
+        wfile = io.BytesIO()
+        transcripts = engine._serve_sessions(io.BytesIO(frames), wfile, SP4, master_seed, 1)
+        assert transcripts[0].abort == f"MalformedAnswerError: {abort}"
+        assert transcripts[0].round == "preimage" and transcripts[0].preimages is None
+        verdict = Message.decode(wfile.getvalue().splitlines(keepends=True)[-1])
+        assert verdict.kind == "VERDICT" and verdict.payload["abort"] == transcripts[0].abort
 
     def test_deeply_nested_frame_ends_serve_with_transport_error(self):
         thread, holder = serve_in_thread(SP4, 1515, 2)

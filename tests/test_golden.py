@@ -15,13 +15,21 @@ Generators whose integers and random raise.
 
 import hashlib
 import io
+import json
+import socket
 import threading
 
 import numpy as np
 import pytest
 
 from magicert import engine, util, verifier
-from magicert.engine import run_batch, run_session, write_transcripts
+from magicert.engine import (
+    Message,
+    read_transcripts,
+    run_batch,
+    run_session,
+    write_transcripts,
+)
 from magicert.entcf import SecurityParam, key_record
 from magicert.provers import parse_prover_spec
 from magicert.util import derive_seed
@@ -150,3 +158,97 @@ def test_direct_calls_on_refusing_generators_draw_the_pinned_sessions():
             (t.theta, t.keys, t.ys, t.round, t.preimages, t.ds, t.q, t.test_index, t.vs, t.flag)
     assert {t.round for t in batch} == {"preimage", "hadamard"}
     assert {t.test_index for t in batch} >= {0, 1, 2}
+
+
+# ------------------------------------------------------------ aborted records
+
+# script values that the aborts quote: each holds characters that json escapes
+QUOTED = ['"', "\\", "\x00\t\x1f\x7f", "\u2028\u2029", "é ü 中 😀", "'\"\\\n"]
+COMPLETES = {"ys": [0, 1, 2], "preimages": [[0, 1], [1, 0], [0, 3]], "ds": [1, 2, 3],
+             "vs": [0, 1, 1]}
+
+
+def aborting_script() -> list:
+    """A script whose sessions abort on a commitment, a preimage or an answer that quotes
+    one of QUOTED, on a record that lacks ys or is no mapping, on a commitment too wide,
+    or complete."""
+    records = []
+    for value in QUOTED:
+        records += [{"ys": [value, 0, 0]}, {**COMPLETES, "preimages": [[value, 0]] * 3},
+                    {**COMPLETES, "vs": [0, value, 1]}, {value: 1}, COMPLETES]
+    return [*records, QUOTED[3], {"ys": [1 << 9, 0, 0]}]
+
+
+def test_scripted_aborts_digest_is_pinned(tmp_path):
+    """A lambda 8 scripted batch whose aborts quote QUOTED: the sink's bytes, as `run --out`
+    writes them, and write_transcripts of the collected transcripts."""
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(aborting_script()), encoding="utf-8")
+    sink, again = io.StringIO(), io.StringIO()
+    _, transcripts = run_batch(SecurityParam(8), f"scripted:{script}", len(aborting_script()),
+                               2111, sink=sink, collect=True)
+    assert sum(t.abort is not None for t in transcripts) > 3 * len(QUOTED)
+    write_transcripts(again, transcripts)
+    digest = "bd3ccaf1b9e7dd08f11b98ab065efffd2f6d7f0401af105f5b7f62edb3d215d1"
+    assert [hashlib.sha256(buf.getvalue().encode()).hexdigest() for buf in (sink, again)] == [
+        digest, digest]
+
+
+# each session's COMMIT payload from a hostile peer; None plays the session honestly
+HOSTILE_COMMITS = [{"ys": ['"\\\u2028é😀\x00', "0", "0"]}, {"ys": "\u2028"},
+                   {"ys": ["00000"] * 3}, None, {"ys": [{"é": "\x1f"}, "0", "0"]}]
+
+
+def test_served_file_of_a_hostile_peer_is_pinned(tmp_path):
+    """serve --out's file at lambda 8 after a peer's malformed COMMITs: four sessions abort
+    with the wire parser's text, one runs honestly, and a COMMIT of an unknown kind ends
+    the stream."""
+    out, master_seed = tmp_path / "served.jsonl", 4343
+    thread, holder = serve_in_thread(SecurityParam(8), master_seed, len(HOSTILE_COMMITS) + 1,
+                                     sink=out)
+    with socket.create_connection(("127.0.0.1", holder["port"]), timeout=10.0) as conn:
+        rfile, wfile = conn.makefile("rb"), conn.makefile("wb")
+        with rfile, wfile:
+            for payload in HOSTILE_COMMITS:
+                keys = engine._recv(rfile)
+                if payload is None:
+                    engine._client_one(rfile, wfile, parse_prover_spec("honest"), master_seed,
+                                       keys)
+                    continue
+                wfile.write(Message(sid=keys.sid, seq=1, kind="COMMIT", payload=payload).encode())
+                wfile.flush()
+                assert engine._recv(rfile).payload["abort"].startswith("MalformedAnswerError")
+            keys = engine._recv(rfile)
+            wfile.write(Message(sid=keys.sid, seq=1, kind="COMMIT", payload={}).encode()
+                        .replace(b'"COMMIT"', b'"COMM\\u2028IT"'))
+            wfile.flush()
+    thread.join(10.0)
+    assert not thread.is_alive()
+    transcripts = holder["result"][1]
+    assert [t.abort is None for t in transcripts] == [False, False, False, True, False, False]
+    assert transcripts[-1].abort == "TransportError: unknown message kind 'COMM\\u2028IT'"
+    digest = "d799183589c2750dec887cba4184ad2a0cbffcda711867e886bd1ea3971c550f"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# records whose bit texts are wider than lambda 4 allows: no decision reads the widths
+OVER_WIDE = [
+    '{"abort": null, "accept": true, "ds": ["111111111", "0001", "0000"], "flag": "none", '
+    '"index": 0, "keys": [{}, {}, {}], "lam": 4, "preimages": null, "q": "000", '
+    '"round": "hadamard", "seed": "5", "test_index": 0, "theta": "000", "vs": "000", '
+    '"ys": ["111111111", "00000", "00001"]}\n',
+    '{"abort": null, "accept": false, "ds": null, "flag": "fail_pre", "index": 1, '
+    '"keys": [{}, {}, {}], "lam": 4, "preimages": [["1", "111111111"], ["0", "0001"], '
+    '["0", "0000"]], "q": null, "round": "preimage", "seed": "6", "test_index": null, '
+    '"theta": "001", "vs": null, "ys": ["00000", "1111111111", "00001"]}\n',
+]
+
+
+def test_over_wide_bit_values_write_back_as_they_read(tmp_path):
+    path = tmp_path / "wide.jsonl"
+    path.write_text("".join(OVER_WIDE), encoding="utf-8")
+    transcripts = read_transcripts(path)
+    buf = io.StringIO()
+    write_transcripts(buf, transcripts)
+    assert buf.getvalue() == "".join(OVER_WIDE)
+    assert [json.dumps(t.to_record(), sort_keys=True) + "\n" for t in transcripts] == OVER_WIDE

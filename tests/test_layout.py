@@ -13,9 +13,11 @@ also keeps one copy of each rule: a name that two modules bind at top
 level, by assignment, def or class, is a copy; a module that needs
 another's name imports it, and imports do not count. Every random draw is
 made by one reader, util._Stream, so src/ calls no attribute named
-integers or random (NumPy's Generator draws). The transcript record's line
-layout is written once, as engine._RECORD, which both renderers fill, so
-each record key's JSON text ('"preimages": ') is in one string literal.
+integers or random (NumPy's Generator draws). A scalar transcript line is
+json.dumps of SessionTranscript.to_record; the array path's byte renderer
+fills the one literal of the line layout, engine._RECORD, and is tested
+against that rule, so each record key's JSON text ('"preimages": ') is in
+one string literal.
 
 The benchmark under perfbench/ calls into src/ by name and wraps functions
 by name, so the last two tests fail on a src/ name it reads that is gone.
@@ -35,9 +37,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "magicert"
 # module.name -> why it stays although src/ does not use it
 ALLOWED = {
     "engine.read_transcripts": "the tests and perfbench read whole transcript files with it",
-    "engine.SessionTranscript.to_record": "acceptance criterion 8 compares wire and in-process "
-                                          "records with it; the renderer's tests take json.dumps "
-                                          "of it as the reference line",
     "analysis.fidelity_certificate": "acceptance criterion 6 certifies device states with it",
     # the verifier reads both rules through hadamard_fails' bitwise form
     "entcf.decode_b": "the tests' reference decoder; perfbench traces it as entcf.decode",

@@ -553,6 +553,8 @@ class TestScriptedProver:
             p.answer_preimage()
         with pytest.raises(ScriptError):
             script_record([], 0)
+        with pytest.raises(ScriptError, match="^script is empty$"):
+            script_record({}, 0)
         with pytest.raises(ScriptError):
             script_record([{"ys": [1, 2, 3]}], 1)
         assert script_record({"ys": [0, 0, 0]}, 99) == {"ys": [0, 0, 0]}

@@ -326,6 +326,13 @@ class TestStateMachine:
         sess, ds = prepared_session((0, 0, 1), (0, 0, 0), seed=6)
         with pytest.raises(ProtocolOrderError):
             sess.check_preimage([(0, 0), (0, 0), (0, 0)])
+        # before the questions are sent, only the round type refuses preimage answers
+        sess = make_session((0, 0, 1), seed=6)
+        ys, _ = engineer_commitments(sess, (0, 0, 0), (0, 0, 0))
+        sess.receive_commit(ys, round=RoundType.HADAMARD)
+        with pytest.raises(ProtocolOrderError, match="^preimage answers outside a preimage round$"):
+            sess.check_preimage([(0, 0), (0, 0), (0, 0)])
+        assert sess.preimages is None and sess.flag is None
 
         sess2 = make_session((0, 0, 1), seed=6)
         ys2, _ = engineer_commitments(sess2, (0, 0, 0), (0, 0, 0))
