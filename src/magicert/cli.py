@@ -22,32 +22,39 @@ EXIT_ACCEPT = 0
 EXIT_REJECT = 1
 EXIT_ERROR = 2
 
-_IDENTITY_ATOL = 1e-12
-
 
 # ------------------------------------------------------------------ parser
 
 
 def build_parser() -> argparse.ArgumentParser:
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0,
+                      help="master seed; serve and connect must be given the same one "
+                           "(default 0)")
+    batch = argparse.ArgumentParser(add_help=False)
+    batch.add_argument("--sessions", type=int, default=100,
+                       help="number of sessions (default 100)")
+    batch.add_argument("--lambda", dest="lam", type=int, default=8,
+                       help="security parameter (default 8)")
+    batch.add_argument("--out", default=None, help="transcript output path (jsonl)")
+    prover = argparse.ArgumentParser(add_help=False)
+    prover.add_argument("--prover", default="honest",
+                        help="honest | stabilizer | noisy:<model>:<p> | scripted:<path> "
+                             "(default honest)")
+
     parser = argparse.ArgumentParser(
         prog="magicert",
         description="Run, certify, and demonstrate the claw-based magic test.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a batch of protocol sessions")
-    run.add_argument("--sessions", type=int, default=100,
-                     help="number of sessions (default 100)")
-    run.add_argument("--lambda", dest="lam", type=int, default=8,
-                     help="security parameter (default 8)")
-    run.add_argument("--prover", default="honest",
-                     help="honest | stabilizer | noisy:<model>:<p> | scripted:<path>")
-    run.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    run.add_argument("--out", default=None, help="transcript output path (jsonl)")
+    run = sub.add_parser("run", parents=[batch, prover, seed],
+                         help="run a batch of protocol sessions")
     run.add_argument("--parallelism", type=int, default=1,
                      help="must be at least 1; kept for a later fan-out of chunks, it "
                           "starts no process: every batch runs here, chunk by chunk "
                           "(default 1)")
+    run.set_defaults(func=cmd_run)
 
     an = sub.add_parser("analyze", help="certify a transcript file")
     an.add_argument("transcripts", help="transcript file written by run/serve")
@@ -61,35 +68,28 @@ def build_parser() -> argparse.ArgumentParser:
                     help="soundness exponent constant (default 1)")
     an.add_argument("--negl", type=float, default=0.0,
                     help="additive slack term (default 0)")
+    an.set_defaults(func=cmd_analyze)
 
     demo = sub.add_parser("demo", help="run a built-in demonstration")
-    demo.add_argument(
-        "name",
-        choices=("magic-impossibility", "stabilizer-fidelity", "stabilizer-check"),
-    )
+    demo.add_argument("name", choices=_DEMOS)
+    demo.set_defaults(func=cmd_demo)
 
     ss = sub.add_parser("samplesize", help="sessions needed for a target estimate")
     ss.add_argument("--epsilon", type=float, required=True, help="estimate precision")
     ss.add_argument("--delta", type=float, required=True,
                     help="per-estimate failure probability")
+    ss.set_defaults(func=cmd_samplesize)
 
-    serve = sub.add_parser("serve", help="host the verifier side over a socket")
+    serve = sub.add_parser("serve", parents=[batch, seed],
+                           help="host the verifier side over a socket")
     serve.add_argument("--listen", default="127.0.0.1:0",
                        help="stdio or host:port (default 127.0.0.1:0)")
-    serve.add_argument("--sessions", type=int, default=100,
-                       help="sessions to serve (default 100)")
-    serve.add_argument("--lambda", dest="lam", type=int, default=8,
-                       help="security parameter (default 8)")
-    serve.add_argument("--seed", type=int, default=0,
-                       help="master seed shared with the peer (default 0)")
-    serve.add_argument("--out", default=None, help="transcript output path (jsonl)")
+    serve.set_defaults(func=cmd_serve)
 
-    conn = sub.add_parser("connect", help="run the prover side against a server")
+    conn = sub.add_parser("connect", parents=[prover, seed],
+                          help="run the prover side against a server")
     conn.add_argument("--addr", required=True, help="stdio or host:port")
-    conn.add_argument("--prover", default="honest",
-                      help="prover spec, as for run (default honest)")
-    conn.add_argument("--seed", type=int, default=0,
-                      help="master seed shared with the server (default 0)")
+    conn.set_defaults(func=cmd_connect)
 
     return parser
 
@@ -138,9 +138,7 @@ def _demo_stabilizer_fidelity() -> int:
     ok = True
     for s1, s2, s3 in itertools.product((0, 1), repeat=3):
         target = qsim.target_state(s1, s2, s3)
-        best = max(
-            float(np.abs(np.vdot(st.amps, target.amps)) ** 2) for st in states
-        )
+        best = max(qsim.fidelity(st, target) for st in states)
         dist = math.sqrt(1.0 - best)
         good = abs(best - analysis.MAGIC_FIDELITY_BOUND) <= 1e-9 and dist >= 0.5
         ok = ok and good
@@ -172,7 +170,7 @@ def _demo_stabilizer_check() -> int:
         proj_dev = float(
             np.max(np.abs(product - np.outer(target.amps, target.amps.conj())))
         )
-        good = exp_dev <= _IDENTITY_ATOL and proj_dev <= _IDENTITY_ATOL
+        good = exp_dev <= qsim.ATOL_EXACT and proj_dev <= qsim.ATOL_EXACT
         ok = ok and good
         status = "ok" if good else "MISMATCH"
         print(f"s={s1}{s2}{s3}  stabilizer expectations {status} "
@@ -235,16 +233,6 @@ def cmd_connect(args) -> int:
     return EXIT_ACCEPT
 
 
-_COMMANDS = {
-    "run": cmd_run,
-    "analyze": cmd_analyze,
-    "demo": cmd_demo,
-    "samplesize": cmd_samplesize,
-    "serve": cmd_serve,
-    "connect": cmd_connect,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -252,7 +240,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.func(args)
     except (MagicertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

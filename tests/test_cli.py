@@ -422,6 +422,33 @@ class TestServeConnect:
         assert code == 0
         assert stdout == "session 0: abort ('')\nsession 1: abort ('')\n0/2 accepted\n"
 
+    def test_connect_prints_each_reject_with_its_flag(self, capsys):
+        port_ready, holder = threading.Event(), {}
+
+        def on_listen(port):
+            holder["port"] = port
+            port_ready.set()
+
+        thread = threading.Thread(daemon=True, target=lambda: engine.serve(
+            entcf.SecurityParam(4), "127.0.0.1:0", 5, 20, on_listen=on_listen))
+        thread.start()
+        assert port_ready.wait(5.0)
+        code, stdout, _ = run_cli(capsys, "connect", "--addr", f"127.0.0.1:{holder['port']}",
+                                  "--prover", "noisy:bitflip:1", "--seed", "5")
+        thread.join(10.0)
+        assert not thread.is_alive()
+        assert code == 0
+        lines = stdout.splitlines()
+        assert [line for line in lines if "reject" in line] == [
+            "session 1: reject (flag=fail_test)",
+            "session 5: reject (flag=fail_test)",
+            "session 8: reject (flag=fail_test)",
+            "session 13: reject (flag=fail_hyper)",
+            "session 14: reject (flag=fail_test)",
+            "session 19: reject (flag=fail_test)",
+        ]
+        assert lines[-1] == "14/20 accepted"
+
     def test_connect_refused_exits_2(self, capsys):
         port = free_port()
         code, _, stderr = run_cli(

@@ -1605,6 +1605,32 @@ class TestWire:
         verdict = Message.decode(wfile.getvalue().splitlines(keepends=True)[-1])
         assert verdict.kind == "VERDICT" and verdict.payload["abort"] == transcripts[0].abort
 
+    def test_a_preimage_answer_that_is_not_a_pair_aborts_and_the_next_session_is_served(self):
+        master_seed = next(m for m in range(100)
+                           if run_session(SP4, HONEST, m, 0).round == "preimage")
+        thread, holder = serve_in_thread(SP4, master_seed, 2)
+        with socket.create_connection(("127.0.0.1", holder["port"]), timeout=10.0) as conn:
+            rfile = conn.makefile("rb")
+            wfile = conn.makefile("wb")
+            keys = Message.decode(rfile.readline())
+
+            def send(seq, kind, payload):
+                wfile.write(Message(sid=keys.sid, seq=seq, kind=kind, payload=payload).encode())
+                wfile.flush()
+
+            send(1, "COMMIT", {"ys": ["00000"] * 3})
+            assert Message.decode(rfile.readline()).payload == {"round": "preimage"}
+            send(3, "PREIMAGES", {"answers": [["0", "0000"], "x", ["1", "0000"]]})
+            verdict = Message.decode(rfile.readline())
+            engine._client_one(rfile, wfile, HONEST, master_seed, engine._recv(rfile))
+        thread.join(10.0)
+        assert not thread.is_alive()
+        _, transcripts = holder["result"]
+        assert transcripts[0].abort == "MalformedAnswerError: bad preimage answer 'x'"
+        assert verdict.kind == "VERDICT" and verdict.payload["abort"] == transcripts[0].abort
+        assert len(transcripts) == 2
+        assert transcripts[1].abort is None and transcripts[1].accept
+
     def test_deeply_nested_frame_ends_serve_with_transport_error(self):
         thread, holder = serve_in_thread(SP4, 1515, 2)
         with socket.create_connection(("127.0.0.1", holder["port"]), timeout=10.0) as conn:

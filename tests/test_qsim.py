@@ -338,6 +338,28 @@ def test_operators_refuse_non_square_and_non_hermitian_matrices_by_name(cls, wha
         cls(np.array([[0.5, 1], [0, 0.5]], dtype=complex))
 
 
+def _mixed_target():
+    return DensityState.from_statevector(target_state(0, 0, 0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: target_state(2, 0, 0), "twist bits must be 0 or 1"),
+    (lambda: target_state(0, 0, -1), "twist bits must be 0 or 1"),
+    (lambda: generalized_stabilizers(0, 2, 0), "twist bits must be 0 or 1"),
+    (lambda: eigenspace_projector(theorem_observables()[0], 2),
+     "eigenvalue selector must be 0 or 1"),
+    (lambda: depolarize(_mixed_target(), 0, 1.5), r"depolarizing strength must lie in \[0,1\]"),
+    (lambda: depolarize(_mixed_target(), 0, -0.1), r"depolarizing strength must lie in \[0,1\]"),
+    (lambda: depolarize(_mixed_target(), 3, 0.1), "qubit index 3 out of range"),
+    (lambda: depolarize(_mixed_target(), -1, 0.1), "qubit index -1 out of range"),
+], ids=["target-twist-2", "target-twist-negative", "stabilizers-twist-2", "projector-bit-2",
+        "depolarize-strength-above-1", "depolarize-strength-negative",
+        "depolarize-qubit-past-n", "depolarize-qubit-negative"])
+def test_out_of_range_arguments_are_parameter_errors(call, message):
+    with pytest.raises(ParameterError, match=message):
+        call()
+
+
 # -------------------------------------------------------- distance measures
 
 
