@@ -628,10 +628,10 @@ def _array_chunk(lam, plan, master_seed, start, stop) -> _Columns:
     where it is. The keys go to entcf's permutation as (3, n) arrays. The
     prover's 32-bit draws are one masked _Stream.halves call, and the
     Hadamard check is one lookup in _fail_table, by each session's basis
-    triple and inputs; a chunk with no preimage round skips that round's
-    coins and check, and one with no Hadamard round that round's draws and
-    check. Each session redraws its rejected halves (_Stream.below), and one
-    whose key ids clash raises where run_session would.
+    triple and inputs. Only a chunk of Hadamard rounds skips a step, the
+    preimage check; every chunk runs the Hadamard code, its draws masked to
+    that round's sessions. Each session redraws its rejected halves
+    (_Stream.below), and one whose key ids clash raises where run_session would.
     """
     table_key, flip, theta, round = plan
     seeds = derive_seed(master_seed, np.arange(start, stop, dtype=np.uint64))
@@ -690,24 +690,22 @@ def _array_chunk(lam, plan, master_seed, start, stop) -> _Columns:
         opens = entcf._opens(keys, b, x, ys).all(axis=0)
         flag = np.where(opens | hadamard, flag, _FLAGS_BY_CODE.index(Flag.FAIL_PRE))
     # answer_hadamard: a uniform d per coordinate; a claw collapses to <d, x0 ^ x1>
-    # in X, and x0 ^ x1 is the shift, so the prover's bit is the verifier's u. A chunk of
-    # preimage rounds only has nothing to check here, and its ds and vs are null
-    ds = vs = np.zeros((3, n), dtype=np.uint64)
-    if hadamard.any():
-        ds = drawn[9:]
-        us = np.bitwise_count(ds & shift).astype(np.uint64) & 1
-        opened = np.where(claw, us, b)
-        # answer_questions: one uniform against the row of the register's answer edges
-        code = t_index << 6 | opened[0] << 5 | opened[1] << 4 | opened[2] << 3 | q
-        rows = _answer_table(*table_key).take(code, axis=0)
-        outcome = sample_edges_rows(rows, prover.uniform(hadamard)).astype(np.uint64)
-        vs = np.stack([outcome >> 2 & 1, outcome >> 1 & 1, outcome & 1])
-        if flip > 0:
-            vs ^= np.stack([prover.uniform(hadamard) < flip for _ in range(3)])
-        # check_hadamard: each session's flag code, by its basis triple, from _fail_table
-        tops = entcf._perm_backward(keys, ys) >> w
-        inputs = np.concatenate([tops, us, vs, q[None], test_index[None]]) << _FAIL_SHIFTS
-        flag = np.where(hadamard, _fail_table()[t_index, inputs.sum(axis=0)], flag)
+    # in X, and x0 ^ x1 is the shift, so the prover's bit is the verifier's u. A preimage
+    # round's values here mean nothing: its flag is kept, and its ds and vs are null
+    ds = drawn[9:]
+    us = np.bitwise_count(ds & shift).astype(np.uint64) & 1
+    opened = np.where(claw, us, b)
+    # answer_questions: one uniform against the row of the register's answer edges
+    code = t_index << 6 | opened[0] << 5 | opened[1] << 4 | opened[2] << 3 | q
+    rows = _answer_table(*table_key).take(code, axis=0)
+    outcome = sample_edges_rows(rows, prover.uniform(hadamard)).astype(np.uint64)
+    vs = np.stack([outcome >> 2 & 1, outcome >> 1 & 1, outcome & 1])
+    if flip > 0:
+        vs ^= np.stack([prover.uniform(hadamard) < flip for _ in range(3)])
+    # check_hadamard: each session's flag code, by its basis triple, from _fail_table
+    tops = entcf._perm_backward(keys, ys) >> w
+    inputs = np.concatenate([tops, us, vs, q[None], test_index[None]]) << _FAIL_SHIFTS
+    flag = np.where(hadamard, _fail_table()[t_index, inputs.sum(axis=0)], flag)
     return _Columns(seeds, t_index, hadamard, flag, key_id, perm_seed,
                     shift, ys, b, x, ds, q, test_index, vs)
 
@@ -718,7 +716,7 @@ def _fail_table() -> np.ndarray:
     (t, q << 11 | test_index << 9 | tops << 6 | us << 3 | vs), each three bits MSB first.
 
     verifier.hadamard_fails decides every entry, on arrays of all 2^14 inputs;
-    built on the first chunk that checks a Hadamard round.
+    built on the first array chunk.
     """
     inputs = np.arange(1 << 14, dtype=np.uint16)
     q, tops, us, vs = ([inputs >> at + 2 - k & 1 for k in range(3)] for at in (11, 6, 3, 0))

@@ -306,8 +306,10 @@ def key_record(key_id: int, w: int, family: Family, perm_seed: int,
                shift: int | None) -> dict[str, str]:
     """Flat text map of one key's full material, for transcript reproducibility.
 
-    It takes the fields as plain values, so that a batch of keys held as
-    arrays needs no Trapdoor per key; shift is read for the claw family only.
+    It takes the fields as plain values because its callers hold them on two
+    objects: key_id on the public KeyHandle, the rest on the verifier's
+    Trapdoor. shift is read for the claw family only. The array path renders
+    the same map as text through engine._KEY, without calling this.
     """
     rec = {"id": str(key_id), "w": str(w), "family": family.value, "perm_seed": str(perm_seed)}
     if family is Family.CLAW:

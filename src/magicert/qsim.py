@@ -359,8 +359,6 @@ def depolarize(rho: DensityState, qubit: int, eps: float) -> DensityState:
         raise ParameterError("depolarizing strength must lie in [0,1]")
     if not 0 <= qubit < rho.n:
         raise ParameterError(f"qubit index {qubit} out of range")
-    if eps == 0.0:
-        return rho
     n = rho.n
     m = rho.matrix
     reduced = np.trace(m.reshape((2,) * (2 * n)), axis1=qubit, axis2=n + qubit)
@@ -400,15 +398,10 @@ def magic_impossibility_demo() -> MagicImpossibilityReport:
     x_b = outcome_distribution(state_b, (1,))
     z_gap = float(np.max(np.abs(z_a - z_b)))
     x_gap = float(np.max(np.abs(x_a - x_b)))
-    f = fidelity(state_a, state_b)
-    if z_gap > ATOL_EXACT or x_gap > ATOL_EXACT:
-        raise AssertionError("basis statistics unexpectedly distinguish the two states")
-    if f >= 1.0 - ATOL_EXACT:
-        raise AssertionError("the two states should differ")
     return MagicImpossibilityReport(
         z_dist_a=tuple(z_a), z_dist_b=tuple(z_b),
         x_dist_a=tuple(x_a), x_dist_b=tuple(x_b),
-        z_gap=z_gap, x_gap=x_gap, fidelity=f,
+        z_gap=z_gap, x_gap=x_gap, fidelity=fidelity(state_a, state_b),
     )
 
 

@@ -1,5 +1,6 @@
 """Command-line interface tests: flags, exit codes, output shapes."""
 
+import dataclasses
 import json
 import os
 import socket
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import magicert
-from magicert import cli, engine, entcf
+from magicert import cli, engine, entcf, qsim
 from magicert.engine import iter_transcripts, read_transcripts
 
 
@@ -252,6 +253,28 @@ class TestDemo:
         code, stdout, _ = run_cli(capsys, "demo", "stabilizer-check")
         assert code == 0
         assert stdout.count("ok") >= 8
+
+    @pytest.mark.parametrize("name, attr, value, stderr, row", [
+        ("stabilizer-fidelity", "fidelity", 0.6,
+         "stabilizer bound violated", "max fidelity 0.600000000000"),
+        ("stabilizer-check", "expectation", 0.5,
+         "identity check failed", "stabilizer expectations MISMATCH"),
+        ("magic-impossibility", "magic_impossibility_demo",
+         dataclasses.replace(qsim.magic_impossibility_demo(), z_gap=1e-3),
+         "demonstration failed: basis statistics unexpectedly distinguish the two states",
+         "  0.853553390593"),
+        ("magic-impossibility", "magic_impossibility_demo",
+         dataclasses.replace(qsim.magic_impossibility_demo(), fidelity=1.0),
+         "demonstration failed: the two states should differ", "  0.853553390593"),
+    ], ids=["stabilizer-fidelity", "stabilizer-check", "magic-gap", "magic-fidelity"])
+    def test_a_failed_check_exits_1_after_its_rows(self, capsys, monkeypatch, name, attr,
+                                                   value, stderr, row):
+        monkeypatch.setattr(qsim, attr, lambda *args: value)
+        code, stdout, err = run_cli(capsys, "demo", name)
+        assert code == 1
+        assert err == stderr + "\n"
+        # every row is printed before the check: one per phase choice, or the two X tables'
+        assert stdout.count(row) == (2 if name == "magic-impossibility" else 8)
 
     def test_unknown_demo_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "demo", "bogus")
