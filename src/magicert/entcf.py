@@ -119,28 +119,15 @@ class Trapdoor:
 
 
 @dataclass(frozen=True)
-class ClawPair:
-    """Both preimages of one image y under a claw-family key."""
-
-    x0: int
-    x1: int
-    y: int
-
-
-@dataclass(frozen=True)
-class DefinitePreimage:
-    """The single retained preimage (b, x) of y under an injective-family key."""
-
-    b: int
-    x: int
-
-
-@dataclass(frozen=True)
 class Commitment:
-    """Prover-side residue of committing to one key: y plus what survives."""
+    """Prover-side residue of committing to one key: the preimages (b, x) of y.
+
+    An injective key leaves one, ((b, x),); a claw key leaves both branches,
+    ((0, x0), (1, x0 ^ s)), in superposition.
+    """
 
     w: int
-    held: DefinitePreimage | ClawPair
+    preimages: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -261,13 +248,10 @@ class OracleRegistry:
         t = self._trapdoor(k)
         w = t.w
         if t.family is Family.INJECTIVE:
-            b = rng.bits(1)
-            x = rng.bits(w)
-            y = _image(t, b, x)
-            return y, Commitment(w=w, held=DefinitePreimage(b=b, x=x))
+            b, x = rng.bits(1), rng.bits(w)
+            return _image(t, b, x), Commitment(w=w, preimages=((b, x),))
         x0 = rng.bits(w)
-        y = _image(t, 0, x0)
-        return y, Commitment(w=w, held=ClawPair(x0=x0, x1=x0 ^ t.shift, y=y))
+        return _image(t, 0, x0), Commitment(w=w, preimages=((0, x0), (1, x0 ^ t.shift)))
 
 
 def decode_b(t: Trapdoor, y: int) -> int:
@@ -292,14 +276,14 @@ def decode_u(t: Trapdoor, y: int, d: int) -> int | None:
 def hadamard_open(c: Commitment, rng: _Stream) -> tuple[int, CollapsedQubit]:
     """Open a commitment in the conjugate basis: a uniform d plus the qubit.
 
-    A definite preimage leaves the committed bit in the Z basis (d carries
-    no information); a claw collapses to |(-)^{d.(x0^x1)}> in the X basis.
+    A lone preimage leaves its bit b in the Z basis (d carries no
+    information); a claw's two collapse to |(-)^{d.(x0^x1)}> in the X basis.
     """
     d = rng.bits(c.w)
-    held = c.held
-    if isinstance(held, DefinitePreimage):
-        return d, CollapsedQubit(basis="Z", bit=held.b)
-    return d, CollapsedQubit(basis="X", bit=parity(d & (held.x0 ^ held.x1)))
+    if len(c.preimages) == 1:
+        return d, CollapsedQubit(basis="Z", bit=c.preimages[0][0])
+    (_, x0), (_, x1) = c.preimages
+    return d, CollapsedQubit(basis="X", bit=parity(d & (x0 ^ x1)))
 
 
 def key_record(key_id: int, w: int, family: Family, perm_seed: int,

@@ -80,14 +80,8 @@ class HonestProver:
     def answer_preimage(self) -> list[tuple[int, int]]:
         """Open classically. A claw coordinate reveals a fair-coin branch."""
         self._require("committed")
-        answers = []
-        for c in self.commitments:
-            held = c.held
-            if isinstance(held, entcf.DefinitePreimage):
-                answers.append((held.b, held.x))
-            else:
-                b = self.rng.bits(1)
-                answers.append((b, held.x1 if b else held.x0))
+        answers = [c.preimages[self.rng.bits(1) if len(c.preimages) == 2 else 0]
+                   for c in self.commitments]
         self._stage = "finished"
         return answers
 

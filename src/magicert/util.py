@@ -256,8 +256,6 @@ class _Stream:
 
     def half(self, mask=True):
         mask = self._parted(mask)
-        if mask is False:
-            return self.words[0]
         if mask is not True or type(self.held) is not bool:  # sessions at different places
             return self.halves(np.broadcast_to(mask, (1, len(self.lanes))))[0]
         if self.held:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import entcf
 from .errors import MalformedAnswerError, ParameterError, ProtocolOrderError
-from .util import _Stream, parity
+from .util import _Stream, int_to_tuple, parity
 
 # allowed basis triples: all-injective, the three single-claw patterns, all-claw
 BASIS_CHOICES: tuple[tuple[int, int, int], ...] = (
@@ -187,8 +187,7 @@ class VerifierSession:
         self._require("round_chosen")
         if self.round is not RoundType.HADAMARD:
             raise ProtocolOrderError("measurement questions outside a Hadamard round")
-        bits = self.rng.bits(3)
-        self.q = ((bits >> 2) & 1, (bits >> 1) & 1, bits & 1)
+        self.q = int_to_tuple(self.rng.bits(3), 3)
         if self.theta == (0, 0, 0):
             self.test_index = self.rng.below(3)
         self._stage = "questioned"

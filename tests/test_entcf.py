@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 
 from magicert import entcf, util
 from magicert.entcf import (
-    ClawPair,
     CollapsedQubit,
     Commitment,
-    DefinitePreimage,
     Family,
     KeyHandle,
     OracleRegistry,
@@ -295,9 +293,9 @@ def test_sample_commitment_injective_marginal():
     ones = 0
     for _ in range(n):
         y, c = reg.sample_commitment(h, rng)
-        assert isinstance(c.held, DefinitePreimage)
-        assert decode_b(t, y) == c.held.b
-        ones += c.held.b
+        ((b, _),) = c.preimages
+        assert decode_b(t, y) == b
+        ones += b
     assert abs(ones / n - 0.5) <= hoeffding_radius(n)
 
 
@@ -305,10 +303,21 @@ def test_sample_commitment_claw_satisfies_both_branches():
     reg, h, _ = make(Family.CLAW)
     rng = reader(5)
     y, c = reg.sample_commitment(h, rng)
-    assert isinstance(c.held, ClawPair)
-    assert c.held.y == y
-    assert reg.chk(h, 0, c.held.x0, y)
-    assert reg.chk(h, 1, c.held.x1, y)
+    (b0, x0), (b1, x1) = c.preimages
+    assert (b0, b1) == (0, 1)
+    assert reg.chk(h, 0, x0, y)
+    assert reg.chk(h, 1, x1, y)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_sample_commitment_holds_every_preimage_of_y(family):
+    """The residue is f_k^{-1}(y): every (b, x) that maps to y, and nothing else."""
+    for seed in range(100):
+        reg, h, _ = make(family, seed=seed)
+        y, c = reg.sample_commitment(h, reader(seed))
+        opening = {(b, x) for b in (0, 1) for x in range(1 << SP4.w) if reg.eval(h, b, x) == y}
+        assert len(c.preimages) == len(set(c.preimages)) == len(opening)
+        assert set(c.preimages) == opening
 
 
 def test_sample_commitment_deterministic():
@@ -322,7 +331,7 @@ def test_sample_commitment_deterministic():
 
 
 def test_hadamard_open_claw_zero_parity_gives_plus():
-    c = Commitment(w=4, held=ClawPair(x0=0b0101, x1=0b0110, y=0))
+    c = Commitment(w=4, preimages=((0, 0b0101), (1, 0b0110)))
     rng = reader(1)
     seen_zero_parity = False
     for _ in range(64):
@@ -336,7 +345,7 @@ def test_hadamard_open_claw_zero_parity_gives_plus():
 
 
 def test_hadamard_open_definite_ignores_d():
-    c = Commitment(w=4, held=DefinitePreimage(b=1, x=7))
+    c = Commitment(w=4, preimages=((1, 7),))
     rng = reader(3)
     for _ in range(8):
         _, qubit = hadamard_open(c, rng)
@@ -447,7 +456,8 @@ def test_random_seed_claw_shift_consistency(seed):
     h, t = reg.gen(Family.CLAW, SP6, seed)
     rng = reader(seed ^ 0xABCD)
     y, c = reg.sample_commitment(h, rng)
-    assert c.held.x0 ^ c.held.x1 == t.shift
+    (_, x0), (_, x1) = c.preimages
+    assert x0 ^ x1 == t.shift
     assert decode_u(t, y, t.shift) == parity(t.shift & t.shift)
 
 

@@ -91,16 +91,17 @@ class TestHonestCommit:
         registry, handles, _ = make_keys((0, 0, 0), seed=1)
         prover = HonestProver(registry, rng_from(11))
         prover.commit(handles)
-        assert all(isinstance(c.held, entcf.DefinitePreimage) for c in prover.commitments)
+        assert all(len(c.preimages) == 1 for c in prover.commitments)
 
     def test_claw_commitments_hold_both_branches(self):
         registry, handles, trapdoors = make_keys((1, 1, 1), seed=2)
         prover = HonestProver(registry, rng_from(12))
         ys = prover.commit(handles)
-        for c, td, y in zip(prover.commitments, trapdoors, ys):
-            assert isinstance(c.held, entcf.ClawPair)
-            assert c.held.x0 ^ c.held.x1 == td.shift
-            assert c.held.y == y
+        for handle, c, td, y in zip(handles, prover.commitments, trapdoors, ys):
+            (b0, x0), (b1, x1) = c.preimages
+            assert (b0, b1) == (0, 1)
+            assert x0 ^ x1 == td.shift
+            assert registry.eval(handle, 0, x0) == y
 
     def test_both_claw_branches_satisfy_chk(self):
         registry, handles, _ = make_keys((1, 1, 1), seed=3)
@@ -108,8 +109,9 @@ class TestHonestCommit:
             prover = HonestProver(registry, rng_from(derive_seed(3, trial)))
             ys = prover.commit(handles)
             for handle, c, y in zip(handles, prover.commitments, ys):
-                assert registry.chk(handle, 0, c.held.x0, y)
-                assert registry.chk(handle, 1, c.held.x1, y)
+                (_, x0), (_, x1) = c.preimages
+                assert registry.chk(handle, 0, x0, y)
+                assert registry.chk(handle, 1, x1, y)
 
     def test_preimage_round_always_accepts(self):
         seed = 0

@@ -253,13 +253,10 @@ def honest_preimage_session(theta=(1, 0, 0), seed=77):
     sess = make_session(theta, seed=seed)
     prover_rng = _Stream(rng_from(derive_seed(seed, 0xFEED)).bit_generator)
     ys, answers = [], []
-    for handle, trapdoor in zip(sess.handles, sess.trapdoors):
+    for handle in sess.handles:
         y, c = sess.registry.sample_commitment(handle, prover_rng)
         ys.append(y)
-        if trapdoor.family is Family.INJECTIVE:
-            answers.append((c.held.b, c.held.x))
-        else:
-            answers.append((0, c.held.x0))
+        answers.append(c.preimages[0])  # the injective (b, x), or a claw's branch 0
     sess.receive_commit(ys, round=RoundType.PREIMAGE)
     return sess, answers
 
