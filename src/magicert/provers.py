@@ -42,7 +42,9 @@ def _register(qubits: tuple[entcf.CollapsedQubit, ...], gate: bool) -> qsim.Stat
 def answer_edges(qubits: tuple[entcf.CollapsedQubit, ...], gate: bool,
                  depol: float) -> np.ndarray:
     """Cumulative outcome weights of the opened register, row q for the question coded q
-    (MSB first): of the pure register at depol 0, else with each qubit depolarized by depol."""
+    (MSB first): of the pure register at depol 0, else with each qubit depolarized by depol.
+    Each weight is clipped at 0 before the sum, so every row is non-decreasing by construction.
+    """
     state, weights = _register(qubits, gate), qsim.outcome_distribution
     if depol > 0:
         weights = qsim.outcome_distribution_density
@@ -50,7 +52,7 @@ def answer_edges(qubits: tuple[entcf.CollapsedQubit, ...], gate: bool,
         for qubit in range(state.n):
             state = qsim.depolarize(state, qubit, depol)
     rows = [weights(state, int_to_tuple(q, state.n)) for q in range(1 << state.n)]
-    return qsim._freeze(np.cumsum(rows, axis=1))
+    return qsim._freeze(np.cumsum(np.maximum(rows, 0.0), axis=1))
 
 
 class HonestProver:
@@ -257,10 +259,11 @@ def parse_prover_spec(spec: str):
         path = spec[len("scripted:"):]
         if not path:
             raise ParameterError("scripted spec wants scripted:<path>")
+        # ValueError covers bytes that are not UTF-8, bad JSON and an int over the digit limit
         try:
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ParameterError(f"cannot load script {path!r}: {exc}") from exc
         return lambda registry, rng, index: ScriptedProver(script_record(data, index))
     raise ParameterError(f"unknown prover spec {spec!r}")

@@ -375,27 +375,9 @@ def sample_edges(edges: Sequence[float], u: float) -> int:
 
 
 def sample_edges_rows(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sample_edges for many draws: row i holds draw i's edges and u[i] its uniform.
-
-    On a sorted row bisect_right's index is the number of edges <= u * the
-    last edge, so when every row is sorted (a cumulative sum of weights is)
-    one comparison and one row sum give it. Otherwise _bisect_rows repeats
-    the bisection step for step. Either way each index equals sample_edges'.
+    """sample_edges for many draws: row i holds draw i's non-decreasing edges and u[i]
+    its uniform. On such a row bisect_right's index is the number of edges <= u * the
+    last edge, so the index is that count, capped at the last index.
     """
     r = u * rows[:, -1]
-    if (rows[:, 1:] >= rows[:, :-1]).all():
-        return np.minimum((rows <= r[:, None]).sum(1), rows.shape[1] - 1)
-    return _bisect_rows(rows, r)
-
-
-def _bisect_rows(rows: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """min(bisect_right(rows[i], r[i]), width - 1) per row, by bisect_right's own halving
-    steps, so it holds on rows whose edges are not sorted too."""
-    width, lanes = rows.shape[1], np.arange(len(r))
-    lo, hi = np.zeros(len(r), dtype=np.intp), np.full(len(r), width, dtype=np.intp)
-    for _ in range(width.bit_length()):
-        mid = (lo + hi) // 2
-        below = r < rows[lanes, np.minimum(mid, width - 1)]
-        live = lo < hi
-        lo, hi = np.where(live & ~below, mid + 1, lo), np.where(live & below, mid, hi)
-    return np.minimum(lo, width - 1)
+    return np.minimum((rows <= r[:, None]).sum(1), rows.shape[1] - 1)

@@ -1,20 +1,39 @@
 """Command-line interface tests: flags, exit codes, output shapes."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import magicert
 from magicert import cli, engine, entcf, qsim
 from magicert.engine import iter_transcripts, read_transcripts
+
+
+# script files json.load cannot read, each by an error other than JSONDecodeError
+UNLOADABLE_SCRIPTS = {
+    "not-utf8": b'{"ys": ["\xff"]}',
+    "nested-past-the-recursion-limit": b"[" * 100000 + b"]" * 100000,
+    "int-over-4300-digits": b'{"ys": [' + b"1" * 5000 + b"]}",
+}
+# JSON documents of every shape, so that some scripts load and reach the prover
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["ys", "preimages", "ds", "vs", "v"]), inner, max_size=4),
+    max_leaves=12)
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +133,40 @@ class TestRun:
         )
         assert code == 2
         assert stderr.strip() != ""
+
+    @pytest.mark.parametrize("command", [("run", "--sessions", "2", "--lambda", "4"),
+                                         ("connect", "--addr", "127.0.0.1:1")],
+                             ids=["run", "connect"])
+    @pytest.mark.parametrize("name", UNLOADABLE_SCRIPTS)
+    def test_a_script_that_cannot_load_exits_2_with_one_line(self, capsys, tmp_path, name,
+                                                              command):
+        """connect parses the spec before it connects, so nothing listens at port 1."""
+        script = tmp_path / "script.json"
+        script.write_bytes(UNLOADABLE_SCRIPTS[name])
+        code, stdout, stderr = run_cli(capsys, *command, "--prover", f"scripted:{script}")
+        assert code == 2 and stdout == ""
+        assert stderr.startswith(f"error: cannot load script {str(script)!r}: ")
+        assert stderr.count("\n") == 1
+
+
+class TestAnyFileBytes:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.binary(max_size=200) | JSON_VALUES.map(lambda v: json.dumps(v).encode()))
+    def test_no_file_content_raises_out_of_main(self, data):
+        """A scripted prover's file and a transcript file hold any bytes: run and analyze
+        exit 0, 1 or 2, print no traceback, and exit 1 only on a printed REJECT."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "file.json")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            for argv in (["run", "--prover", f"scripted:{path}", "--sessions", "2",
+                          "--lambda", "4"], ["analyze", path]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
+                assert code in (0, 1, 2)
+                assert "Traceback" not in err.getvalue()
+                assert code != 1 or "decision: REJECT" in out.getvalue()
 
 
 class TestAnalyze:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from magicert import engine, entcf, util, verifier
+from magicert import engine, entcf, provers, qsim, util, verifier
 from magicert.engine import (
     FlagStats,
     Message,
@@ -38,7 +38,7 @@ from magicert.errors import (
     TranscriptParseError,
     TransportError,
 )
-from magicert.provers import HonestProver, ScriptedProver, parse_prover_spec
+from magicert.provers import HonestProver, ScriptedProver, StabilizerProver, parse_prover_spec
 from magicert.util import (
     _rekeyed,
     derive_seed,
@@ -62,6 +62,12 @@ HUGE_INT = b"1" * 5000
 HUGE_COMMIT = b'{"v":1,"sid":"1","seq":1,"kind":"COMMIT","payload":{"ys":[' + HUGE_INT + b']}}\n'
 UNWRITABLE_PREIMAGES = [[0, 99999], [1, 0], [0, 0]]  # 99999 is wider than w at lam 4
 UNPARSEABLE_BITS = ["", "0x1", None, 7]  # wire fields that are no bit string
+TABLE_SPECS = ["honest", "stabilizer", "noisy:depol:1e-12", "noisy:depol:0.05",
+               "noisy:depol:0.2", "noisy:depol:1.0"]
+# every opened register an honest device's answer table is built from, as engine builds them
+HONEST_REGISTERS = {tuple(entcf.CollapsedQubit("X" if claw else "Z", bit)
+                          for claw, bit in zip(bases, bits))
+                    for bases in verifier.BASIS_CHOICES for bits in engine._QUESTIONS}
 BAD_PINS = [{"round": "bogus"}, {"theta": "abc"}, {"theta": (1, 1, 0)}, {"theta": 5},
             {"round": ["hadamard"]}]
 
@@ -1129,18 +1135,29 @@ class TestArrayPath:
             assert table[t].tolist() == expected
 
     @settings(max_examples=100, deadline=None)
-    @given(rows=st.lists(st.lists(st.floats(0, 1), min_size=8, max_size=8),
-                         min_size=1, max_size=6),
+    @given(weights=st.lists(st.lists(st.just(0.0) | st.floats(0, 1), min_size=8, max_size=8),
+                            min_size=1, max_size=6),
            seed=st.integers(0, 1 << 32))
-    def test_sample_edges_rows_equal_sample_edges_even_unsorted(self, rows, seed):
-        us = rng_from(seed).random(len(rows))
-        got = sample_edges_rows(np.array(rows), us).tolist()
-        assert got == [sample_edges(row, u) for row, u in zip(rows, us.tolist())]
+    def test_sample_edges_rows_equal_sample_edges_on_sorted_rows(self, weights, seed):
+        """Rows as answer_edges builds them, cumulative sums of non-negative weights, where
+        a zero weight ties two edges; half the uniforms land u * last edge on an edge."""
+        rows = np.cumsum(weights, axis=1)
+        gen = rng_from(seed)
+        us = gen.random(len(rows))
+        on_edge = gen.integers(0, 8, len(rows))
+        for i, row in enumerate(rows):
+            if i % 2 and row[-1] > 0:
+                us[i] = row[on_edge[i]] / row[-1]
+        got = sample_edges_rows(rows, us).tolist()
+        assert got == [sample_edges(row, u) for row, u in zip(rows.tolist(), us.tolist())]
 
-    @pytest.mark.parametrize("spec", ["honest", "stabilizer", "noisy:depol:1e-12",
-                                      "noisy:depol:0.05", "noisy:depol:0.2", "noisy:depol:1.0"])
-    def test_answer_tables_are_sorted_and_counted_as_bisected(self, spec):
-        table = engine._answer_table(*engine._array_plan(spec, None, None)[0])
+    @pytest.mark.parametrize("key", [
+        *(engine._array_plan(spec, None, None)[0] for spec in TABLE_SPECS),
+        # no spec builds this table: rounding takes some gate-free registers' depolarized
+        # weights below 0, and only answer_edges' clip keeps its rows non-decreasing
+        (StabilizerProver, 1e-9)], ids=[*TABLE_SPECS, "stabilizer-depol-1e-9"])
+    def test_answer_tables_are_sorted_and_counted_as_bisected(self, key):
+        table = engine._answer_table(*key)
         assert (table[:, 1:] >= table[:, :-1]).all()
         gen = rng_from(48)
         rows = table.take(gen.integers(0, len(table), 10**5), axis=0)
@@ -1152,7 +1169,26 @@ class TestArrayPath:
         us[2:] = np.where(np.arange(len(us) - 2) % 2 == 0, us[2:],
                           ties[np.arange(len(us) - 2), gen.integers(0, 8, len(us) - 2)])
         counted = sample_edges_rows(rows, us)
-        assert counted.tolist() == util._bisect_rows(rows, us * rows[:, -1]).tolist()
+        assert counted.tolist() == [sample_edges(row, u)
+                                    for row, u in zip(rows.tolist(), us.tolist())]
+
+    @settings(max_examples=100, deadline=None)
+    @given(eps=st.floats(0, 1, exclude_min=True))
+    @example(eps=5e-324)
+    @example(eps=1e-9)
+    @example(eps=1e-8)
+    @example(eps=1.0)
+    def test_every_honest_answer_table_equals_its_unclipped_sum(self, eps):
+        """The clip in answer_edges changes no HonestProver table, so it changes no draw of
+        any noisy: spec: every row equals the plain cumulative sum, value for value."""
+        for qubits in HONEST_REGISTERS:
+            rho = qsim.DensityState.from_statevector(provers._register(qubits, True))
+            for qubit in range(3):
+                rho = qsim.depolarize(rho, qubit, eps)
+            unclipped = np.cumsum([qsim.outcome_distribution_density(rho, q)
+                                   for q in engine._QUESTIONS], axis=1)
+            assert provers.answer_edges.__wrapped__(qubits, True, eps).tolist() == \
+                unclipped.tolist()
 
     @pytest.mark.parametrize("lam", [4, 16])
     @pytest.mark.parametrize("spec", COVERED)
