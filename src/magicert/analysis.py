@@ -50,7 +50,8 @@ class EstimationParams:
         try:
             sample_size(self)
         except (ZeroDivisionError, OverflowError):
-            raise ParameterError(f"precision {self.eps_prime} has no finite sample size") from None
+            raise ParameterError(f"precision {self.eps_prime} and failure probability "
+                                 f"{self.delta_prime} have no finite sample size") from None
 
 
 @dataclass(frozen=True)

@@ -47,9 +47,9 @@ from .util import (
     _Stream,
     _rekeyed,
     bits_str,
+    bits_value,
     derive_seed,
     int_to_tuple,
-    parse_bits,
     philox_words,
     sample_edges_rows,
 )
@@ -267,12 +267,12 @@ class SessionTranscript:
             theta = _parsed(_THREE_BITS, rec["theta"], "theta is not a 3-bit string")
             key_list = rec["keys"]
             keys = tuple(key_list)
-            y_values = None if ys is None else tuple(map(_bit_value, ys))
+            y_values = None if ys is None else tuple(map(bits_value, ys))
             round, test_index = rec["round"], rec["test_index"]
             pairs = None if preimages is None else tuple(
-                (_parsed(_BIT, b, "a preimage bit is not 0 or 1"), _bit_value(x))
+                (_parsed(_BIT, b, "a preimage bit is not 0 or 1"), bits_value(x))
                 for b, x in preimages)
-            d_values = None if ds is None else tuple(map(_bit_value, ds))
+            d_values = None if ds is None else tuple(map(bits_value, ds))
             q = _parsed(_NULL_OR_THREE_BITS, rec["q"], "q is not null or a 3-bit string")
             vs = _parsed(_NULL_OR_THREE_BITS, rec["vs"], "vs is not null or a 3-bit string")
             flag, accept, abort = rec["flag"], rec["accept"], rec["abort"]
@@ -314,17 +314,6 @@ def _u64_decimal(text) -> int | None:
     """A seed, session id or key id: ASCII digits for a value below 2^64, as an int; else None."""
     ok = type(text) is str and text.isascii() and text.isdigit() and len(text) <= 20
     return value if ok and (value := int(text)) <= MASK64 else None
-
-
-def _bit_value(text) -> int:
-    """parse_bits(text)[0], with parse_bits' rule and errors: the ASCII digits that
-    int(text, 2) reads are exactly the nonempty 0/1 strings."""
-    if type(text) is str and text.isascii() and text.isdigit():
-        try:
-            return int(text, 2)
-        except ValueError:  # a digit 2-9
-            pass
-    return parse_bits(text)[0]
 
 
 def _parsed(table: dict, value, rule: str, error=ValueError):
@@ -1125,10 +1114,10 @@ def _parse_bit_list(items, count, width) -> list[int]:
     out = []
     for s in items:
         try:
-            value, got_width = parse_bits(s)
+            value = bits_value(s)
         except (TypeError, ValueError) as exc:
             raise MalformedAnswerError(f"bad bit string {s!r}") from exc
-        if got_width != width:
+        if len(s) != width:
             raise MalformedAnswerError(f"bit string {s!r} is not {width} bits")
         out.append(value)
     return out
@@ -1144,10 +1133,10 @@ def _parse_preimages(items, w) -> list[tuple[int, int]]:
         b_raw, x_raw = pair
         b = _parsed(_BIT, b_raw, f"bad preimage bit {b_raw!r}", MalformedAnswerError)
         try:
-            x, width = parse_bits(x_raw)
+            x = bits_value(x_raw)
         except (TypeError, ValueError) as exc:
             raise MalformedAnswerError(f"bad preimage string {x_raw!r}") from exc
-        if width != w:
+        if len(x_raw) != w:
             raise MalformedAnswerError(f"preimage {x_raw!r} is not {w} bits")
         out.append((b, x))
     return out

@@ -202,9 +202,6 @@ class OracleRegistry:
     def __init__(self) -> None:
         self._records: dict[int, Trapdoor] = {}
 
-    def __len__(self) -> int:
-        return len(self._records)
-
     def gen(self, family: Family, sp: SecurityParam, seed: int) -> tuple[KeyHandle, Trapdoor]:
         """Create one key pair; everything derives from (family, sp, seed)."""
         family = Family(family)

@@ -351,13 +351,19 @@ def bits_str(x: int, width: int) -> str:
     return format(x, f"0{width}b")
 
 
-def parse_bits(s: str) -> tuple[int, int]:
-    """Parse an MSB-first 0/1 string; returns (value, width)."""
-    if not isinstance(s, str):
-        raise TypeError(f"not a bit string: {s!r}")
-    if not s or s.strip("01"):
-        raise ValueError(f"not a bit string: {s!r}")
-    return int(s, 2), len(s)
+def bits_value(text: str) -> int:
+    """The integer an MSB-first 0/1 string of any width renders, bits_str's inverse.
+
+    Among ASCII digit strings, int(text, 2) reads exactly the nonempty 0/1 strings.
+    """
+    if not isinstance(text, str):
+        raise TypeError(f"not a bit string: {text!r}")
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text, 2)
+        except ValueError:  # a digit 2-9
+            pass
+    raise ValueError(f"not a bit string: {text!r}")
 
 
 def int_to_tuple(x: int, width: int) -> tuple[int, ...]:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import magicert
 from magicert import cli, engine, entcf, qsim
 from magicert.engine import iter_transcripts, read_transcripts
+from magicert.errors import ParameterError
 
 
 # script files json.load cannot read, each by an error other than JSONDecodeError
@@ -149,6 +150,17 @@ class TestRun:
         assert stderr.count("\n") == 1
 
 
+def assert_exits_cleanly(argv):
+    """main(argv) exits 0, 1 or 2, raises and prints no traceback, and exits 1 only on a
+    printed REJECT."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert code != 1 or "decision: REJECT" in out.getvalue()
+
+
 class TestAnyFileBytes:
     @settings(max_examples=200, deadline=None)
     @given(data=st.binary(max_size=200) | JSON_VALUES.map(lambda v: json.dumps(v).encode()))
@@ -161,12 +173,108 @@ class TestAnyFileBytes:
                 fh.write(data)
             for argv in (["run", "--prover", f"scripted:{path}", "--sessions", "2",
                           "--lambda", "4"], ["analyze", path]):
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = cli.main(argv)
-                assert code in (0, 1, 2)
-                assert "Traceback" not in err.getvalue()
-                assert code != 1 or "decision: REJECT" in out.getvalue()
+                assert_exits_cleanly(argv)
+
+
+def as_int(text: str):
+    """text as argparse's type=int reads it, or None."""
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+def refused_endpoint(text: str) -> bool:
+    try:
+        engine.parse_endpoint(text)
+    except ParameterError:
+        return True
+    return False
+
+
+@dataclasses.dataclass(frozen=True)
+class InDir:
+    """An option value naming a file in the sweep's directory, after an optional prefix."""
+
+    name: str
+    prefix: str = ""
+
+    def value(self, root) -> str:
+        return self.prefix + os.path.join(root, self.name)
+
+
+# argv cannot carry a NUL
+TEXT = st.text(st.characters(exclude_characters="\x00"), max_size=12)
+# file names in the sweep's directory: the two files it holds, or any name, "." among them
+NAMES = st.sampled_from(["t.jsonl", "script.json"]) | st.text(
+    st.characters(exclude_characters="\x00/"), min_size=1, max_size=12).filter(
+    lambda name: name != "..")
+FLOATS = st.floats().map(str) | st.sampled_from(["1e999", "-1e999", "5e-324", "1e-160"]) | TEXT
+
+
+def ints_up_to(top: int):
+    """An int option's value: any text, but none that reads as an int above top."""
+    return st.integers(max_value=top).map(str) | TEXT.filter(
+        lambda text: as_int(text) is None or as_int(text) <= top)
+
+
+PROVERS = (st.sampled_from(["honest", "stabilizer", "noisy:bitflip:0.3", "noisy:depol:0.2"])
+           | st.builds("noisy:{}:{}".format, st.sampled_from(["bitflip", "depol"]) | TEXT,
+                       FLOATS)
+           | NAMES.map(lambda name: InDir(name, "scripted:"))
+           | TEXT.filter(lambda text: not text.startswith("scripted:")))
+OPTIONS = {
+    "--sessions": ints_up_to(50),
+    "--lambda": ints_up_to(12),
+    "--seed": st.integers().map(str) | TEXT,
+    "--parallelism": ints_up_to(4),
+    "--out": NAMES.map(InDir),
+    "--prover": PROVERS,
+    "--epsilon": FLOATS, "--delta": FLOATS, "--c": FLOATS, "--r": FLOATS, "--negl": FLOATS,
+}
+COMMAND_OPTIONS = {
+    "run": ["--sessions", "--lambda", "--seed", "--parallelism", "--out", "--prover"],
+    "analyze": ["--epsilon", "--delta", "--c", "--r", "--negl"],
+    "samplesize": ["--epsilon", "--delta"],
+    "demo": [],
+    "serve": ["--sessions", "--lambda", "--seed", "--out"],
+    "connect": ["--seed", "--prover"],
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A command with any values for its options; serve and connect end on an endpoint
+    parse_endpoint refuses, so that neither listens nor connects."""
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    argv = [command]
+    if command == "analyze":
+        argv.append(draw(NAMES.map(InDir)))
+    elif command == "demo":
+        argv.append(draw(st.sampled_from(sorted(cli._DEMOS)) | TEXT))
+    options = COMMAND_OPTIONS[command]
+    for option in draw(st.lists(st.sampled_from(options), max_size=4)) if options else []:
+        argv += [option, draw(OPTIONS[option])]
+    if command in ("serve", "connect"):
+        argv += ["--listen" if command == "serve" else "--addr",
+                 draw(TEXT.filter(refused_endpoint))]
+    return argv
+
+
+class TestAnyOptionStrings:
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("sweep")
+        engine.run_batch(entcf.SecurityParam(4), "honest", 300, 2, sink=str(root / "t.jsonl"))
+        (root / "script.json").write_text(json.dumps({"ys": [0, 1, 2]}))
+        return root
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=command_lines())
+    def test_no_option_value_raises_out_of_main(self, root, argv):
+        """Every command with any option values exits 0, 1 or 2, prints no traceback, and
+        exits 1 only on a printed REJECT."""
+        assert_exits_cleanly([v if isinstance(v, str) else v.value(root) for v in argv])
 
 
 class TestAnalyze:
@@ -349,11 +457,13 @@ class TestSampleSize:
         assert code == 0
         assert stdout.strip() == "3"
 
-    @pytest.mark.parametrize("eps", ["1e-160", "1e-200"])
-    def test_epsilon_without_a_finite_sample_size_exits_2(self, capsys, eps):
-        code, stdout, stderr = run_cli(capsys, "samplesize", "--epsilon", eps, "--delta", "0.1")
+    @pytest.mark.parametrize("eps, delta", [("1e-160", "0.1"), ("1e-200", "0.1"),
+                                            ("0.5", "5e-324")])
+    def test_epsilon_without_a_finite_sample_size_exits_2(self, capsys, eps, delta):
+        code, stdout, stderr = run_cli(capsys, "samplesize", "--epsilon", eps, "--delta", delta)
         assert (code, stdout) == (2, "")
-        assert stderr == f"error: precision {eps} has no finite sample size\n"
+        assert stderr == (f"error: precision {eps} and failure probability {delta} "
+                          "have no finite sample size\n")
 
     def test_epsilon_out_of_range_exits_2(self, capsys):
         code, _, stderr = run_cli(

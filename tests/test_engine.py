@@ -41,11 +41,12 @@ from magicert.errors import (
 from magicert.provers import HonestProver, ScriptedProver, StabilizerProver, parse_prover_spec
 from magicert.util import (
     _rekeyed,
+    bits_str,
+    bits_value,
     derive_seed,
     lemire,
     lemire_rejects,
     mix64,
-    parse_bits,
     philox_words,
     rng_from,
     sample_edges,
@@ -153,7 +154,7 @@ class TestMessageCodec:
             engine._recv(io.BytesIO(b"x" + at_cap))
 
 
-class TestParseBits:
+class TestBitsValue:
     @given(s=st.text() | st.text(alphabet="01"))
     @example(s="0b1")
     @example(s=" 1")
@@ -164,15 +165,16 @@ class TestParseBits:
     @example(s="")
     def test_accepts_exactly_the_per_character_rule(self, s):
         if s and all(ch in "01" for ch in s):
-            assert parse_bits(s) == (int(s, 2), len(s))
+            assert bits_value(s) == int(s, 2)
+            assert bits_str(bits_value(s), len(s)) == s
         else:
             with pytest.raises(ValueError, match="not a bit string"):
-                parse_bits(s)
+                bits_value(s)
 
     @pytest.mark.parametrize("bad", [None, 7, b"01", ["0", "1"]])
     def test_non_text_raises_type_error(self, bad):
-        with pytest.raises(TypeError):
-            parse_bits(bad)
+        with pytest.raises(TypeError, match="not a bit string"):
+            bits_value(bad)
 
 
 # --------------------------------------------------------------- transcripts
@@ -2041,10 +2043,24 @@ class TestHostileInput:
 # ------------------------------------------------------------ reader oracle
 
 
+def reference_bits(text) -> int:
+    """SCHEMA.md's bit-string rule read character by character: a nonempty str of 0s and
+    1s, MSB first, with util.bits_value's errors."""
+    if not isinstance(text, str):
+        raise TypeError(f"not a bit string: {text!r}")
+    if not text or any(ch not in "01" for ch in text):
+        raise ValueError(f"not a bit string: {text!r}")
+    value = 0
+    for ch in text:
+        value = 2 * value + (ch == "1")
+    return value
+
+
 def reference_from_record(rec: dict) -> SessionTranscript:
     """The reader's reference: SessionTranscript.from_record written plainly. It builds
-    the transcript through the frozen __init__, parses each bit string with parse_bits,
-    then checks SCHEMA.md's rules on the built transcript, in the reader's order."""
+    the transcript through the frozen __init__, parses each bit string with
+    reference_bits, then checks SCHEMA.md's rules on the built transcript, in the
+    reader's order."""
     try:
         ys, preimages, ds = rec["ys"], rec["preimages"], rec["ds"]
         t = SessionTranscript(
@@ -2053,13 +2069,13 @@ def reference_from_record(rec: dict) -> SessionTranscript:
             lam=rec["lam"],
             theta=engine._parsed(engine._THREE_BITS, rec["theta"], "theta is not a 3-bit string"),
             keys=tuple(rec["keys"]),
-            ys=None if ys is None else tuple(parse_bits(s)[0] for s in ys),
+            ys=None if ys is None else tuple(map(reference_bits, ys)),
             round=rec["round"],
             test_index=rec["test_index"],
             preimages=None if preimages is None
             else tuple((engine._parsed(engine._BIT, b, "a preimage bit is not 0 or 1"),
-                        parse_bits(x)[0]) for b, x in preimages),
-            ds=None if ds is None else tuple(parse_bits(s)[0] for s in ds),
+                        reference_bits(x)) for b, x in preimages),
+            ds=None if ds is None else tuple(map(reference_bits, ds)),
             q=engine._parsed(engine._NULL_OR_THREE_BITS, rec["q"], "q is not null or a 3-bit string"),
             vs=engine._parsed(engine._NULL_OR_THREE_BITS, rec["vs"],
                               "vs is not null or a 3-bit string"),

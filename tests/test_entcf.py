@@ -126,10 +126,10 @@ def test_gen_injective_branches_never_collide_w4():
 
 def test_gen_distinct_families_distinct_ids():
     reg = OracleRegistry()
-    hg, _ = reg.gen(Family.INJECTIVE, SP4, seed=11)
-    hf, _ = reg.gen(Family.CLAW, SP4, seed=11)
+    hg, tg = reg.gen(Family.INJECTIVE, SP4, seed=11)
+    hf, tf = reg.gen(Family.CLAW, SP4, seed=11)
     assert hg.key_id != hf.key_id
-    assert len(reg) == 2
+    assert (reg._trapdoor(hg), reg._trapdoor(hf)) == (tg, tf)
 
 
 # ---------------------------------------------------------------------- eval
