@@ -337,13 +337,22 @@ def _broken_verdict_rule(accept, flag, abort) -> str | None:
             else None)
 
 
+def _open_path(path, mode, **kwargs):
+    """open(path, mode); a path no file can have (a NUL, a lone surrogate) raises
+    ParameterError, where open raises ValueError."""
+    try:
+        return open(path, mode, **kwargs)
+    except ValueError as exc:
+        raise ParameterError(f"cannot open {path!r}: {exc}") from exc
+
+
 @contextlib.contextmanager
 def _text_file(sink):
     """sink as an open text file: None or a file object as is, a path opened for writing."""
     if sink is None or hasattr(sink, "write"):
         yield sink
         return
-    with open(sink, "w", encoding="utf-8") as fh:
+    with _open_path(sink, "w", encoding="utf-8") as fh:
         yield fh
 
 
@@ -368,7 +377,7 @@ def write_transcripts(sink, transcripts) -> None:
 
 def iter_transcripts(path):
     """Parse a transcript file line by line; a bad line raises TranscriptParseError naming it."""
-    with open(path, "rb") as fh:
+    with _open_path(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
                 text = line.decode("utf-8")
@@ -918,14 +927,24 @@ def run_batch(
 # ----------------------------------------------------------------- endpoints
 
 
+def _encodes(text: str, encoding: str) -> bool:
+    try:
+        text.encode(encoding)
+    except UnicodeError:
+        return False
+    return True
+
+
 def parse_endpoint(spec: str):
     """Endpoint forms: 'stdio', 'host:port', or 'tcp:host:port', the port ASCII digits
-    for a value of at most 65535."""
+    for a value of at most 65535, the host without a NUL and, when not ASCII,
+    IDNA-encodable: the host text the socket module can send to a resolver."""
     if spec == "stdio":
         return ("stdio",)
     body = spec[4:] if spec.startswith("tcp:") else spec
     host, sep, port = body.rpartition(":")
-    ok = sep and host and port.isascii() and port.isdigit() and len(port) <= 5
+    ok = (sep and host and "\x00" not in host and (host.isascii() or _encodes(host, "idna"))
+          and port.isascii() and port.isdigit() and len(port) <= 5)
     if not ok or int(port) > 0xFFFF:
         raise ParameterError(f"endpoint {spec!r} wants 'stdio' or 'host:port', port 0-65535")
     return ("tcp", host, int(port))

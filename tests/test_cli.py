@@ -135,6 +135,29 @@ class TestRun:
         assert code == 2
         assert stderr.strip() != ""
 
+    @pytest.mark.parametrize("name", ["a\x00b", "\ud800"], ids=["nul", "lone-surrogate"])
+    @pytest.mark.parametrize("command", [("analyze",),
+                                         ("run", "--sessions", "2", "--lambda", "4", "--out")],
+                             ids=["analyze", "run-out"])
+    def test_a_path_no_file_can_have_exits_2_with_one_line(self, capsys, tmp_path, name,
+                                                            command):
+        path = str(tmp_path / name)
+        code, stdout, stderr = run_cli(capsys, *command, path)
+        assert code == 2 and stdout == ""
+        assert stderr.startswith(f"error: cannot open {path!r}: ")
+        assert stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("host", ["a\x00b", "\ud800"], ids=["nul", "lone-surrogate"])
+    @pytest.mark.parametrize("option", ["--listen", "--addr"])
+    def test_a_host_no_socket_can_take_exits_2_with_one_line(self, capsys, host, option):
+        """parse_endpoint refuses the host, so serve binds nothing and connect looks up
+        nothing."""
+        command = "serve" if option == "--listen" else "connect"
+        code, stdout, stderr = run_cli(capsys, command, option, f"{host}:0")
+        assert code == 2 and stdout == ""
+        assert stderr.startswith(f"error: endpoint {host + ':0'!r} ")
+        assert stderr.count("\n") == 1
+
     @pytest.mark.parametrize("command", [("run", "--sessions", "2", "--lambda", "4"),
                                          ("connect", "--addr", "127.0.0.1:1")],
                              ids=["run", "connect"])

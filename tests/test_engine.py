@@ -1835,10 +1835,19 @@ class TestWire:
         assert parse_endpoint("127.0.0.1:88") == ("tcp", "127.0.0.1", 88)
         assert parse_endpoint("tcp:localhost:9001") == ("tcp", "localhost", 9001)
         assert parse_endpoint("host:65535") == ("tcp", "host", 65535)
+        assert parse_endpoint("b\u00fccher.example:1") == ("tcp", "b\u00fccher.example", 1)
         for bad in ("", "nohost", "host:", ":99", "host:notaport", "host:65536", "host:000080",
                     "host:\u00b2", "host:\uff10"):
             with pytest.raises(ParameterError):
                 parse_endpoint(bad)
+
+    @pytest.mark.parametrize("spec", ["a\x00b:0", "tcp:a\x00b:0", "\ud800:0"],
+                             ids=["nul", "tcp-nul", "lone-surrogate"])
+    def test_parse_endpoint_refuses_a_host_no_socket_can_take(self, spec):
+        """The socket module raises TypeError or UnicodeError on such a host, neither an
+        OSError; parse_endpoint refuses it before any socket sees it."""
+        with pytest.raises(ParameterError):
+            parse_endpoint(spec)
 
 
 # ---------------------------------------------------------- hostile input
