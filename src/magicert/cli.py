@@ -118,7 +118,7 @@ def cmd_analyze(args) -> int:
     return EXIT_ACCEPT if report.accept else EXIT_REJECT
 
 
-def _demo_magic_impossibility() -> int:
+def _demo_magic_impossibility() -> tuple[str | None, str]:
     rep = qsim.magic_impossibility_demo()
     print("computational-basis statistics (phase +pi/4 vs -pi/4 on |+>):")
     print(qsim.distribution_table(np.array(rep.z_dist_a), 1))
@@ -132,15 +132,12 @@ def _demo_magic_impossibility() -> int:
     why = ("basis statistics unexpectedly distinguish the two states" if gap > qsim.ATOL_EXACT
            else "the two states should differ" if rep.fidelity >= 1.0 - qsim.ATOL_EXACT
            else None)
-    if why is not None:
-        print(f"demonstration failed: {why}", file=sys.stderr)
-        return EXIT_REJECT
-    print("identical statistics, different states: basis readings alone "
-          "cannot certify which one was prepared")
-    return EXIT_ACCEPT
+    return (None if why is None else f"demonstration failed: {why}",
+            "identical statistics, different states: basis readings alone "
+            "cannot certify which one was prepared")
 
 
-def _demo_stabilizer_fidelity() -> int:
+def _demo_stabilizer_fidelity() -> tuple[str | None, str]:
     states = qsim.enumerate_stabilizer_states(3)
     ok = True
     for s1, s2, s3 in itertools.product((0, 1), repeat=3):
@@ -152,14 +149,11 @@ def _demo_stabilizer_fidelity() -> int:
         print(f"s={s1}{s2}{s3}  max fidelity {best:.12f}  "
               f"trace distance >= {dist:.12f}  over {len(states)} states"
               f"{'' if good else '  MISMATCH'}")
-    if not ok:
-        print("stabilizer bound violated", file=sys.stderr)
-        return EXIT_REJECT
-    print("no stabilizer state clears 9/16; the bound is tight for all 8 targets")
-    return EXIT_ACCEPT
+    return (None if ok else "stabilizer bound violated",
+            "no stabilizer state clears 9/16; the bound is tight for all 8 targets")
 
 
-def _demo_stabilizer_check() -> int:
+def _demo_stabilizer_check() -> tuple[str | None, str]:
     o1, o2, o3 = qsim.theorem_observables()
     ok = True
     for s1, s2, s3 in itertools.product((0, 1), repeat=3):
@@ -183,13 +177,10 @@ def _demo_stabilizer_check() -> int:
         print(f"s={s1}{s2}{s3}  stabilizer expectations {status} "
               f"(max dev {exp_dev:.2e})  projector identity {status} "
               f"(max dev {proj_dev:.2e})")
-    if not ok:
-        print("identity check failed", file=sys.stderr)
-        return EXIT_REJECT
-    print("all 8 phase choices ok")
-    return EXIT_ACCEPT
+    return None if ok else "identity check failed", "all 8 phase choices ok"
 
 
+# each demo prints its rows and returns (failure text or None, conclusion)
 _DEMOS = {
     "magic-impossibility": _demo_magic_impossibility,
     "stabilizer-fidelity": _demo_stabilizer_fidelity,
@@ -198,7 +189,12 @@ _DEMOS = {
 
 
 def cmd_demo(args) -> int:
-    return _DEMOS[args.name]()
+    failure, conclusion = _DEMOS[args.name]()
+    if failure is not None:
+        print(failure, file=sys.stderr)
+        return EXIT_REJECT
+    print(conclusion)
+    return EXIT_ACCEPT
 
 
 def cmd_samplesize(args) -> int:

@@ -187,13 +187,13 @@ class _Channel:
             raise TransportError(f"connection lost while sending: {exc}") from exc
         self.seq += 1
 
-    def expect(self, kind: str) -> Message:
+    def expect(self, *kinds: str) -> Message:
         try:
             msg = _recv(self.rfile)
             if msg is None:
-                raise TransportError(f"connection closed while waiting for {kind}")
-            if msg.kind != kind:
-                raise TransportError(f"expected {kind}, got {msg.kind}")
+                raise TransportError(f"connection closed while waiting for {' or '.join(kinds)}")
+            if msg.kind not in kinds:
+                raise TransportError(f"expected {' or '.join(kinds)}, got {msg.kind}")
             if msg.sid != self.sid or msg.seq != self.seq:
                 raise TransportError(
                     f"frame out of order: sid {msg.sid}/{self.sid}, seq {msg.seq}/{self.seq}"
@@ -959,27 +959,28 @@ def serve(
     sink=None,
     on_listen=None,
 ) -> tuple[FlagStats, list[SessionTranscript]]:
-    """Host the verifier side of n sessions over one peer connection."""
+    """Host the verifier side of n sessions over one peer connection. The sink opens
+    first, as in run_batch, so a sink no file can take costs no served session."""
     if n_sessions < 0:
         raise ParameterError(f"session count {n_sessions} is negative")
     kind = parse_endpoint(endpoint)
-    if kind[0] == "stdio":
-        transcripts = _serve_sessions(
-            sys.stdin.buffer, sys.stdout.buffer, sp, master_seed, n_sessions
-        )
-    else:
-        _, host, port = kind
-        with socket.create_server((host, port)) as server:
-            if on_listen is not None:
-                on_listen(server.getsockname()[1])
-            conn, _ = server.accept()
-            conn.settimeout(IDLE_TIMEOUT)
-            with conn, _stream_files(conn) as (rfile, wfile):
-                transcripts = _serve_sessions(rfile, wfile, sp, master_seed, n_sessions)
-    stats = FlagStats.from_transcripts(transcripts)
-    if sink is not None:
-        write_transcripts(sink, transcripts)
-    return stats, transcripts
+    with _text_file(sink) as out:
+        if kind[0] == "stdio":
+            transcripts = _serve_sessions(
+                sys.stdin.buffer, sys.stdout.buffer, sp, master_seed, n_sessions
+            )
+        else:
+            _, host, port = kind
+            with socket.create_server((host, port)) as server:
+                if on_listen is not None:
+                    on_listen(server.getsockname()[1])
+                conn, _ = server.accept()
+                conn.settimeout(IDLE_TIMEOUT)
+                with conn, _stream_files(conn) as (rfile, wfile):
+                    transcripts = _serve_sessions(rfile, wfile, sp, master_seed, n_sessions)
+        if out is not None:
+            write_transcripts(out, transcripts)
+    return FlagStats.from_transcripts(transcripts), transcripts
 
 
 def connect(endpoint: str, prover_spec: str, master_seed: int) -> list[dict]:
@@ -1097,23 +1098,31 @@ def _client_one(rfile, wfile, factory, master_seed, keys_msg: Message) -> dict:
     chan = _Channel(rfile, wfile, seed, seq=1)
     ys = prover.commit(list(replay.handles))
     chan.send("COMMIT", {"ys": [_answer_bits(y, w + 1) for y in ys]})
-    round_value = chan.expect("ROUND").payload.get("round")
-    if round_value == RoundType.PREIMAGE.value:
-        answers = prover.answer_preimage()
-        chan.send("PREIMAGES",
-                  {"answers": [[str(int(b)), _answer_bits(x, w)] for b, x in answers]})
-    elif round_value == RoundType.HADAMARD.value:
-        ds = prover.answer_hadamard()
-        chan.send("HADAMARD_D", {"ds": [_answer_bits(d, w) for d in ds]})
-        q = chan.expect("QUESTIONS").payload.get("q")
-        q = _parsed(_THREE_BITS, q, f"malformed QUESTIONS payload {q!r}", TransportError)
-        vs = prover.answer_questions(q)
-        chan.send("ANSWERS", {"vs": "".join(str(int(v)) for v in vs)})
-    else:
-        raise TransportError(f"malformed ROUND payload {round_value!r}")
-    payload = chan.expect("VERDICT").payload
-    verdict = {key: payload.get(key) for key in ("accept", "flag", "abort")}
+    # an aborting VERDICT may come where ROUND or QUESTIONS is due; a flag needs the last answer
+    msg, graded = chan.expect("ROUND", "VERDICT"), False
+    if msg.kind == "ROUND":
+        round_value = msg.payload.get("round")
+        if round_value == RoundType.PREIMAGE.value:
+            answers = prover.answer_preimage()
+            chan.send("PREIMAGES",
+                      {"answers": [[str(int(b)), _answer_bits(x, w)] for b, x in answers]})
+            msg, graded = chan.expect("VERDICT"), True
+        elif round_value == RoundType.HADAMARD.value:
+            ds = prover.answer_hadamard()
+            chan.send("HADAMARD_D", {"ds": [_answer_bits(d, w) for d in ds]})
+            msg = chan.expect("QUESTIONS", "VERDICT")
+            if msg.kind == "QUESTIONS":
+                q = msg.payload.get("q")
+                q = _parsed(_THREE_BITS, q, f"malformed QUESTIONS payload {q!r}", TransportError)
+                vs = prover.answer_questions(q)
+                chan.send("ANSWERS", {"vs": "".join(str(int(v)) for v in vs)})
+                msg, graded = chan.expect("VERDICT"), True
+        else:
+            raise TransportError(f"malformed ROUND payload {round_value!r}")
+    verdict = {key: msg.payload.get(key) for key in ("accept", "flag", "abort")}
     rule = _broken_verdict_rule(**verdict)
+    if rule is None and not graded and verdict["abort"] is None:
+        rule = "a flag before the round is answered"
     if rule is not None:
         raise TransportError(f"malformed VERDICT payload: {rule}")
     return verdict

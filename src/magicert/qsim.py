@@ -133,15 +133,12 @@ def plus_state(n: int) -> StateVector:
 
 def target_state(s1: int, s2: int, s3: int) -> StateVector:
     """Sign-twisted entangled magic state: Z^s twists of CCZ|+++>."""
-    for s in (s1, s2, s3):
+    state = apply_gate(plus_state(3), "CCZ")
+    for i, s in enumerate((s1, s2, s3)):
         if s not in (0, 1):
             raise ParameterError("twist bits must be 0 or 1")
-    amps = np.empty(8, dtype=np.complex128)
-    for z in range(8):
-        z1, z2, z3 = (z >> 2) & 1, (z >> 1) & 1, z & 1
-        sign = (z1 & z2 & z3) ^ (s1 & z1) ^ (s2 & z2) ^ (s3 & z3)
-        amps[z] = (-1.0) ** sign
-    return StateVector(amps / np.sqrt(8.0))
+        state = apply_gate(state, "Z", i) if s else state
+    return state
 
 
 # -------------------------------------------------------------------- gates
@@ -227,34 +224,27 @@ def _cz_matrix(n: int, i: int, j: int) -> np.ndarray:
 def generalized_stabilizers(s1: int, s2: int, s3: int) -> tuple[Observable, Observable, Observable]:
     """Three commuting involutions fixing the twisted target state.
 
-    Untwisted they read X on one qubit times CZ on the other two; the
-    twist conjugates by the same Z pattern that defines the state.
+    Untwisted they read X_i CZ_jk; conjugating by the Z^s that twists the
+    state flips the sign of the i-th exactly when s_i is 1.
     """
-    z_twist = np.eye(8, dtype=np.complex128)
+    out = []
     for i, s in enumerate((s1, s2, s3)):
         if s not in (0, 1):
             raise ParameterError("twist bits must be 0 or 1")
-        if s:
-            z_twist = z_twist @ _pauli_on(3, i, Z_GATE)
-    out = []
-    for i in range(3):
         j, k = (q for q in range(3) if q != i)
         plain = _pauli_on(3, i, X_GATE) @ _cz_matrix(3, j, k)
-        out.append(Observable(z_twist @ plain @ z_twist))
+        out.append(Observable(-plain if s else plain))
     return tuple(out)
 
 
 def theorem_observables() -> tuple[Observable, Observable, Observable]:
     """The three commuting binary observables whose projectors pin the target.
 
-    o1 = CZ(0,1) X(2),  o2 = CZ(0,2) X(1),  o3 = CZ(1,2) X(0); the product
-    of the b-eigenspace projectors of (o3, o2, o1) at bits (s1, s2, s3)
-    projects onto the twisted target state.
+    o1 = CZ(0,1) X(2),  o2 = CZ(0,2) X(1),  o3 = CZ(1,2) X(0): the untwisted
+    stabilizers in reverse order. The product of the b-eigenspace projectors
+    of (o3, o2, o1) at bits (s1, s2, s3) projects onto the twisted target.
     """
-    o1 = Observable(_cz_matrix(3, 0, 1) @ _pauli_on(3, 2, X_GATE))
-    o2 = Observable(_cz_matrix(3, 0, 2) @ _pauli_on(3, 1, X_GATE))
-    o3 = Observable(_cz_matrix(3, 1, 2) @ _pauli_on(3, 0, X_GATE))
-    return o1, o2, o3
+    return generalized_stabilizers(0, 0, 0)[::-1]
 
 
 def eigenspace_projector(obs: Observable, bit: int) -> np.ndarray:

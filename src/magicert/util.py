@@ -285,6 +285,7 @@ class _Stream:
         # the fresh half each row's draw reads (-1: the held one), and the fresh halves each
         # stream takes (-1: none, and it still holds one); a half no draw takes may lie
         # past the words held, and any word will do for it
+        # stabilizer-hyper-l4-p2 takes this branch on every chunk; without it they run ~9% slower
         if aligned and set(counts) <= {0, masks.shape[1]}:
             fresh, taken = [], -self.held
             for count in counts:

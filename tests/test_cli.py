@@ -658,6 +658,39 @@ class TestServeConnect:
         ]
         assert lines[-1] == "14/20 accepted"
 
+    def test_connect_prints_each_abort_before_the_round_and_exits_0(self, capsys, tmp_path):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({"ys": [1, 2]}))  # two commitments of three
+        port_ready, holder = threading.Event(), {}
+
+        def on_listen(port):
+            holder["port"] = port
+            port_ready.set()
+
+        thread = threading.Thread(daemon=True, target=lambda: engine.serve(
+            entcf.SecurityParam(4), "127.0.0.1:0", 3, 2, on_listen=on_listen))
+        thread.start()
+        assert port_ready.wait(5.0)
+        code, stdout, _ = run_cli(capsys, "connect", "--addr", f"127.0.0.1:{holder['port']}",
+                                  "--prover", f"scripted:{script}", "--seed", "3")
+        thread.join(10.0)
+        assert not thread.is_alive()
+        assert code == 0
+        assert stdout == "".join(f"session {i}: abort ('MalformedAnswerError: expected 3 bit "
+                                 "strings')\n" for i in range(2)) + "0/2 accepted\n"
+
+    def test_serve_to_a_missing_directory_exits_2_before_listening(self, capsys, tmp_path,
+                                                                    monkeypatch):
+        def listen(*args, **kwargs):
+            raise AssertionError("serve listened before it opened its sink")
+
+        monkeypatch.setattr(engine.socket, "create_server", listen)
+        code, stdout, stderr = run_cli(capsys, "serve", "--listen", "127.0.0.1:0",
+                                       "--sessions", "1", "--out",
+                                       str(tmp_path / "missing" / "s.jsonl"))
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
     def test_connect_refused_exits_2(self, capsys):
         port = free_port()
         code, _, stderr = run_cli(

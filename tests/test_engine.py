@@ -1804,6 +1804,49 @@ class TestWire:
         assert not thread.is_alive() and not listened
         assert len(errors) == 1 and "negative" in str(errors[0])
 
+    def test_a_sink_no_file_can_take_raises_before_listening(self, tmp_path):
+        def listened(port):
+            raise AssertionError("serve listened before it opened its sink")
+
+        with pytest.raises(OSError):
+            engine.serve(SP4, "127.0.0.1:0", 1, 1, sink=tmp_path / "missing" / "s.jsonl",
+                         on_listen=listened)
+
+    # at master seed 3, sessions 3 and 4 of 6 are Hadamard rounds, the rest preimage rounds
+    @pytest.mark.parametrize("script, aborted_round", [
+        ({"ys": [1, 2]}, None),
+        ({"ys": [0, 0, 0], "preimages": [[0, 0]] * 3, "ds": [1, 2]}, "hadamard"),
+    ], ids=["where-round-is-due", "where-questions-are-due"])
+    def test_an_aborting_verdict_before_the_answers_ends_only_its_session(
+            self, tmp_path, script, aborted_round):
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(script))
+        thread, holder = serve_in_thread(SP4, 3, 6)
+        verdicts = engine.connect(f"127.0.0.1:{holder['port']}", f"scripted:{path}", 3)
+        thread.join(10.0)
+        assert not thread.is_alive()
+        _, transcripts = holder["result"]
+        assert len(verdicts) == len(transcripts) == 6
+        assert [v["abort"] for v in verdicts] == [t.abort for t in transcripts]
+        aborted = [t for t in transcripts if t.abort is not None]
+        assert len(aborted) == (6 if aborted_round is None else 2)
+        assert all(t.round == aborted_round and t.abort.startswith("MalformedAnswerError")
+                   for t in aborted)
+
+    @pytest.mark.parametrize("due", ["ROUND", "QUESTIONS"])
+    def test_a_flag_before_the_answers_raises_transport_error(self, due):
+        master_seed = 1717
+        seed, sess, _ = engine._session_lanes(SP4, master_seed, 0)
+        frames = [Message(sid=seed, seq=0, kind="KEYS", payload={
+            "index": 0, "lam": 4, "keys": [{"id": str(h.key_id), "w": h.w} for h in sess.handles]})]
+        if due == "QUESTIONS":
+            frames.append(Message(sid=seed, seq=2, kind="ROUND", payload={"round": "hadamard"}))
+        frames.append(Message(sid=seed, seq=2 * len(frames), kind="VERDICT",
+                              payload={"accept": True, "flag": "none", "abort": None}))
+        stream = io.BytesIO(b"".join(m.encode() for m in frames))
+        with pytest.raises(TransportError, match="a flag before the round is answered"):
+            engine._client_sessions(stream, io.BytesIO(), HONEST, master_seed)
+
     def test_a_server_session_that_raises_ends_connect_at_once(self, monkeypatch):
         # a fault that is no protocol error escapes serve; the socket closes as it goes,
         # so the client reads the end of the stream instead of waiting out IDLE_TIMEOUT
