@@ -11,10 +11,12 @@ session, each field in fixed columns, NUL-padded) and written with one
 call; a scripted chunk runs run_session for each index. The wire mode
 splits the two parties across a newline-delimited message stream: the
 server runs the same run_session with a RemoteProver that relays each
-prover call to the peer, so wire transcripts equal in-process transcripts
-bit for bit by construction. Both ends derive a
+prover call to the peer, so a generated prover's wire transcripts equal its
+in-process transcripts bit for bit by construction. Both ends derive a
 session's seed lanes in one helper; the prover side rebuilds the key oracle
-from the shared master seed (trusted setup).
+from the shared master seed (trusted setup). A transcript file is read a line
+at a time: a line in the writer's own layout by a regex built from that
+layout, any other by the JSON decoder and SessionTranscript.from_record.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import codecs
 import contextlib
 import json
+import re
 import socket
 import sys
 from collections import Counter
@@ -303,11 +306,17 @@ class SessionTranscript:
                     else None))
         if rule is not None:
             raise TranscriptParseError(f"bad transcript record: {rule}")
-        t = object.__new__(SessionTranscript)
-        vars(t).update(index=index, seed=seed, lam=lam, theta=theta, keys=keys, ys=y_values,
-                       round=round, test_index=test_index, preimages=pairs, ds=d_values, q=q,
-                       vs=vs, flag=flag, accept=accept, abort=abort)
-        return t
+        return _built(index=index, seed=seed, lam=lam, theta=theta, keys=keys, ys=y_values,
+                      round=round, test_index=test_index, preimages=pairs, ds=d_values, q=q,
+                      vs=vs, flag=flag, accept=accept, abort=abort)
+
+
+def _built(**fields) -> SessionTranscript:
+    """A transcript of fields read and checked, built without the frozen __init__'s setattr
+    per field."""
+    t = object.__new__(SessionTranscript)
+    vars(t).update(fields)
+    return t
 
 
 def _u64_decimal(text) -> int | None:
@@ -375,6 +384,76 @@ def write_transcripts(sink, transcripts) -> None:
         fh.writelines(map(_transcript_line, transcripts))
 
 
+@lru_cache(maxsize=None)
+def _record_pattern() -> re.Pattern:
+    """The regex of the record lines the writer emits without an abort: _RECORD, _KEY and
+    their lists, each slot narrowed to the texts written there. Its groups are the slots
+    _record_from_line reads, in line order; a null field's groups are None. Built on
+    the first read, so that a run pays nothing for it.
+    """
+    def filled(template, *slots):  # template's text, each %s one slot's pattern
+        pieces = template.split("%s")
+        return "".join(re.escape(piece) + slot for piece, slot in zip(pieces, (*slots, "")))
+
+    def one_of(texts):
+        return "(" + "|".join(map(re.escape, texts)) + ")"
+
+    bits = '"([01]+)"'
+    # a JSON integer of at most 20 digits; the decoder reads wider ones, and refuses more
+    # than 4,300, so they go to the JSON path
+    integer = "(0|[1-9][0-9]{0,19})"
+    text = r'([^"\\\x00-\x1f]*)'  # a JSON string's characters that need no escape
+    three_bits = '(?:null|"([01]{3})")'
+    key = filled(_KEY, text, text, text, "(?:%s)?" % filled(_SHIFT_ITEM, text), text)
+    return re.compile(filled(
+        _RECORD, "null", "(true|false)", "(?:null|%s)" % filled(_LIST3, bits, bits, bits),
+        '"%s"' % one_of(f.value for f in Flag), integer, filled(_LIST3, key, key, key),
+        integer, "(?:null|%s)" % filled(_LIST3, *[filled(_PAIR, "([01])", "([01]+)")] * 3),
+        three_bits, '"%s"' % one_of(_ROUND_VALUES), "([0-9]{1,20})", "(?:null|([0-2]))",
+        one_of("".join(map(str, choice)) for choice in verifier.BASIS_CHOICES), three_bits,
+        "(?:null|%s)" % filled(_LIST3, bits, bits, bits)))
+
+
+def _record_from_line(text: str) -> SessionTranscript:
+    """The transcript a record line holds: SessionTranscript.from_record(_decoded(text)).
+
+    A line that _record_pattern matches is read by its groups, and the
+    transcript built as from_record builds it. Every other line goes to
+    from_record, and so does a match that breaks a rule the pattern cannot
+    see: accept against flag, lam's range and the seed's 2^64 bound. So
+    which lines are read or refused, and every refusal's message, is
+    from_record's.
+    """
+    m = _record_pattern().fullmatch(text)
+    if m is None:
+        return SessionTranscript.from_record(_decoded(text))
+    (accept, d0, d1, d2, flag, index, f0, i0, p0, s0, w0, f1, i1, p1, s1, w1, f2, i2, p2, s2, w2,
+     lam, b0, x0, b1, x1, b2, x2, q, round, seed, test_index, theta, vs, y0, y1, y2) = m.groups()
+    lam, seed, accept = int(lam), int(seed), accept == "true"
+    if accept != (flag == Flag.NONE) or not entcf.W_MIN <= lam <= entcf.W_MAX \
+            or seed > MASK64:
+        return SessionTranscript.from_record(_decoded(text))
+    return _built(
+        index=int(index), seed=seed, lam=lam, theta=_THREE_BITS[theta],
+        keys=(_key_map(f0, i0, p0, s0, w0), _key_map(f1, i1, p1, s1, w1),
+              _key_map(f2, i2, p2, s2, w2)),
+        ys=None if y0 is None else (int(y0, 2), int(y1, 2), int(y2, 2)),
+        round=round, test_index=None if test_index is None else int(test_index),
+        preimages=None if b0 is None else (
+            (_BIT[b0], int(x0, 2)), (_BIT[b1], int(x1, 2)), (_BIT[b2], int(x2, 2))),
+        ds=None if d0 is None else (int(d0, 2), int(d1, 2), int(d2, 2)),
+        q=_NULL_OR_THREE_BITS[q], vs=_NULL_OR_THREE_BITS[vs], flag=flag,
+        accept=accept, abort=None)
+
+
+def _key_map(family, key_id, perm_seed, shift, w) -> dict:
+    """A key record as the JSON decoder reads it: _KEY's fields in line order, a claw key's
+    shift before w."""
+    if shift is None:
+        return {"family": family, "id": key_id, "perm_seed": perm_seed, "w": w}
+    return {"family": family, "id": key_id, "perm_seed": perm_seed, "shift": shift, "w": w}
+
+
 def iter_transcripts(path):
     """Parse a transcript file line by line; a bad line raises TranscriptParseError naming it."""
     with _open_path(path, "rb") as fh:
@@ -383,7 +462,7 @@ def iter_transcripts(path):
                 text = line.decode("utf-8")
                 if not text.strip(" \t\n\r"):  # JSON whitespace alone
                     continue
-                t = SessionTranscript.from_record(_decoded(text))
+                t = _record_from_line(text)
             except (ValueError, RecursionError) as exc:  # TranscriptParseError is a ValueError
                 raise TranscriptParseError(f"line {lineno}: {exc}") from exc
             yield t
@@ -560,8 +639,11 @@ _DIGITS = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.
 _TENS = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
 _LEADING = np.tri(20, dtype=np.uint8)[:, ::-1]
 # entcf.key_record's map as JSON text: family, id, perm_seed, then a claw key's shift item
-# ('"shift": "<bits>", ') or nothing, then w
+# (_SHIFT_ITEM) or nothing, then w
 _KEY = '{"family": "%s", "id": "%s", "perm_seed": "%s", %s"w": "%s"}'
+_SHIFT_ITEM = '"shift": "%s", '
+_LIST3 = "[%s, %s, %s]"  # a JSON list of three items, as json.dumps separates them
+_PAIR = '["%s", "%s"]'  # a preimage pair: its bit and x
 _LANES = np.array([[_VERIFIER_LANE], [_PROVER_LANE]], dtype=np.uint64)  # by row
 # where _fail_table's index holds each input: tops, us and vs by coordinate, q, test_index
 _FAIL_SHIFTS = np.array([8, 7, 6, 5, 4, 3, 2, 1, 0, 11, 9], dtype=np.uint64)[:, None]
@@ -759,13 +841,13 @@ def _record_row(lam: int) -> tuple[np.ndarray, dict]:
             text += inner + piece
         return text
 
-    bits, pairs = '["%s", "%s", "%s"]', '[["%s", "%s"], ["%s", "%s"], ["%s", "%s"]]'
+    bits, pairs = _LIST3 % (('"%s"',) * 3), _LIST3 % ((_PAIR,) * 3)
     key = _KEY % ("%s", "%s", "%s", "%s", lam)
-    text = widened(_RECORD % ("null", *["%s"] * 4, "[%s]" % ", ".join([key] * 3), lam,
+    text = widened(_RECORD % ("null", *["%s"] * 4, _LIST3 % (key, key, key), lam,
                               *["%s"] * 8), [
         ("accept", 5), ("ds", (bits, [("d", lam)] * 3)), ("flag", 12), ("index", 20),
         *[("family", 1), ("id", 20), ("perm_seed", 20),
-          ("shift", ('"shift": "%s", ', [("shift_bits", lam)]))] * 3,
+          ("shift", (_SHIFT_ITEM, [("shift_bits", lam)]))] * 3,
         ("preimages", (pairs, [("b", 1), ("x", lam)] * 3)),
         ("q", 5), ("round", 10), ("seed", 20), ("test_index", 4), ("theta", 3), ("vs", 5),
         ("ys", (bits, [("y", lam + 1)] * 3))], 0)
@@ -853,8 +935,8 @@ def _batch_chunk(sp, factory, plan, master_seed, pins, start, stop, stats, out, 
     With a plan the chunk runs on the array path, every session of it;
     without one (a scripted prover) run_session runs every session. The
     chunk's one output is the text of its lines: it goes to out in one
-    write, and kept gets the transcripts SessionTranscript.from_record reads
-    back from it. A stats-only chunk renders none.
+    write, and kept gets the transcripts _record_from_line reads back from
+    it. A stats-only chunk renders none.
     """
     if plan is None:
         transcripts = [run_session(sp, factory, master_seed, index, **pins)
@@ -873,7 +955,9 @@ def _batch_chunk(sp, factory, plan, master_seed, pins, start, stop, stats, out, 
     text = ("".join(map(_transcript_line, transcripts)) if plan is None
             else codecs.decode(_chunk_lines(sp.lam, cols, start), "utf-8"))
     if kept is not None:
-        kept += [SessionTranscript.from_record(_decoded(line)) for line in text.split("\n")[:-1]]
+        # a line's one line break is its end: json.dumps escapes the others, and a rendered
+        # line is digits and bits
+        kept += [_record_from_line(line) for line in text.splitlines(keepends=True)]
     if out is not None:
         out.write(text)
 

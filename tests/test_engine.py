@@ -2282,6 +2282,122 @@ class TestReaderOracle:
             read_transcripts(scratch_file)
 
 
+# ----------------------------------------------------------- template reader
+
+
+def json_read(line: str):
+    """What the JSON path makes of one line: from_record of the decoded value."""
+    return SessionTranscript.from_record(engine._decoded(line))
+
+
+def read_outcome(reader, line: str):
+    """(transcript, repr) as reader reads line, or its exception's type and message."""
+    try:
+        t = reader(line)
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+    return t, repr(t)
+
+
+def template_read(line: str):
+    """(_record_from_line's transcript, whether it read line on the template path): the
+    template path never calls the decoder."""
+    with patch.object(engine, "_decoded", wraps=engine._decoded) as decoded:
+        t = engine._record_from_line(line)
+    return t, decoded.call_count == 0
+
+
+class TestTemplateReader:
+    """_record_from_line reads every line the writer emits on the template path, into the
+    transcript the JSON path reads, and leaves every other line to the JSON path."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(lam=st.integers(entcf.W_MIN, entcf.W_MAX), seed=st.integers(0, 2**64 - 1),
+           decimals=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+           start=st.integers(0, 2**64 - 7), form=st.sampled_from(COVERED),
+           pins=st.sampled_from(RENDER_PINS), flag=st.sampled_from(list(verifier.Flag)))
+    @example(lam=4, seed=0, decimals=[0, 2**64 - 1], start=2**64 - 7, form="honest", pins={},
+             flag=verifier.Flag.FAIL_PRE)
+    def test_written_lines_read_on_the_template_path(self, lam, seed, decimals, start, form,
+                                                     pins, flag):
+        # _chunk_lines of hand-built columns: both rounds, every flag, claw and injective
+        # keys, every decimal width; then _transcript_line of run_session's transcripts,
+        # pinned or not, each also with the drawn flag
+        cols = hand_built_columns(lam, decimals, seed)
+        lines = bytes(engine._chunk_lines(lam, cols, start)).decode().splitlines(True)
+        stand_ins = {w: (_XorBase(), _XorBase()) for w in range(17, entcf.W_MAX + 1)}
+        with patch.dict(entcf._base_tables, stand_ins):
+            transcripts = [run_session(SecurityParam(lam), parse_prover_spec(form), seed, i,
+                                       **pins) for i in range(3)]
+        for t in transcripts:
+            edited = dataclasses.replace(t, flag=flag.value, accept=flag is verifier.Flag.NONE)
+            lines += [engine._transcript_line(t), engine._transcript_line(edited)]
+        hits = 0
+        for line in lines:
+            t, fast = template_read(line)
+            hits += fast
+            expected = json_read(line)
+            assert t == expected and repr(t) == repr(expected)
+        assert hits == len(lines)
+
+    # (field, its new JSON text, whether the JSON path reads the line): each edit is read
+    # or refused by _record_from_line as the JSON path does, with its message, with the
+    # writer's line end, a CR before it, and none
+    EDITS = {
+        "index-4301-digits": ("index", "1" * 4301, False),
+        "index-21-digits": ("index", "1" * 21, True),
+        "index-negative": ("index", "-3", True),
+        "index-leading-zero": ("index", "007", False),
+        "seed-21-digits": ("seed", '"%s"' % ("1" * 21), False),
+        "seed-2^64": ("seed", '"18446744073709551616"', False),
+        "seed-2^64-1": ("seed", '"18446744073709551615"', True),
+        "seed-arabic-indic": ("seed", '"\\u0661\\u0662"', False),
+        "seed-arabic-indic-raw": ("seed", '"\u0661\u0662"', False),
+        "lam-3": ("lam", "3", False),
+        "lam-25": ("lam", "25", False),
+        "accept-against-flag": ("accept", "false", False),
+        "key-escaped-family": ("keys", '{"family": "\\u0046", "id": "1", "perm_seed": "2", '
+                                       '"w": "4"}', True),
+        "key-escaped-quote": ("keys", '{"family": "F", "id": "\\"", "perm_seed": "2", '
+                                      '"w": "4"}', True),
+        "key-control-character": ("keys", '{"family": "F", "id": "\x01", "perm_seed": "2", '
+                                          '"w": "4"}', False),
+        "abort-quoted": ("abort", '"ScriptError: \\"ys\\" is \\\\ short"', True),
+    }
+
+    @staticmethod
+    def writer_line() -> str:
+        """A line the writer emits, with a claw key; read on the template path."""
+        line = next(text for text in map(bytes.decode, oracle_lines())
+                    if '"flag": "none"' in text and '"shift"' in text)
+        assert template_read(line)[1]
+        return line
+
+    def test_other_line_ends_read_as_the_json_path_reads_them(self):
+        line = self.writer_line()
+        for text in (line.replace("\n", "\r\n"), line.rstrip("\n")):
+            t, fast = template_read(text)
+            assert not fast
+            assert (t, repr(t)) == read_outcome(json_read, text) == read_outcome(json_read, line)
+
+    @pytest.mark.parametrize("edit", EDITS.values(), ids=EDITS)
+    def test_an_edited_line_reads_as_the_json_path_reads_it(self, edit):
+        field, value, read = edit
+        line = self.writer_line()
+        if field == "keys":
+            value = "[%s]" % ", ".join([value] * 3)
+        start = line.index(f'"{field}": ') + len(f'"{field}": ')
+        end = start + len(json.dumps(json.loads(line)[field]))
+        edited = line[:start] + value + line[end:]
+        if field == "abort":  # an aborted record has no flag
+            edited = edited.replace('"flag": "none"', '"flag": null').replace(
+                '"accept": true', '"accept": false')
+        for text in (edited, edited.replace("\n", "\r\n"), edited.rstrip("\n")):
+            outcome = read_outcome(json_read, text)
+            assert isinstance(outcome[0], SessionTranscript) == read
+            assert read_outcome(engine._record_from_line, text) == outcome
+
+
 # ---------------------------------------------------------------- threads
 
 
