@@ -47,6 +47,7 @@ from .errors import (
 from .provers import PURE_PROVERS, HonestProver, parse_noise_spec, parse_prover_spec
 from .util import (
     MASK64,
+    _operand,
     _Stream,
     _rekeyed,
     bits_str,
@@ -613,6 +614,9 @@ _CHUNK = 2048
 _CLAW = np.array(verifier.BASIS_CHOICES, dtype=bool).T  # [coordinate, theta index]
 _FLAGS_BY_CODE = tuple(Flag)
 _ROUND_VALUES = (RoundType.PREIMAGE.value, RoundType.HADAMARD.value)  # by hadamard
+# FlagStats' cell key of each _batch_chunk count, (hadamard * 5 + theta) * 4 + flag
+_CELLS = tuple((r, verifier.theta_class(bases), f.value) for r in _ROUND_VALUES
+               for bases in verifier.BASIS_CHOICES for f in _FLAGS_BY_CODE)
 _QUESTIONS = tuple(_THREE_BITS.values())  # three bits by their code, MSB first
 
 
@@ -647,6 +651,7 @@ _PAIR = '["%s", "%s"]'  # a preimage pair: its bit and x
 _LANES = np.array([[_VERIFIER_LANE], [_PROVER_LANE]], dtype=np.uint64)  # by row
 # where _fail_table's index holds each input: tops, us and vs by coordinate, q, test_index
 _FAIL_SHIFTS = np.array([8, 7, 6, 5, 4, 3, 2, 1, 0, 11, 9], dtype=np.uint64)[:, None]
+_OUTCOME_SHIFTS = np.array([2, 1, 0], dtype=np.uint64)[:, None]  # each answer bit's place
 
 
 def _array_plan(prover_spec: str, theta, round):
@@ -729,8 +734,8 @@ def _array_chunk(lam, plan, master_seed, start, stop) -> _Columns:
     # OracleRegistry.gen for the three coordinates at once, coordinate-major; an
     # injective key's shift is its stream's last draw, made and never read
     claw = _CLAW.take(t_index, axis=1)
-    lane = np.where(claw.ravel(), np.uint64(entcf._LANE_BY_FAMILY["F"]),
-                    np.uint64(entcf._LANE_BY_FAMILY["G"]))
+    lane = np.where(claw.ravel(), _operand(entcf._LANE_BY_FAMILY["F"]),
+                    _operand(entcf._LANE_BY_FAMILY["G"]))
     keygen_keys = derive_seed(key_seeds, lane, w)
     keygen = _Stream(philox_words(keygen_keys, 0, 1), keygen_keys)
     key_id, perm_seed = keygen.u64().reshape(3, n), keygen.u64().reshape(3, n)
@@ -743,7 +748,7 @@ def _array_chunk(lam, plan, master_seed, start, stop) -> _Columns:
     # the keys in the Trapdoor fields entcf's permutation reads
     masks = _Stream(philox_words(perm_seed.ravel(), 0, 1), perm_seed.ravel())
     m_in, m_out = masks.bits(w + 1).reshape(3, n), masks.bits(w + 1).reshape(3, n)
-    keys = SimpleNamespace(w=w, offset=np.where(claw, shift, np.uint64(1 << w)),
+    keys = SimpleNamespace(w=w, offset=np.where(claw, shift, _operand(1 << w)),
                            mask_in=m_in, mask_out=m_out)
     # receive_commit's round coin, then send_questions' q and test index
     if round is None:
@@ -757,8 +762,7 @@ def _array_chunk(lam, plan, master_seed, start, stop) -> _Columns:
     # with b = 0), answer_preimage's claw coins and answer_hadamard's ds
     masks = np.ones((12, n), dtype=bool)
     masks[0:6:2], masks[6:9], masks[9:] = ~claw, claw & ~hadamard, hadamard
-    widths = np.array([1, w] * 3 + [1] * 3 + [w] * 3, dtype=np.uint64)[:, None]
-    drawn = prover.halves(masks) >> 32 - widths
+    drawn = prover.halves(masks) >> _draw_shifts(w)
     b, x = drawn[0:6:2] & masks[0:6:2], drawn[1:6:2]
     ys = entcf._image(keys, b, x)
     # answer_preimage opens a claw on a fair-coin branch, and check_preimage grades the
@@ -773,21 +777,28 @@ def _array_chunk(lam, plan, master_seed, start, stop) -> _Columns:
     # in X, and x0 ^ x1 is the shift, so the prover's bit is the verifier's u. A preimage
     # round's values here mean nothing: its flag is kept, and its ds and vs are null
     ds = drawn[9:]
-    us = np.bitwise_count(ds & shift).astype(np.uint64) & 1
+    us = np.bitwise_count(ds & shift).astype(np.uint64) & _operand(1)
     opened = np.where(claw, us, b)
     # answer_questions: one uniform against the row of the register's answer edges
-    code = t_index << 6 | opened[0] << 5 | opened[1] << 4 | opened[2] << 3 | q
+    code = (t_index << _operand(6) | opened[0] << _operand(5) | opened[1] << _operand(4)
+            | opened[2] << _operand(3) | q)
     rows = _answer_table(*table_key).take(code, axis=0)
     outcome = sample_edges_rows(rows, prover.uniform(hadamard)).astype(np.uint64)
-    vs = np.stack([outcome >> 2 & 1, outcome >> 1 & 1, outcome & 1])
+    vs = outcome >> _OUTCOME_SHIFTS & _operand(1)
     if flip > 0:
         vs ^= np.stack([prover.uniform(hadamard) < flip for _ in range(3)])
     # check_hadamard: each session's flag code, by its basis triple, from _fail_table
-    tops = entcf._perm_backward(keys, ys) >> w
+    tops = entcf._perm_backward(keys, ys) >> _operand(w)
     inputs = np.concatenate([tops, us, vs, q[None], test_index[None]]) << _FAIL_SHIFTS
     flag = np.where(hadamard, _fail_table()[t_index, inputs.sum(axis=0)], flag)
     return _Columns(seeds, t_index, hadamard, flag, key_id, perm_seed,
                     shift, ys, b, x, ds, q, test_index, vs)
+
+
+@lru_cache(maxsize=None)
+def _draw_shifts(w: int) -> np.ndarray:
+    """32 - the width of each of the prover's twelve halves in _array_chunk, a column."""
+    return 32 - np.array([1, w] * 3 + [1] * 3 + [w] * 3, dtype=np.uint64)[:, None]
 
 
 @lru_cache(maxsize=None)
@@ -946,10 +957,9 @@ def _batch_chunk(sp, factory, plan, master_seed, pins, start, stop, stats, out, 
     else:
         cols = _array_chunk(sp.lam, plan, master_seed, start, stop)
         counts = np.bincount((cols.hadamard * 5 + cols.theta.astype(np.intp)) * 4 + cols.flag)
-        for c in np.flatnonzero(counts).tolist():
-            theta_cls = verifier.theta_class(verifier.BASIS_CHOICES[c // 4 % 5])
-            cell = (_ROUND_VALUES[c // 20], theta_cls, _FLAGS_BY_CODE[c % 4].value)
-            stats.cells[cell] += int(counts[c])
+        for cell, count in zip(_CELLS, counts.tolist()):
+            if count:
+                stats.cells[cell] += count
     if out is None and kept is None:
         return
     text = ("".join(map(_transcript_line, transcripts)) if plan is None

@@ -44,7 +44,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import FamilyMisuseError, KeyLookupError, ParameterError
-from .util import _rekeyed, _Stream, bits_str, derive_seed, parity, rng_from
+from .util import _operand, _rekeyed, _Stream, bits_str, derive_seed, parity, rng_from
 
 W_MIN = 4
 W_MAX = 24
@@ -190,7 +190,8 @@ def _perm_backward(t: Trapdoor, y):
 
 def _opens(t: Trapdoor, b, x, y):
     """chk's rule for an in-range b and x: f_{k,b}(x) == y, y a (w+1)-bit value."""
-    return (_image(t, b, x) == y) & (y >> (t.w + 1) == 0)
+    width, zero = (_operand(t.w + 1), _operand(0)) if isinstance(y, np.ndarray) else (t.w + 1, 0)
+    return (_image(t, b, x) == y) & (y >> width == zero)
 
 
 class OracleRegistry:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_right
 from collections.abc import Sequence
+from functools import lru_cache
 
 import numpy as np
 
@@ -102,7 +103,7 @@ def _rekeyed(seed: int, slot: str) -> np.random.Generator:
 
 # Philox4x64-10's round multipliers M0, M1 and key increments W0, W1 (Salmon et al., SC'11).
 # From them, as Python ints masked to 64 bits: philox_words' multiplier tables (M0 and M1,
-# their low limbs, their high limbs), and round r's key words' r W0 and r W1. A lone
+# their low limbs, their high limbs), W0, and round r's second key word r W1. A lone
 # operand is a 0-d array, which NumPy takes faster than a NumPy scalar or a Python int
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -110,40 +111,16 @@ _U64 = np.uint64
 _LO32, _32 = np.array(0xFFFFFFFF, dtype=_U64), np.array(32, dtype=_U64)
 _PHILOX_TABLES = np.array([[m >> s & 0xFFFFFFFF if s < 64 else m for m in _PHILOX_M]
                            for s in (64, 0, 32)], dtype=_U64)[:, :, None, None]
-_PHILOX_K0 = np.array([[r * _PHILOX_W[0] & MASK64] for r in range(10)], dtype=_U64)
+_PHILOX_W0 = np.array(_PHILOX_W[0], dtype=_U64)
 _PHILOX_K1 = tuple(np.array(r * _PHILOX_W[1] & MASK64, dtype=_U64) for r in range(10))
-
-
-def _mulhilo(a, m, m_lo, m_hi, lo, t, hi, t2) -> None:
-    """Each a * m as 64-bit words, from 32-bit limb products: the high word into hi, the
-    low into lo. m, m_lo and m_hi are the multipliers and their 32-bit limbs, shaped like
-    a; t and t2 are scratch, and a is overwritten.
-
-    No sum below can wrap: (2^32 - 1)^2 + 2 (2^32 - 1) < 2^64.
-    """
-    np.bitwise_and(a, _LO32, out=t)
-    np.right_shift(a, _32, out=hi)
-    np.multiply(a, m, out=lo)
-    np.multiply(t, m_lo, out=t2)
-    np.right_shift(t2, _32, out=t2)
-    np.multiply(t, m_hi, out=a)
-    np.add(a, t2, out=a)  # carry = a_lo m_hi + (a_lo m_lo >> 32)
-    np.multiply(hi, m_lo, out=t2)
-    np.bitwise_and(a, _LO32, out=t)
-    np.add(t2, t, out=t2)  # mid = a_hi m_lo + (carry & LO32)
-    np.multiply(hi, m_hi, out=hi)
-    np.right_shift(a, _32, out=a)
-    np.add(hi, a, out=hi)
-    np.right_shift(t2, _32, out=t2)
-    np.add(hi, t2, out=hi)
 
 
 # NumPy's own Philox(key=k).random_raw gives the same words, one key at a time: over
 # 16,384 keys of two blocks each it took about 21 us a key fresh, and 2.5-3.4 us
-# rekeying one reused generator (_rekeyed). A call here makes about 175 NumPy calls
-# whatever its size, so a small one is mostly their dispatch: about 115 us for one key
-# of two blocks, 210-230 us for 300 keys, 0.52-0.55 ms for 2,000 and 1.1-1.4 ms for
-# 4,096 (NumPy 2.4, 2-core Xeon; a session reads about eight keys).
+# rekeying one reused generator (_rekeyed). A call here makes about 185 NumPy calls
+# whatever its size, so a small one is mostly their dispatch: about 66 us for one key
+# of two blocks, 125 us for 300 keys, 240 us for 900 and 0.86 ms for 4,096 (NumPy 2.4,
+# 2-core x86-64; a session reads about eight keys).
 def philox_words(keys: np.ndarray, first_block: int, blocks: int) -> np.ndarray:
     """Raw words 4*first_block .. 4*(first_block+blocks)-1 of rng_from(k), per uint64 key k.
 
@@ -153,19 +130,22 @@ def philox_words(keys: np.ndarray, first_block: int, blocks: int) -> np.ndarray:
     Philox4x64-10 of the counter (b + 1, 0, 0, 0).
     """
     # The state's multiplied words (c0, c2) are one contiguous (2, blocks, n) array, so a
-    # round is one _mulhilo against whole multiplier tables; the other two words are the
+    # round multiplies it by whole multiplier tables; the other two words are the
     # last round's low products, (c3, c1) in that order. A round's permutation is taken by
-    # choosing rows as the new words are written. Every buffer is a view of one scratch
-    # array: one allocation per call, which malloc hands back without fresh pages (a fresh
-    # buffer each cost more in page faults than the arithmetic)
+    # choosing rows as the new words are written. Every working buffer is a view of one
+    # scratch array: one allocation per call, which malloc hands back without fresh pages (a
+    # fresh buffer each cost more in page faults than the arithmetic)
     n = len(keys)
     size = 2 * blocks * n
-    scratch = np.empty(9 * size + 10 * n, dtype=_U64)
+    scratch = np.empty(9 * size + blocks * n, dtype=_U64)
     state = scratch[:9 * size].reshape(9, 2, blocks, n)
     np.copyto(state[:3], _PHILOX_TABLES)
     m, m_lo, m_hi, c, lo, prev, t, hi, t2 = state
-    round_keys = scratch[9 * size:].reshape(10, n)
-    np.add(_PHILOX_K0, keys, out=round_keys)  # row r: the key word k + r W0
+    # round r's first key word k + r W0, whole-shape and raised by W0 each round: a ufunc
+    # buffers an operand broadcast over the blocks (at 4,096 keys, twice the time and 64 KiB)
+    key0 = scratch[9 * size:].reshape(blocks, n)
+    np.copyto(key0, keys)
+    out = np.empty((blocks, 4, n), dtype=_U64)  # block b's words c0, c1, c2, c3
     # round 0 of the counter (b + 1, 0, 0, 0) gives (k, 0, hi, lo) of (b + 1) M0
     block_hi, block_lo = np.array([divmod((b + 1) * _PHILOX_M[0], 1 << 64) for b in range(
         first_block, first_block + blocks)], dtype=_U64).T[:, :, None]
@@ -173,21 +153,51 @@ def philox_words(keys: np.ndarray, first_block: int, blocks: int) -> np.ndarray:
     np.copyto(c[1], block_hi)
     np.copyto(prev[0], block_lo)
     prev[1] = 0
-    out = np.empty((blocks, 4, n), dtype=_U64)
-    for r in range(1, 10):
-        _mulhilo(c, m, m_lo, m_hi, lo, t, hi, t2)
-        np.bitwise_xor(hi, prev, out=hi)  # (hi(c0 M0) ^ c3, hi(c2 M1) ^ c1)
-        words = (out[:, 0], out[:, 2]) if r == 9 else c
-        np.bitwise_xor(hi[1], round_keys[r], out=words[0])
-        np.bitwise_xor(hi[0], _PHILOX_K1[r], out=words[1])
+    # ufuncs and views bound once, outputs passed positionally: at a few keys a round is
+    # mostly the dispatch of its 19 calls
+    band, shr, mul, add, xor = np.bitwise_and, np.right_shift, np.multiply, np.add, np.bitwise_xor
+    lo32, s32, c0, c2, hi0, hi1 = _LO32, _32, c[0], c[1], hi[0], hi[1]
+    for key1 in _PHILOX_K1[1:]:
+        add(key0, _PHILOX_W0, key0)
+        # each c * m as 64-bit words from 32-bit limb products, its high word into hi and
+        # its low into lo, c overwritten. No sum can wrap: (2^32 - 1)^2 + 2 (2^32 - 1) < 2^64
+        band(c, lo32, t)
+        shr(c, s32, hi)
+        mul(c, m, lo)
+        mul(t, m_lo, t2)
+        shr(t2, s32, t2)
+        mul(t, m_hi, c)
+        add(c, t2, c)  # carry = c_lo m_hi + (c_lo m_lo >> 32)
+        mul(hi, m_lo, t2)
+        band(c, lo32, t)
+        add(t2, t, t2)  # mid = c_hi m_lo + (carry & LO32)
+        mul(hi, m_hi, hi)
+        shr(c, s32, c)
+        add(hi, c, hi)
+        shr(t2, s32, t2)
+        add(hi, t2, hi)
+        xor(hi, prev, hi)  # (hi(c0 M0) ^ c3, hi(c2 M1) ^ c1)
+        xor(hi1, key0, c0)
+        xor(hi0, key1, c2)
         prev, lo = lo, prev
-    np.copyto(out[:, 1], prev[1])
-    np.copyto(out[:, 3], prev[0])
+    np.copyto(out[:, 0::2], c.transpose(1, 0, 2))
+    np.copyto(out[:, 1::2], prev[::-1].transpose(1, 0, 2))
     return out.reshape(4 * blocks, n)
 
 
+@lru_cache(maxsize=None)
+def _operand(c: int) -> np.ndarray:
+    """c as a read-only 0-d uint64 array: NumPy takes it faster than a Python int."""
+    a = np.array(c, dtype=_U64)
+    a.flags.writeable = False
+    return a
+
+
 def lemire(x, k: int):
-    """NumPy's bounded draw integers(0, k), 1 < k < 2^32, from one 32-bit half x."""
+    """NumPy's bounded draw integers(0, k), 1 < k < 2^32, from one 32-bit half x: an int,
+    or each of a uint64 array."""
+    if isinstance(x, np.ndarray):
+        return x * _operand(k) >> _32
     return x * k >> 32
 
 
@@ -196,6 +206,8 @@ def lemire_rejects(x, k: int):
 
     It never does when k is a power of two.
     """
+    if isinstance(x, np.ndarray):
+        return (x * _operand(k) & _LO32) < _operand((1 << 32) % k)
     return (x * k & 0xFFFFFFFF) < (1 << 32) % k
 
 
@@ -219,11 +231,14 @@ class _Stream:
     """
 
     def __init__(self, words, keys=None):
+        # a half's mask and shift, a seed's mask (its low bit clear) and random()'s shift
+        constants = (0xFFFFFFFF, 32, MASK64 - 1, 11)
         if isinstance(words, np.ndarray):
             self.words, self.keys, self.lanes = words, keys, np.arange(words.shape[1])
-            self.low, self.high = _LO32, _32
+            constants = map(_operand, constants)
         else:  # one stream, which draws unmasked: _take is called only to move past a word
-            self._take, self.low, self.high = lambda moved: words.random_raw(), 0xFFFFFFFF, 32
+            self._take = lambda moved: words.random_raw()
+        self.low, self.high, self.even, self.top = constants
         self.next, self.held, self.pending = 0, False, 0
 
     @staticmethod
@@ -301,8 +316,10 @@ class _Stream:
             if self.held:
                 halves[:fresh.count(-1)] = self.pending
         else:
-            fresh = np.cumsum(np.concatenate([masks, np.ones_like(masks[:1])]), axis=0)
-            fresh -= 1 + self.held
+            fresh = np.ones((len(masks) + 1, len(self.lanes)), dtype=np.intp)
+            fresh[:-1] = masks
+            fresh[0] -= 1 + self.held
+            np.cumsum(fresh, axis=0, out=fresh)
             taken = fresh[-1]
             following = self.next + (taken + 1 >> 1)
             self._hold(int(following.max(initial=0)))
@@ -323,11 +340,11 @@ class _Stream:
 
     def uniform(self, mask=True):
         """random(): the next word's top 53 bits over 2^53."""
-        return (self.word(mask) >> 11) * 2.0 ** -53
+        return (self.word(mask) >> self.top) * 2.0 ** -53
 
     def u64(self, mask=True):
         """A 64-bit seed: integers(0, 2^63) shifted left once, or'd with a coin."""
-        return self.word(mask) >> 1 << 1 | self.bits(1, mask)
+        return self.word(mask) & self.even | self.bits(1, mask)
 
     def below(self, k: int):
         """integers(0, k), 1 < k < 2^32: Lemire's draw, each stream reading halves until

@@ -1122,6 +1122,23 @@ class TestArrayPath:
                 if mask[lane]:
                     assert values[lane] == generator_draw(gen, width)
 
+    def test_philox_words_allocate_only_their_scratch_and_output(self):
+        # every round writes into views of one scratch array; one array of the state's
+        # size allocated per round would take the peak past the bound
+        n, blocks = 4096, 2
+        keys = np.arange(n, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        philox_words(keys, 0, blocks)
+        tracemalloc.start()
+        try:
+            philox_words(keys, 0, blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        word = np.dtype(np.uint64).itemsize
+        scratch, output = (9 * 2 + 1) * blocks * n * word, 4 * blocks * n * word
+        state = 2 * blocks * n * word  # one of the nine state arrays
+        assert scratch + output <= peak < scratch + output + state // 2
+
     def test_fail_table_equals_the_scalar_hadamard_check(self):
         table = engine._fail_table()
         assert table.shape == (5, 1 << 14) and table.dtype == np.int8
