@@ -85,7 +85,6 @@ def _not_an_integer(text: str):
 # the one JSON decoder for frames and transcript lines; every number in them
 # is an integer, and json.loads would read NaN, Infinity or 1e999 as floats
 _JSON = json.JSONDecoder(parse_float=_not_an_integer, parse_constant=_not_an_integer)
-_SCAN = _JSON.scan_once  # the scanner _JSON.decode calls: (value, end) of the value at an index
 
 _ROUNDS = (None, *(r.value for r in RoundType))
 _FLAGS = (None, *(f.value for f in Flag))
@@ -121,7 +120,7 @@ class Message:
     @staticmethod
     def decode(line: bytes) -> "Message":
         try:
-            body = _decoded(line.decode("utf-8"))
+            body = _JSON.decode(line.decode("utf-8"))
         except (ValueError, RecursionError) as exc:  # ValueError: also an over-long integer
             raise TransportError(f"undecodable frame: {exc}") from exc
         if not isinstance(body, dict):
@@ -140,22 +139,6 @@ class Message:
         if type(seq) is not int or seq < 0 or not isinstance(payload, dict):
             raise TransportError("malformed seq or payload")
         return Message(sid=sid, seq=seq, kind=kind, payload=payload)
-
-
-def _decoded(text: str):
-    """_JSON.decode(text), with its value and its errors.
-
-    A frame or record line, one JSON value and its newline, goes through
-    the decoder's scanner alone. A line that opens with whitespace, or
-    holds more than whitespace after its value, goes through decode.
-    """
-    try:
-        value, end = _SCAN(text, 0)
-    except StopIteration:  # no JSON value at 0: whitespace, or nothing decode reads
-        return _JSON.decode(text)
-    if text[end:].strip(" \t\n\r"):  # more than JSON whitespace follows: decode refuses it
-        return _JSON.decode(text)
-    return value
 
 
 def _recv(rfile) -> Message | None:
@@ -416,7 +399,7 @@ def _record_pattern() -> re.Pattern:
 
 
 def _record_from_line(text: str) -> SessionTranscript:
-    """The transcript a record line holds: SessionTranscript.from_record(_decoded(text)).
+    """The transcript a record line holds: SessionTranscript.from_record(_JSON.decode(text)).
 
     A line that _record_pattern matches is read by its groups, and the
     transcript built as from_record builds it. Every other line goes to
@@ -426,30 +409,30 @@ def _record_from_line(text: str) -> SessionTranscript:
     from_record's.
     """
     m = _record_pattern().fullmatch(text)
-    if m is None:
-        return SessionTranscript.from_record(_decoded(text))
-    (accept, d0, d1, d2, flag, index, f0, i0, p0, s0, w0, f1, i1, p1, s1, w1, f2, i2, p2, s2, w2,
-     lam, b0, x0, b1, x1, b2, x2, q, round, seed, test_index, theta, vs, y0, y1, y2) = m.groups()
-    lam, seed, accept = int(lam), int(seed), accept == "true"
-    if accept != (flag == Flag.NONE) or not entcf.W_MIN <= lam <= entcf.W_MAX \
-            or seed > MASK64:
-        return SessionTranscript.from_record(_decoded(text))
-    return _built(
-        index=int(index), seed=seed, lam=lam, theta=_THREE_BITS[theta],
-        keys=(_key_map(f0, i0, p0, s0, w0), _key_map(f1, i1, p1, s1, w1),
-              _key_map(f2, i2, p2, s2, w2)),
-        ys=None if y0 is None else (int(y0, 2), int(y1, 2), int(y2, 2)),
-        round=round, test_index=None if test_index is None else int(test_index),
-        preimages=None if b0 is None else (
-            (_BIT[b0], int(x0, 2)), (_BIT[b1], int(x1, 2)), (_BIT[b2], int(x2, 2))),
-        ds=None if d0 is None else (int(d0, 2), int(d1, 2), int(d2, 2)),
-        q=_NULL_OR_THREE_BITS[q], vs=_NULL_OR_THREE_BITS[vs], flag=flag,
-        accept=accept, abort=None)
+    if m is not None:
+        (accept, d0, d1, d2, flag, index, f0, i0, p0, s0, w0, f1, i1, p1, s1, w1, f2, i2, p2, s2,
+         w2, lam, b0, x0, b1, x1, b2, x2, q, round, seed, test_index, theta, vs, y0, y1,
+         y2) = m.groups()
+        lam, seed, accept = int(lam), int(seed), accept == "true"
+        if accept == (flag == Flag.NONE) and entcf.W_MIN <= lam <= entcf.W_MAX \
+                and seed <= MASK64:
+            return _built(
+                index=int(index), seed=seed, lam=lam, theta=_THREE_BITS[theta],
+                keys=(_key_map(f0, i0, p0, s0, w0), _key_map(f1, i1, p1, s1, w1),
+                      _key_map(f2, i2, p2, s2, w2)),
+                ys=None if y0 is None else (int(y0, 2), int(y1, 2), int(y2, 2)),
+                round=round, test_index=None if test_index is None else int(test_index),
+                preimages=None if b0 is None else (
+                    (_BIT[b0], int(x0, 2)), (_BIT[b1], int(x1, 2)), (_BIT[b2], int(x2, 2))),
+                ds=None if d0 is None else (int(d0, 2), int(d1, 2), int(d2, 2)),
+                q=_NULL_OR_THREE_BITS[q], vs=_NULL_OR_THREE_BITS[vs], flag=flag,
+                accept=accept, abort=None)
+    return SessionTranscript.from_record(_JSON.decode(text))
 
 
 def _key_map(family, key_id, perm_seed, shift, w) -> dict:
     """A key record as the JSON decoder reads it: _KEY's fields in line order, a claw key's
-    shift before w."""
+    shift before w. run_session and the template reader build every key map here."""
     if shift is None:
         return {"family": family, "id": key_id, "perm_seed": perm_seed, "w": w}
     return {"family": family, "id": key_id, "perm_seed": perm_seed, "shift": shift, "w": w}
@@ -601,7 +584,8 @@ def run_session(
         reached.update(flag=flag.value, accept=accept)
     except (AnswerError, ProtocolOrderError, TransportError) as exc:
         reached.update(abort=f"{type(exc).__name__}: {exc}")
-    keys = tuple(entcf.key_record(h.key_id, h.w, t.family, t.perm_seed, t.shift)
+    keys = tuple(_key_map(t.family.value, str(h.key_id), str(t.perm_seed),
+                          t.shift and bits_str(t.shift, h.w), str(h.w))
                  for h, t in zip(sess.handles, sess.trapdoors))
     return SessionTranscript(index=index, seed=seed, lam=sp.lam, theta=sess.theta, keys=keys,
                              **reached)
@@ -642,7 +626,7 @@ _DIGITS = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.
 # of _LEADING keeps the last k + 1 of 20 bytes
 _TENS = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
 _LEADING = np.tri(20, dtype=np.uint8)[:, ::-1]
-# entcf.key_record's map as JSON text: family, id, perm_seed, then a claw key's shift item
+# _key_map's map as JSON text: family, id, perm_seed, then a claw key's shift item
 # (_SHIFT_ITEM) or nothing, then w
 _KEY = '{"family": "%s", "id": "%s", "perm_seed": "%s", %s"w": "%s"}'
 _SHIFT_ITEM = '"shift": "%s", '

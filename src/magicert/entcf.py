@@ -44,7 +44,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import FamilyMisuseError, KeyLookupError, ParameterError
-from .util import _operand, _rekeyed, _Stream, bits_str, derive_seed, parity, rng_from
+from .util import _operand, _rekeyed, _Stream, derive_seed, parity, rng_from
 
 W_MIN = 4
 W_MAX = 24
@@ -282,21 +282,6 @@ def hadamard_open(c: Commitment, rng: _Stream) -> tuple[int, CollapsedQubit]:
         return d, CollapsedQubit(basis="Z", bit=c.preimages[0][0])
     (_, x0), (_, x1) = c.preimages
     return d, CollapsedQubit(basis="X", bit=parity(d & (x0 ^ x1)))
-
-
-def key_record(key_id: int, w: int, family: Family, perm_seed: int,
-               shift: int | None) -> dict[str, str]:
-    """Flat text map of one key's full material, for transcript reproducibility.
-
-    It takes the fields as plain values because its callers hold them on two
-    objects: key_id on the public KeyHandle, the rest on the verifier's
-    Trapdoor. shift is read for the claw family only. The array path renders
-    the same map as text through engine._KEY, without calling this.
-    """
-    rec = {"id": str(key_id), "w": str(w), "family": family.value, "perm_seed": str(perm_seed)}
-    if family is Family.CLAW:
-        rec["shift"] = bits_str(shift, w)
-    return rec
 
 
 def _check_bit(b: int) -> None:

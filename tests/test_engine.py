@@ -56,6 +56,19 @@ from magicert.verifier import RoundType
 
 SP4 = SecurityParam(4)
 HONEST = parse_prover_spec("honest")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+# a JSON object holding any of a frame's fields, each a valid value or any JSON value
+ANY_FRAME = st.fixed_dictionaries({}, optional={
+    "v": st.just(1) | JSON_VALUES,
+    "sid": st.integers(-1, 2**64).map(str) | JSON_VALUES,
+    "seq": st.integers(-1, 3) | JSON_VALUES,
+    "kind": st.sampled_from(engine.MESSAGE_KINDS) | JSON_VALUES,
+    "payload": st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=3) | JSON_VALUES,
+}).map(lambda body: json.dumps(body).encode() + b"\n")
 DEEP_FRAME = b"[" * 100000 + b"]" * 100000 + b"\n"
 UNTERMINATED = b"0" * (8 << 20)  # no newline: eight times the frame cap
 # past CPython's 4,300-digit cap on int parsing, where json.loads raises a plain ValueError
@@ -131,6 +144,15 @@ class TestMessageCodec:
             Message.decode(line)
         with pytest.raises(TransportError):
             engine._recv(io.BytesIO(line))
+
+    @settings(max_examples=300, deadline=None)
+    @given(line=st.one_of(st.binary(), st.text().map(str.encode), ANY_FRAME))
+    def test_any_bytes_decode_to_a_message_or_a_transport_error(self, line):
+        try:
+            msg = Message.decode(line)
+        except TransportError:
+            return
+        assert isinstance(msg, Message)
 
 
     @pytest.mark.parametrize("sid, seq", [
@@ -2304,7 +2326,7 @@ class TestReaderOracle:
 
 def json_read(line: str):
     """What the JSON path makes of one line: from_record of the decoded value."""
-    return SessionTranscript.from_record(engine._decoded(line))
+    return SessionTranscript.from_record(engine._JSON.decode(line))
 
 
 def read_outcome(reader, line: str):
@@ -2319,7 +2341,7 @@ def read_outcome(reader, line: str):
 def template_read(line: str):
     """(_record_from_line's transcript, whether it read line on the template path): the
     template path never calls the decoder."""
-    with patch.object(engine, "_decoded", wraps=engine._decoded) as decoded:
+    with patch.object(engine._JSON, "decode", wraps=engine._JSON.decode) as decoded:
         t = engine._record_from_line(line)
     return t, decoded.call_count == 0
 
@@ -2356,6 +2378,16 @@ class TestTemplateReader:
             expected = json_read(line)
             assert t == expected and repr(t) == repr(expected)
         assert hits == len(lines)
+
+    @pytest.mark.parametrize("pins", RENDER_PINS)
+    @pytest.mark.parametrize("spec", COVERED)
+    def test_run_session_transcripts_read_back_as_written(self, spec, pins):
+        # run_session and the reader build each key map by one rule, so a transcript read
+        # back equals the one written down to its repr, the key maps' order included
+        for i in range(4):
+            t = run_session(SecurityParam(8), parse_prover_spec(spec), 5, i, **pins)
+            back, fast = template_read(engine._transcript_line(t))
+            assert fast and back == t and repr(back) == repr(t)
 
     # (field, its new JSON text, whether the JSON path reads the line): each edit is read
     # or refused by _record_from_line as the JSON path does, with its message, with the

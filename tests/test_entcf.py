@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magicert import entcf, util
+from magicert import engine, entcf, util
 from magicert.entcf import (
     CollapsedQubit,
     Commitment,
@@ -21,9 +21,9 @@ from magicert.entcf import (
     decode_b,
     decode_u,
     hadamard_open,
-    key_record,
 )
 from magicert.errors import FamilyMisuseError, KeyLookupError, ParameterError
+from magicert.provers import parse_prover_spec
 from magicert.util import _Stream, bits_str, derive_seed, parity, rng_from
 from test_golden import Refusing, RefusingSlots
 
@@ -516,25 +516,18 @@ def test_key_material_from_refusing_generators_equals_the_bounded_draws(monkeypa
 # -------------------------------------------------------------------- export
 
 
-def record_of(h, t):
-    return key_record(h.key_id, h.w, t.family, t.perm_seed, t.shift)
-
-
-def test_key_record_flat_text_map():
-    _, h, t = make(Family.CLAW, SP4, seed=40)
-    rec = record_of(h, t)
-    assert rec == {
-        "id": str(h.key_id),
-        "w": "4",
-        "family": "F",
-        "perm_seed": str(t.perm_seed),
-        "shift": bits_str(t.shift, 4),
-    }
-    assert all(isinstance(k, str) and isinstance(v, str) for k, v in rec.items())
-    _, hg, tg = make(Family.INJECTIVE, SP4, seed=41)
-    recg = record_of(hg, tg)
-    assert "shift" not in recg
-    assert recg["family"] == "G"
+def test_transcript_keys_are_flat_text_maps():
+    """run_session's transcript holds each key's full material as a flat text map."""
+    theta = (1, 0, 0)  # one claw key and two injective keys
+    t = engine.run_session(SP4, parse_prover_spec("honest"), 40, 0, theta=theta)
+    _, sess, _ = engine._session_lanes(SP4, 40, 0, theta)
+    assert {k.family for k in sess.trapdoors} == {Family.CLAW, Family.INJECTIVE}
+    for rec, h, k in zip(t.keys, sess.handles, sess.trapdoors):
+        expected = {"id": str(h.key_id), "w": "4", "family": "G", "perm_seed": str(k.perm_seed)}
+        if k.family is Family.CLAW:
+            expected.update(family="F", shift=bits_str(k.shift, 4))
+        assert rec == expected
+        assert all(isinstance(key, str) and isinstance(v, str) for key, v in rec.items())
 
 
 def test_trapdoor_validation():

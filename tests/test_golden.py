@@ -30,9 +30,9 @@ from magicert.engine import (
     run_session,
     write_transcripts,
 )
-from magicert.entcf import SecurityParam, key_record
+from magicert.entcf import Family, SecurityParam
 from magicert.provers import parse_prover_spec
-from magicert.util import derive_seed
+from magicert.util import bits_str, derive_seed
 from magicert.verifier import RoundType
 from test_engine import serve_in_thread
 
@@ -134,6 +134,15 @@ def test_loopback_sessions_from_refusing_generators_keep_the_digest(monkeypatch,
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
+def key_map(h, k) -> dict:
+    """A key's record as SCHEMA.md gives it: flat text, a claw key's shift included."""
+    rec = {"id": str(h.key_id), "w": str(h.w), "family": k.family.value,
+           "perm_seed": str(k.perm_seed)}
+    if k.family is Family.CLAW:
+        rec["shift"] = bits_str(k.shift, h.w)
+    return rec
+
+
 def test_direct_calls_on_refusing_generators_draw_the_pinned_sessions():
     """begin and a prover given Generators directly, as criterion 6 gives them, draw what
     the array path draws for the bitflip case above (its digest is pinned)."""
@@ -151,8 +160,7 @@ def test_direct_calls_on_refusing_generators_draw_the_pinned_sessions():
         else:
             ds = prover.answer_hadamard()
             sess.check_hadamard(ds, prover.answer_questions(sess.send_questions()))
-        keys = tuple(key_record(h.key_id, h.w, k.family, k.perm_seed, k.shift)
-                     for h, k in zip(sess.handles, sess.trapdoors))
+        keys = tuple(map(key_map, sess.handles, sess.trapdoors))
         assert (sess.theta, keys, sess.ys, sess.round.value, sess.preimages, sess.ds, sess.q,
                 sess.test_index, sess.vs, sess.flag.value) == \
             (t.theta, t.keys, t.ys, t.round, t.preimages, t.ds, t.q, t.test_index, t.vs, t.flag)
